@@ -137,12 +137,15 @@ class QueuingFFD(Placer):
         The simulator and the online consolidator consume the states to know
         each PM's committed (base + reserved) load without recomputation.
 
-        The first-fit scan is vectorized: each VM's Eq. (17) test evaluates
-        against *all* PMs in one NumPy pass (count/base-sum/max-``R_e``
-        vectors plus a block-table gather), so placement costs O(m) NumPy
-        work per VM rather than an O(m) Python loop —
-        :meth:`_place_reference` keeps the literal Algorithm 2 loop for
-        cross-validation.
+        The first-fit scan is vectorized: each VM's Eq. (17) test is one
+        NumPy pass (count/base-sum/max-``R_e`` vectors plus a block-table
+        gather) over the *opened* PMs ``[0, hi)``, ``hi`` being one past
+        the highest PM that holds a VM.  Only when none of them fits does
+        it scan the empty PMs ``[hi, m)``.  The elementwise test is the one
+        a full scan would make, so the first hit is the same PM.  An
+        explained placement scores every PM instead, for its candidate
+        rows.  :meth:`_place_reference` keeps the literal Algorithm 2 loop
+        for cross-validation.
         """
         with timed("queuing_ffd.place"):
             return self._place_vectorized(vms, pms)
@@ -179,28 +182,41 @@ class QueuingFFD(Placer):
             self.spread.check_n_pms(m)
             domain_counts = self.spread.new_counts()
         table = mapping.table  # table[k] = blocks for k VMs
+        d = mapping.d
+
+        def scan(vm: VMSpec, lo: int, hi: int, spread_ok):
+            """Eq. (17) on PMs ``[lo, hi)``: first fit plus per-PM terms."""
+            new_counts = counts[lo:hi] + 1
+            count_ok = new_counts <= d
+            blocks = table[np.minimum(new_counts, d)]
+            need = (
+                np.maximum(max_extras[lo:hi], vm.r_extra) * blocks
+                + base_sums[lo:hi] + vm.r_base
+            )
+            capacity_ok = need <= caps[lo:hi] + 1e-9
+            eligible = count_ok & capacity_ok
+            if spread_ok is not None:
+                eligible &= spread_ok[lo:hi]
+            hit = np.flatnonzero(eligible)
+            first = lo + int(hit[0]) if hit.size else -1
+            return first, count_ok, capacity_ok, need
+
+        hi = 0  # one past the highest PM that holds a VM
         order = self.order_vms(vms)
         for vm_idx in order:
             vm_idx = int(vm_idx)
             vm = vms[vm_idx]
-            new_counts = counts + 1
-            eligible = new_counts <= mapping.d
-            blocks = table[np.minimum(new_counts, mapping.d)]
-            need = (
-                np.maximum(max_extras, vm.r_extra) * blocks
-                + base_sums + vm.r_base
-            )
-            count_ok = eligible.copy()
-            capacity_ok = need <= caps + 1e-9
-            eligible &= capacity_ok
-            if self.spread is not None:
-                spread_ok = self.spread.allowed_pms(domain_counts)
-                eligible &= spread_ok
+            spread_ok = (self.spread.allowed_pms(domain_counts)
+                         if self.spread is not None else None)
+            if explainer is None:
+                # Every PM in [hi, m) is empty: scan the opened prefix
+                # first and open a new PM only when none of them fits.
+                pm_idx = scan(vm, 0, hi, spread_ok)[0]
+                if pm_idx < 0:
+                    pm_idx = scan(vm, hi, m, spread_ok)[0]
             else:
-                spread_ok = None
-            hit = np.flatnonzero(eligible)
-            pm_idx = int(hit[0]) if hit.size else -1
-            if explainer is not None:
+                pm_idx, count_ok, capacity_ok, need = scan(vm, 0, m,
+                                                           spread_ok)
                 verdicts = []
                 for j in range(m):
                     if j == pm_idx:
@@ -223,6 +239,7 @@ class QueuingFFD(Placer):
             if self.spread is not None:
                 self.spread.admit(pm_idx, domain_counts)
             placement.place(vm_idx, pm_idx)
+            hi = max(hi, pm_idx + 1)
         # Materialize the reservation states from the final assignment.
         states = [PMReservationState(spec=p, mapping=mapping) for p in pms]
         for vm_idx, pm_idx in placement:

@@ -6,7 +6,7 @@ into actionable perf data, in four pieces:
 
 - :class:`PhaseAttributor` partitions the per-run span tree into the tick
   *phases* (demand generation, failure injection, scheduling, migration,
-  reconsolidation, monitoring, energy accounting — and the telemetry
+  reconsolidation, serving, monitoring, energy accounting — and the telemetry
   pipeline itself), attributing every span's *self* time to exactly one
   phase so the phase columns always sum to total tick time.
 - :func:`run_perf_sweep` is the scaling-probe harness behind ``python -m
@@ -70,6 +70,7 @@ PHASE_MAP: dict[str, str] = {
     "scheduler.resolve_overloads": "scheduler",
     "reconsolidation.replan": "reconsolidation",
     "migration.attempt": "migration",
+    "phase.serving": "serving",
     "phase.monitor": "monitor",
     "phase.energy": "energy",
     "telemetry.emit": "telemetry",
@@ -78,7 +79,7 @@ PHASE_MAP: dict[str, str] = {
 #: canonical phase ordering for tables and panels
 PHASE_ORDER: tuple[str, ...] = (
     "demand", "failures", "scheduler", "migration", "reconsolidation",
-    "monitor", "energy", "telemetry", "other",
+    "serving", "monitor", "energy", "telemetry", "other",
 )
 
 

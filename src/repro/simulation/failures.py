@@ -195,7 +195,7 @@ class FailureInjector:
         """
         vm_ids = sorted(self.dc.pms[pm_id].vm_ids)
         demands = self.dc.vm_demands()
-        caps = np.array([p.spec.capacity for p in self.dc.pms])
+        caps = self.dc.pm_capacities()
         loads = self.dc.pm_loads()
         for vm_id in vm_ids:
             if self._place_off(vm_id, pm_id, float(demands[vm_id]),
@@ -261,7 +261,7 @@ class FailureInjector:
         if not self._stranded:
             return
         demands = self.dc.vm_demands()
-        caps = np.array([p.spec.capacity for p in self.dc.pms])
+        caps = self.dc.pm_capacities()
         loads = self.dc.pm_loads()
         tel = self.telemetry
         traced = tel is not None and tel.events.enabled
@@ -295,7 +295,7 @@ class FailureInjector:
             return
         served = self.dc.vm_demands()
         full = self.dc.vm_full_demands()
-        caps = np.array([p.spec.capacity for p in self.dc.pms])
+        caps = self.dc.pm_capacities()
         loads = self.dc.pm_loads()
         tel = self.telemetry
         for vm_id in sorted(self._degraded):
@@ -398,7 +398,7 @@ class FailureInjector:
                         self._evacuate(int(pm_id), time)
 
         # independent per-PM crashes (powered-on PMs only)
-        powered = np.array([p.is_used for p in self.dc.pms])
+        powered = self.dc.pm_used_mask()
         crashing = (~self.failed & powered
                     & (self._rng.random(self.dc.n_pms)
                        < self.failure_probability))

@@ -133,7 +133,7 @@ def _feasible_mask(dc: Datacenter, vm_id: int, source_pm: int,
     PMs) applied on top of the capacity check.
     """
     loads = dc.pm_loads()
-    caps = np.array([p.spec.capacity for p in dc.pms])
+    caps = dc.pm_capacities()
     demand = dc.vm_demands()[vm_id]
     ok = loads + demand <= caps + _EPS
     ok[source_pm] = False
@@ -154,7 +154,7 @@ def explain_targets(dc: Datacenter, vm_id: int, source_pm: int, *,
     ``MigrationDecided`` provenance events.
     """
     loads = dc.pm_loads()
-    caps = np.array([p.spec.capacity for p in dc.pms])
+    caps = dc.pm_capacities()
     demand = dc.vm_demands()[vm_id]
     residual = caps - loads - demand
     verdicts: list[str] = []
@@ -184,7 +184,7 @@ def select_target_least_loaded(dc: Datacenter, vm_id: int,
     """
     ok = _feasible_mask(dc, vm_id, source_pm, excluded)
     loads = dc.pm_loads()
-    used = np.array([p.is_used for p in dc.pms])
+    used = dc.pm_used_mask()
     used_candidates = np.flatnonzero(ok & used)
     if used_candidates.size:
         return int(used_candidates[np.argmin(loads[used_candidates])])
@@ -201,8 +201,8 @@ def select_target_most_free(dc: Datacenter, vm_id: int,
     """Variant ranking used PMs by absolute free room instead of load."""
     ok = _feasible_mask(dc, vm_id, source_pm, excluded)
     loads = dc.pm_loads()
-    caps = np.array([p.spec.capacity for p in dc.pms])
-    used = np.array([p.is_used for p in dc.pms])
+    caps = dc.pm_capacities()
+    used = dc.pm_used_mask()
     used_candidates = np.flatnonzero(ok & used)
     if used_candidates.size:
         free = caps[used_candidates] - loads[used_candidates]
@@ -226,7 +226,7 @@ def select_target_reservation_aware(
     does not fluctuate with spikes) at the price of opening idle PMs sooner.
     """
     base_loads = dc.pm_base_loads()
-    caps = np.array([p.spec.capacity for p in dc.pms])
+    caps = dc.pm_capacities()
     demand_now = dc.vm_demands()[vm_id]
     base_vm = dc.vms[vm_id].spec.r_base
     loads = dc.pm_loads()
@@ -237,7 +237,7 @@ def select_target_reservation_aware(
     ok[source_pm] = False
     if excluded is not None:
         ok &= ~np.asarray(excluded, dtype=bool)
-    used = np.array([p.is_used for p in dc.pms])
+    used = dc.pm_used_mask()
     used_candidates = np.flatnonzero(ok & used)
     if used_candidates.size:
         return int(used_candidates[np.argmin(base_loads[used_candidates])])

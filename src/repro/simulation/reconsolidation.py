@@ -17,12 +17,23 @@ with refitted planning specs and a one-shot move budget — the hook the
 autopilot (:mod:`repro.autopilot`) uses to trigger incremental
 reconsolidation after a refit.  Requests are part of the captured state, so
 a checkpoint taken between request and execution replays identically.
+
+A replan's target placement is a pure function of the planning specs and
+the PM specs, and between periodic replans neither changes.  The scheduler
+therefore keeps one memo slot, (placer, planning specs, PM specs) -> target
+assignment, and a replan whose specs equal the last one's only computes the
+move diff against the live placement.  The key holds the exact frozen spec
+tuples, compared by equality rather than by a hash; an infeasible plan is
+remembered as "no moves".  A requested replan with refitted specs misses
+and recomputes.  The memo is derived state: it is not checkpointed, and a
+restored run recomputes on its first replan.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
 
 from repro.core.queuing_ffd import QueuingFFD
 from repro.core.types import VMSpec
@@ -71,6 +82,9 @@ class ReconsolidationScheduler(DynamicScheduler):
         self.planned_migrations = 0
         #: pending on-demand replan ({"vms": ..., "max_moves": ...}) or None
         self._pending_request: dict | None = None
+        #: (placer, planning specs, PM specs, target, -R_b) of the last
+        #: replan -- derived state, never checkpointed
+        self._memo: tuple | None = None
 
     def request_replan(self, *, vms: Sequence[VMSpec] | None = None,
                        max_moves: int | None = None) -> None:
@@ -116,28 +130,24 @@ class ReconsolidationScheduler(DynamicScheduler):
         ``cause`` labels the provenance event ("periodic", "requested", or
         a caller-supplied reason).
         """
-        planning: Sequence[VMSpec] = (
-            list(vms) if vms is not None else [v.spec for v in self.dc.vms]
-        )
-        pms = [p.spec for p in self.dc.pms]
+        planning = (tuple(vms) if vms is not None
+                    else tuple(v.spec for v in self.dc.vms))
         cap = self.max_planned_moves if max_moves is None else max_moves
         with timed("reconsolidation.replan"):
-            try:
-                target = self.placer.place(planning, pms)
-            except InsufficientCapacityError:
-                target = None
-        moves = [] if target is None else [
-            (vm_id, int(target.assignment[vm_id]))
-            for vm_id in range(len(planning))
-            if target.assignment[vm_id] != self.dc.placement.assignment[vm_id]
-        ]
-        # Execute biggest base-demand movers first — they relieve the most
-        # committed capacity if the burst is capped.
-        moves.sort(key=lambda m: -planning[m[0]].r_base)
+            target, neg_r_base = self._target(planning)
+        if target is None:
+            moves = np.zeros(0, dtype=np.int64)
+        else:
+            moves = np.flatnonzero(target != self.dc.placement.assignment)
+            # Execute biggest base-demand movers first -- they relieve the
+            # most committed capacity if the burst is capped.  The stable
+            # sort keeps VM-id order among equal R_b.
+            moves = moves[np.argsort(neg_r_base[moves], kind="stable")]
         events = []
         tel = self.telemetry
         traced = tel is not None and tel.events.enabled
-        for vm_id, target_pm in moves[:cap]:
+        for vm_id in moves[:cap].tolist():
+            target_pm = int(target[vm_id])
             src = self.dc.migrate(vm_id, target_pm)
             events.append(MigrationEvent(time=time, vm_id=vm_id,
                                          source_pm=src, target_pm=target_pm))
@@ -170,6 +180,30 @@ class ReconsolidationScheduler(DynamicScheduler):
                                               planned_moves=len(moves),
                                               executed_moves=len(events)))
         return events
+
+    def _target(self, planning: tuple[VMSpec, ...]
+                ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The placer's assignment for ``planning`` and each VM's ``-R_b``.
+
+        Memoized in one slot keyed on the exact spec tuples (and the
+        placer), compared by equality: periodic replans pass the same spec
+        objects every time, so a hit costs one identity check per spec.
+        ``(None, None)`` stands for an infeasible plan.
+        """
+        pms = tuple(p.spec for p in self.dc.pms)
+        memo = self._memo
+        if (memo is not None and memo[0] is self.placer
+                and memo[1] == planning and memo[2] == pms):
+            return memo[3], memo[4]
+        try:
+            target = self.placer.place(planning, pms).assignment
+        except InsufficientCapacityError:
+            target = neg_r_base = None
+        else:
+            target.setflags(write=False)
+            neg_r_base = -np.array([v.r_base for v in planning], dtype=float)
+        self._memo = (self.placer, planning, pms, target, neg_r_base)
+        return target, neg_r_base
 
     def _consume_request(self, time: int) -> list[MigrationEvent]:
         request, self._pending_request = self._pending_request, None

@@ -89,7 +89,7 @@ class SlidingWindowCVRTrigger:
                 f"{self.n_pms}"
             )
         loads = dc.pm_loads()
-        caps = np.array([p.spec.capacity for p in dc.pms])
+        caps = dc.pm_capacities()
         self._flags[:, self._cursor] = loads > caps + _EPS
         self._cursor = (self._cursor + 1) % self.window
         self._filled = min(self._filled + 1, self.window)

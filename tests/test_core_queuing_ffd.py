@@ -123,37 +123,124 @@ class TestPlacement:
         assert strict.n_used_pms >= loose.n_used_pms
 
 
+def random_fleet(rng, n_vms, n_pms):
+    """Heterogeneous VMs and capacities, some PMs too small for any VM."""
+    vms = [VMSpec(float(rng.uniform(0.005, 0.2)),
+                  float(rng.uniform(0.05, 0.6)),
+                  float(rng.uniform(0.0, 40.0)),
+                  float(rng.uniform(0.0, 60.0)))
+           for _ in range(n_vms)]
+    pms = [PMSpec(float(c)) for c in rng.uniform(5.0, 160.0, size=n_pms)]
+    return vms, pms
+
+
 class TestVectorizedEqualsReference:
-    @pytest.mark.parametrize("pattern", ["equal", "small", "large"])
-    def test_assignments_identical(self, pattern):
-        vms, pms = generate_pattern_instance(pattern, 120, seed=21)
-        placer = QueuingFFD(rho=0.01, d=16)
+    """One property suite: the vectorized first fit (opened PMs first, then
+    empty ones; the explained path scans every PM) must agree with the
+    literal Algorithm 2 loop on assignment, reservation states and the VM
+    an infeasible input fails at."""
+
+    @staticmethod
+    def assert_agrees(placer, vms, pms):
+        try:
+            ref, ref_states = placer._place_reference(vms, pms)
+        except InsufficientCapacityError as ref_exc:
+            with pytest.raises(InsufficientCapacityError) as fast_exc:
+                placer.place_with_states(vms, pms)
+            assert fast_exc.value.vm_index == ref_exc.vm_index
+            return None
         fast, fast_states = placer.place_with_states(vms, pms)
-        ref, ref_states = placer._place_reference(vms, pms)
         np.testing.assert_array_equal(fast.assignment, ref.assignment)
         for a, b in zip(fast_states, ref_states):
             assert set(a.vms) == set(b.vms)
+            # states are materialized in VM-index order, the reference adds
+            # in placement order: the sums may differ in the last bit
             assert a.base_sum == pytest.approx(b.base_sum)
             assert a.max_extra == b.max_extra
+        return fast
+
+    @pytest.mark.parametrize("pattern", ["equal", "small", "large"])
+    def test_assignments_identical(self, pattern):
+        vms, pms = generate_pattern_instance(pattern, 120, seed=21)
+        assert self.assert_agrees(QueuingFFD(rho=0.01, d=16), vms, pms)
 
     def test_identical_under_tight_capacity(self):
         vms, pms = generate_pattern_instance(
             "equal", 60, capacity_range=(45.0, 55.0), seed=22
         )
-        placer = QueuingFFD(rho=0.01, d=16)
-        fast, _ = placer.place_with_states(vms, pms)
-        ref, _ = placer._place_reference(vms, pms)
-        np.testing.assert_array_equal(fast.assignment, ref.assignment)
+        assert self.assert_agrees(QueuingFFD(rho=0.01, d=16), vms, pms)
 
     def test_identical_failure_behaviour(self):
         vms = [VMSpec(P_ON, P_OFF, 50.0, 50.0) for _ in range(4)]
         pms = [PMSpec(60.0)]
-        placer = QueuingFFD(rho=0.01, d=16)
-        with pytest.raises(InsufficientCapacityError) as fast_exc:
-            placer.place_with_states(vms, pms)
-        with pytest.raises(InsufficientCapacityError) as ref_exc:
-            placer._place_reference(vms, pms)
-        assert fast_exc.value.vm_index == ref_exc.value.vm_index
+        assert self.assert_agrees(QueuingFFD(rho=0.01, d=16), vms, pms) is None
+
+    def test_small_unopened_pm_below_the_first_that_fits(self):
+        # VM 0 opens PM 0; VM 1 fits neither PM 0 nor the still-empty,
+        # too-small PM 1, so it opens PM 2; VM 2 then fits the empty PM 1
+        # that now lies below the highest opened PM.
+        vms = [vm(50.0, 0.0), vm(40.0, 0.0), vm(12.0, 0.0)]
+        pms = [PMSpec(60.0), PMSpec(15.0), PMSpec(60.0)]
+        placement = self.assert_agrees(QueuingFFD(rho=0.01, d=16), vms, pms)
+        np.testing.assert_array_equal(placement.assignment, [0, 2, 1])
+
+    def test_spread_cap(self):
+        from repro.placement.spread import DomainSpreadConstraint
+        from repro.simulation.topology import Topology
+
+        vms, pms = generate_pattern_instance("equal", 30, seed=11)
+        topo = Topology.racks(len(pms), 2)
+        placer = QueuingFFD(rho=0.01, d=16,
+                            spread=DomainSpreadConstraint(topo, 4))
+        assert self.assert_agrees(placer, vms, pms)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_heterogeneous_fleets(self, seed):
+        from repro.placement.spread import DomainSpreadConstraint
+        from repro.simulation.topology import Topology
+
+        rng = np.random.default_rng(seed)
+        n_vms = int(rng.integers(1, 50))
+        n_pms = int(rng.integers(1, 40))
+        vms, pms = random_fleet(rng, n_vms, n_pms)
+        spread = None
+        if seed % 2:
+            spread = DomainSpreadConstraint(
+                Topology.racks(n_pms, int(rng.integers(1, 5))),
+                int(rng.integers(1, 6)))
+        placer = QueuingFFD(rho=float(rng.choice([0.001, 0.01, 0.1])),
+                            d=int(rng.choice([2, 4, 16])),
+                            n_clusters=int(rng.integers(1, 6)),
+                            spread=spread)
+        self.assert_agrees(placer, vms, pms)
+
+    def test_random_fleets_cover_both_outcomes(self):
+        outcomes = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            vms, pms = random_fleet(rng, int(rng.integers(1, 50)),
+                                    int(rng.integers(1, 40)))
+            try:
+                QueuingFFD(rho=0.01, d=4)._place_reference(vms, pms)
+                outcomes.add("placed")
+            except InsufficientCapacityError:
+                outcomes.add("infeasible")
+        assert outcomes == {"placed", "infeasible"}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_explained_placement_picks_the_same_pms(self, seed):
+        from repro.telemetry import RingBufferSink, Telemetry
+
+        rng = np.random.default_rng(100 + seed)
+        vms, pms = random_fleet(rng, 30, 60)
+        placer = QueuingFFD(rho=0.01, d=8)
+        try:
+            ref, _ = placer._place_reference(vms, pms)
+        except InsufficientCapacityError:
+            pytest.skip("infeasible draw")
+        explained = placer.place_and_report(
+            vms, pms, telemetry=Telemetry(RingBufferSink(10_000)))
+        np.testing.assert_array_equal(explained.assignment, ref.assignment)
 
 
 class TestMappingCache:

@@ -75,6 +75,24 @@ class TestPhaseAttribution:
         for phase in PHASE_ORDER:
             assert phase in text
 
+    def test_serving_time_lands_in_the_serving_phase(self):
+        from repro.core import QueuingFFD
+        from repro.simulation.scenario import Scenario
+        from repro.telemetry import Telemetry
+        from repro.workload.patterns import generate_pattern_instance
+
+        vms, pms = generate_pattern_instance("equal", 24, seed=7)
+        tel = Telemetry()
+        Scenario(vms, pms, placer=QueuingFFD(rho=0.01, d=16), serving=True,
+                 telemetry=tel).run(20, seed=3)
+        span = tel.profiler.root.children["tick"].children["phase.serving"]
+        report = PhaseAttributor().attribute(tel.profiler)
+        assert span.self_seconds > 0.0
+        assert report.phase_seconds["serving"] >= span.self_seconds
+        assert report.phase_seconds["other"] < (
+            tel.profiler.root.children["tick"].self_seconds
+            + span.self_seconds)
+
     def test_empty_profiler_yields_zero_report(self):
         report = PhaseAttributor().attribute(Profiler())
         assert report.tick_count == 0

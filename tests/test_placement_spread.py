@@ -74,15 +74,6 @@ class TestWithPlacers:
         with pytest.raises(InsufficientCapacityError):
             ffd_by_base(spread=spread).place(vms, pms)
 
-    def test_queuing_ffd_reference_agrees_with_spread(self):
-        vms, pms = generate_pattern_instance("equal", 30, seed=11)
-        topo = Topology.racks(len(pms), 2)
-        placer = QueuingFFD(rho=0.01, d=16,
-                            spread=DomainSpreadConstraint(topo, 4))
-        fast, _ = placer.place_with_states(vms, pms)
-        slow, _ = placer._place_reference(vms, pms)
-        np.testing.assert_array_equal(fast.assignment, slow.assignment)
-
     def test_topology_size_mismatch_raises(self):
         vms = small_vms(4)
         pms = [PMSpec(100.0)] * 6

@@ -1,13 +1,17 @@
 """Tests for repro.simulation.reconsolidation."""
 
+import numpy as np
 import pytest
 
 from repro.core.queuing_ffd import QueuingFFD
+from repro.core.types import VMSpec
 from repro.placement.ffd import ffd_by_base, ffd_by_peak
+from repro.simulation.checkpoint import canonical_state_bytes
 from repro.simulation.datacenter import Datacenter
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.monitor import Monitor
 from repro.simulation.reconsolidation import ReconsolidationScheduler
+from repro.simulation.scenario import Scenario
 from repro.workload.patterns import generate_pattern_instance
 
 
@@ -87,3 +91,87 @@ class TestReconsolidation:
         dc = Datacenter(vms, pms, placement, seed=0)
         with pytest.raises(ValueError):
             ReconsolidationScheduler(dc, period=0)
+
+
+def failing_scenario():
+    """Failures, flaky migrations and frequent replans on a loose packing."""
+    vms, pms = generate_pattern_instance("equal", 60, seed=3)
+    return Scenario(vms, pms, placer=ffd_by_base(max_vms_per_pm=16),
+                    failures={"failure_probability": 0.02,
+                              "repair_probability": 0.1},
+                    migration_failure_probability=0.05,
+                    reconsolidation={"period": 5}, start_stationary=True)
+
+
+def count_place_calls(monkeypatch):
+    calls = []
+    place = QueuingFFD.place
+
+    def counted(self, vms, pms):
+        calls.append(len(vms))
+        return place(self, vms, pms)
+
+    monkeypatch.setattr(QueuingFFD, "place", counted)
+    return calls
+
+
+class TestReplanMemo:
+    def test_periodic_replans_place_once(self, monkeypatch):
+        calls = count_place_calls(monkeypatch)
+        run = failing_scenario().start(seed=5)
+        run.advance(60)
+        assert run.scheduler.planned_migrations > 0
+        assert run.injector.record.failures > 0
+        assert len(calls) == 1  # eleven replans, one placement
+
+    def test_memo_leaves_the_run_unchanged(self, monkeypatch):
+        def state_bytes():
+            run = failing_scenario().start(seed=5)
+            run.advance(80)
+            return canonical_state_bytes(run.capture_state())
+
+        memoized = state_bytes()
+        target = ReconsolidationScheduler._target
+
+        def no_memo(self, planning):
+            self._memo = None
+            return target(self, planning)
+
+        monkeypatch.setattr(ReconsolidationScheduler, "_target", no_memo)
+        calls = count_place_calls(monkeypatch)
+        assert state_bytes() == memoized
+        assert len(calls) == 15  # every replan placed afresh
+
+    def test_requested_replan_with_new_specs_recomputes(self, monkeypatch):
+        vms, pms = generate_pattern_instance("equal", 40, seed=1)
+        placement = ffd_by_peak(max_vms_per_pm=16).place(vms, pms)
+        dc = Datacenter(vms, pms, placement, seed=0)
+        scheduler = ReconsolidationScheduler(dc, period=10)
+        calls = count_place_calls(monkeypatch)
+        scheduler.replan_now(10)
+        assert scheduler.replan_now(20) == []  # memo hit, nothing to move
+        assert len(calls) == 1
+        refit = [VMSpec(v.p_on, v.p_off, 1.5 * v.r_base, v.r_extra)
+                 for v in vms]
+        scheduler.request_replan(vms=refit)
+        scheduler.resolve_overloads(21)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(
+            dc.placement.assignment,
+            QueuingFFD().place(refit, pms).assignment)
+        scheduler.replan_now(30)  # the fleet's own specs again: a miss
+        assert len(calls) == 4
+
+    def test_infeasible_plan_is_memoized_as_no_moves(self, monkeypatch):
+        vms, pms = generate_pattern_instance("equal", 20, seed=2)
+        placement = ffd_by_peak(max_vms_per_pm=16).place(vms, pms)
+        dc = Datacenter(vms, pms, placement, seed=0)
+        scheduler = ReconsolidationScheduler(dc, period=10)
+        calls = count_place_calls(monkeypatch)
+        huge = [VMSpec(v.p_on, v.p_off, 1e6, v.r_extra) for v in vms]
+        before = dc.placement.assignment.copy()
+        assert scheduler.replan_now(10, vms=huge) == []
+        assert scheduler.replan_now(20, vms=huge) == []
+        assert len(calls) == 1
+        np.testing.assert_array_equal(dc.placement.assignment, before)
+
