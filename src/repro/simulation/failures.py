@@ -10,11 +10,12 @@ emergency evacuation.  This module injects failures into a run:
   fault domains (racks / power feeds) fail *together* with
   ``domain_failure_probability`` — the correlated events that dominate real
   outages and that independent per-PM models understate;
-- a failed PM's VMs must be *evacuated* — re-placed immediately on healthy
-  PMs by first fit over current demand; when a VM fits nowhere at full
-  demand it is **degraded**: throttled to its base demand ``R_b`` and placed
-  wherever that fits (``degrade_stranded``).  Only VMs that fit nowhere even
-  at ``R_b`` are counted as ``stranded`` for that interval (they retry next
+- a failed PM's VMs must be *evacuated* — re-placed immediately on the
+  least-loaded healthy PM that fits their current demand (ties to the
+  lowest index); when a VM fits nowhere at full demand it is
+  **degraded**: throttled to its base demand ``R_b`` and placed wherever
+  that fits (``degrade_stranded``).  Only VMs that fit nowhere even at
+  ``R_b`` are counted as ``stranded`` for that interval (they retry next
   interval);
 - a failed PM recovers after a geometric repair time once its domain is
   healthy again; a failed domain recovers with ``domain_repair_probability``.
@@ -187,7 +188,7 @@ class FailureInjector:
 
     # ------------------------------------------------------------------ #
     def _evacuate(self, pm_id: int, time: int = 0) -> None:
-        """First-fit the failed PM's VMs onto healthy PMs (by current demand).
+        """Move the failed PM's VMs to healthy PMs (by current demand).
 
         VMs that fit nowhere at full demand are throttled to ``R_b`` and
         retried (graceful degradation) when ``degrade_stranded`` is set;
@@ -227,35 +228,38 @@ class FailureInjector:
     def _place_off(self, vm_id: int, pm_id: int, demand: float,
                    caps: np.ndarray, loads: np.ndarray, *,
                    degrade: bool = False, time: int = 0) -> bool:
-        """Try to move ``vm_id`` off ``pm_id`` at ``demand``; updates loads."""
+        """Try to move ``vm_id`` off ``pm_id`` at ``demand``; updates loads.
+
+        The target is the least-loaded healthy PM, other than ``pm_id``,
+        that fits ``demand``; ties go to the lowest index.
+        """
+        fits = (loads + demand <= caps + _EPS) & ~self.failed
+        fits[pm_id] = False
+        if not fits.any():
+            return False
+        cand = int(np.argmin(np.where(fits, loads, np.inf)))
         tel = self.telemetry
-        for cand in np.argsort(loads):
-            cand = int(cand)
-            if cand == pm_id or self.failed[cand]:
-                continue
-            if loads[cand] + demand <= caps[cand] + _EPS:
-                if degrade:
-                    self.dc.set_throttle(vm_id, True)
-                    self._degraded.add(vm_id)
-                    self.record.degraded_evacuations += 1
-                    self._log_limit.warning(
-                        logger, "failures", "vm_degraded", time,
-                        "VM %d degraded to base demand to fit on PM %d "
-                        "at interval %d", vm_id, cand, time,
-                    )
-                    if tel is not None:
-                        self._m_degraded.inc()
-                        if tel.events.enabled:
-                            tel.emit(DegradationApplied(
-                                time=time, vm_id=vm_id, pm_id=cand))
-                self.dc.migrate(vm_id, cand)
-                loads[cand] += demand
-                loads[pm_id] -= demand
-                self.record.evacuations += 1
-                if tel is not None:
-                    self._m_evac.inc()
-                return True
-        return False
+        if degrade:
+            self.dc.set_throttle(vm_id, True)
+            self._degraded.add(vm_id)
+            self.record.degraded_evacuations += 1
+            self._log_limit.warning(
+                logger, "failures", "vm_degraded", time,
+                "VM %d degraded to base demand to fit on PM %d "
+                "at interval %d", vm_id, cand, time,
+            )
+            if tel is not None:
+                self._m_degraded.inc()
+                if tel.events.enabled:
+                    tel.emit(DegradationApplied(
+                        time=time, vm_id=vm_id, pm_id=cand))
+        self.dc.migrate(vm_id, cand)
+        loads[cand] += demand
+        loads[pm_id] -= demand
+        self.record.evacuations += 1
+        if tel is not None:
+            self._m_evac.inc()
+        return True
 
     def _retry_stranded(self, time: int = 0) -> None:
         if not self._stranded:

@@ -27,6 +27,12 @@ tuples, compared by equality rather than by a hash; an infeasible plan is
 remembered as "no moves".  A requested replan with refitted specs misses
 and recomputes.  The memo is derived state: it is not checkpointed, and a
 restored run recomputes on its first replan.
+
+A planned move whose target PM is down (the scheduler's crash mask,
+``excluded_pms_fn``) is deferred rather than executed: it counts in the
+replan's ``planned_moves`` but not in its ``executed_moves``, and the next
+replan plans it again.  The target itself never depends on the crash mask,
+so the memo stays a function of the specs alone.
 """
 
 from __future__ import annotations
@@ -127,6 +133,8 @@ class ReconsolidationScheduler(DynamicScheduler):
 
         An infeasible plan (the placer cannot fit the planning specs) is a
         zero-move replan, not an error: the incumbent placement stands.
+        Moves onto a PM in the crash mask (``excluded_pms_fn``) are planned
+        but not executed; the cap applies to the moves that remain.
         ``cause`` labels the provenance event ("periodic", "requested", or
         a caller-supplied reason).
         """
@@ -143,10 +151,15 @@ class ReconsolidationScheduler(DynamicScheduler):
             # most committed capacity if the burst is capped.  The stable
             # sort keeps VM-id order among equal R_b.
             moves = moves[np.argsort(neg_r_base[moves], kind="stable")]
+        runnable = moves
+        if self.excluded_pms_fn is not None and moves.size:
+            # A move onto a crashed PM waits for a later replan.
+            down = np.asarray(self.excluded_pms_fn(), dtype=bool)
+            runnable = moves[~down[target[moves]]]
         events = []
         tel = self.telemetry
         traced = tel is not None and tel.events.enabled
-        for vm_id in moves[:cap].tolist():
+        for vm_id in runnable[:cap].tolist():
             target_pm = int(target[vm_id])
             src = self.dc.migrate(vm_id, target_pm)
             events.append(MigrationEvent(time=time, vm_id=vm_id,

@@ -97,6 +97,19 @@ class TestFailureInjector:
         for vm_id in (0, 1):
             assert dc.placement.pm_of(vm_id) == 2
 
+    def test_evacuation_ties_go_to_the_lowest_index(self):
+        # 299 idle PMs tie at load 0 (enough for NumPy's SIMD sorts to
+        # reorder equal keys); the least-loaded target must be PM 0.
+        vms = [vm(10.0)]
+        pms = [PMSpec(100.0)] * 300
+        placement = Placement(1, 300, assignment=np.array([150]))
+        dc = Datacenter(vms, pms, placement, seed=0)
+        inj = FailureInjector(dc, failure_probability=1.0,
+                              repair_probability=0.0, seed=0)
+        inj.step(0)
+        assert inj.failed[150]
+        assert dc.placement.pm_of(0) == 0
+
     def test_failed_intervals_accumulate(self):
         dc = simple_dc()
         inj = FailureInjector(dc, failure_probability=1.0,

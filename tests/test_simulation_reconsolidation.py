@@ -175,3 +175,21 @@ class TestReplanMemo:
         assert len(calls) == 1
         np.testing.assert_array_equal(dc.placement.assignment, before)
 
+
+class TestReplanAroundFailures:
+    def test_no_replan_move_targets_a_failed_pm(self):
+        run = failing_scenario().start(seed=5)
+        scheduler, injector = run.scheduler, run.injector
+        replan_now = scheduler.replan_now
+        moved = []
+
+        def checked(time, **kwargs):
+            events = replan_now(time, **kwargs)
+            assert not any(injector.failed[e.target_pm] for e in events)
+            moved.extend(events)
+            return events
+
+        scheduler.replan_now = checked
+        run.advance(200)
+        assert moved
+        assert injector.record.failures > 20
