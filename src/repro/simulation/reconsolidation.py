@@ -19,8 +19,9 @@ reconsolidation after a refit.  Requests are part of the captured state, so
 a checkpoint taken between request and execution replays identically.
 
 A replan's target placement is a pure function of the planning specs and
-the PM specs, and between periodic replans neither changes.  The scheduler
-therefore keeps one memo slot, (placer, planning specs, PM specs) -> target
+the PM specs (the placer and its settings are fixed for the scheduler's
+life), and between periodic replans neither changes.  The scheduler
+therefore keeps one memo slot, (planning specs, PM specs) -> target
 assignment, and a replan whose specs equal the last one's only computes the
 move diff against the live placement.  The key holds the exact frozen spec
 tuples, compared by equality rather than by a hash; an infeasible plan is
@@ -88,8 +89,8 @@ class ReconsolidationScheduler(DynamicScheduler):
         self.planned_migrations = 0
         #: pending on-demand replan ({"vms": ..., "max_moves": ...}) or None
         self._pending_request: dict | None = None
-        #: (placer, planning specs, PM specs, target, -R_b) of the last
-        #: replan -- derived state, never checkpointed
+        #: (planning specs, PM specs, target, -R_b) of the last replan --
+        #: derived state, never checkpointed
         self._memo: tuple | None = None
 
     def request_replan(self, *, vms: Sequence[VMSpec] | None = None,
@@ -147,7 +148,7 @@ class ReconsolidationScheduler(DynamicScheduler):
             moves = np.zeros(0, dtype=np.int64)
         else:
             moves = np.flatnonzero(target != self.dc.placement.assignment)
-            # Execute biggest base-demand movers first -- they relieve the
+            # Execute biggest base-demand movers first — they relieve the
             # most committed capacity if the burst is capped.  The stable
             # sort keeps VM-id order among equal R_b.
             moves = moves[np.argsort(neg_r_base[moves], kind="stable")]
@@ -198,16 +199,15 @@ class ReconsolidationScheduler(DynamicScheduler):
                 ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """The placer's assignment for ``planning`` and each VM's ``-R_b``.
 
-        Memoized in one slot keyed on the exact spec tuples (and the
-        placer), compared by equality: periodic replans pass the same spec
-        objects every time, so a hit costs one identity check per spec.
-        ``(None, None)`` stands for an infeasible plan.
+        Memoized in one slot keyed on the exact spec tuples, compared by
+        equality: periodic replans pass the same spec objects every time,
+        so a hit costs one identity check per spec.  ``(None, None)``
+        stands for an infeasible plan.
         """
         pms = tuple(p.spec for p in self.dc.pms)
         memo = self._memo
-        if (memo is not None and memo[0] is self.placer
-                and memo[1] == planning and memo[2] == pms):
-            return memo[3], memo[4]
+        if memo is not None and memo[0] == planning and memo[1] == pms:
+            return memo[2], memo[3]
         try:
             target = self.placer.place(planning, pms).assignment
         except InsufficientCapacityError:
@@ -215,7 +215,7 @@ class ReconsolidationScheduler(DynamicScheduler):
         else:
             target.setflags(write=False)
             neg_r_base = -np.array([v.r_base for v in planning], dtype=float)
-        self._memo = (self.placer, planning, pms, target, neg_r_base)
+        self._memo = (planning, pms, target, neg_r_base)
         return target, neg_r_base
 
     def _consume_request(self, time: int) -> list[MigrationEvent]:
