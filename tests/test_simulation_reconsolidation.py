@@ -147,20 +147,19 @@ class TestReplanMemo:
         placement = ffd_by_peak(max_vms_per_pm=16).place(vms, pms)
         dc = Datacenter(vms, pms, placement, seed=0)
         scheduler = ReconsolidationScheduler(dc, period=10)
+        refit = [VMSpec(v.p_on, v.p_off, 1.5 * v.r_base, v.r_extra)
+                 for v in vms]
+        refit_target = QueuingFFD().place(refit, pms).assignment
         calls = count_place_calls(monkeypatch)
         scheduler.replan_now(10)
         assert scheduler.replan_now(20) == []  # memo hit, nothing to move
         assert len(calls) == 1
-        refit = [VMSpec(v.p_on, v.p_off, 1.5 * v.r_base, v.r_extra)
-                 for v in vms]
         scheduler.request_replan(vms=refit)
         scheduler.resolve_overloads(21)
         assert len(calls) == 2
-        np.testing.assert_array_equal(
-            dc.placement.assignment,
-            QueuingFFD().place(refit, pms).assignment)
+        np.testing.assert_array_equal(dc.placement.assignment, refit_target)
         scheduler.replan_now(30)  # the fleet's own specs again: a miss
-        assert len(calls) == 4
+        assert len(calls) == 3
 
     def test_infeasible_plan_is_memoized_as_no_moves(self, monkeypatch):
         vms, pms = generate_pattern_instance("equal", 20, seed=2)
