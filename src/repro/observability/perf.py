@@ -471,7 +471,11 @@ class PerfPoint:
     migrations: int
     span_calls: dict[str, int]
     span_errors: dict[str, int]
+    #: median of ``plain_repeat_seconds`` (upper middle for an even
+    #: count, the same rule as ``median_seconds``)
     plain_seconds: float
+    #: wall clock of the telemetry-free baseline runs, sorted
+    plain_repeat_seconds: list[float]
     median_seconds: float
     repeat_seconds: list[float]
     peak_alloc_bytes: int
@@ -540,6 +544,7 @@ class PerfSweepResult:
             "sweep": {
                 str(n): {
                     "plain_seconds": p.plain_seconds,
+                    "plain_repeat_seconds": p.plain_repeat_seconds,
                     "median_seconds": p.median_seconds,
                     "repeat_seconds": p.repeat_seconds,
                     "vm_intervals_per_second": p.vm_intervals_per_second,
@@ -685,9 +690,10 @@ def run_perf_sweep(
 ) -> PerfSweepResult:
     """Sweep fleet sizes; measure wall, phases, allocation, throughput.
 
-    Per sweep size: one *plain* run (telemetry off) for the observer-effect
-    baseline, ``repeats`` instrumented runs (median wall; attribution from
-    the median run), and one dedicated tracemalloc pass (never timed).
+    Per sweep size: ``repeats`` *plain* runs (telemetry off; median wall)
+    for the observer-effect baseline, ``repeats`` instrumented runs (median
+    wall; attribution from the median run), and one dedicated tracemalloc
+    pass (never timed).
     Deterministic facts (span call counts, event counts, migrations) are
     taken from the *first* instrumented run — "which repeat was fastest"
     is wall-clock noise and must not leak into ``BENCH_PERF.json``.
@@ -719,20 +725,25 @@ def run_perf_sweep(
 def _run_sweep_points(sizes, result, attributor, *, intervals, repeats,
                       seed, mode, slow_phase, trace_memory, on_point):
     for n_vms in sizes:
-        # -- plain baseline (no telemetry at all) ---------------------- #
-        scenario, n_pms = _build_scenario(n_vms, seed=seed, mode=mode,
-                                          telemetry=None,
-                                          intervals=intervals)
-        run = scenario.start(seed=seed)
-        if slow_phase is not None:
-            _install_slow_phase(run, slow_phase[0], slow_phase[1])
-        t0 = time.perf_counter()
-        try:
-            run.advance(intervals)
-        finally:
-            run.close()
-        plain_seconds = time.perf_counter() - t0
-        run.finish()
+        # -- plain baseline (no telemetry at all), as many runs as the
+        # instrumented side: one plain run against a median of repeats
+        # let run-to-run noise read as negative observer overhead
+        plain_walls: list[float] = []
+        for _ in range(repeats):
+            scenario, n_pms = _build_scenario(n_vms, seed=seed, mode=mode,
+                                              telemetry=None,
+                                              intervals=intervals)
+            run = scenario.start(seed=seed)
+            if slow_phase is not None:
+                _install_slow_phase(run, slow_phase[0], slow_phase[1])
+            t0 = time.perf_counter()
+            try:
+                run.advance(intervals)
+            finally:
+                run.close()
+            plain_walls.append(time.perf_counter() - t0)
+            run.finish()
+        plain_walls.sort()
 
         # -- instrumented repeats -------------------------------------- #
         walls: list[float] = []
@@ -777,7 +788,8 @@ def _run_sweep_points(sizes, result, attributor, *, intervals, repeats,
             migrations=int(first_report.total_migrations),
             span_calls=facts_report.span_calls,
             span_errors=facts_report.span_errors,
-            plain_seconds=plain_seconds,
+            plain_seconds=plain_walls[len(plain_walls) // 2],
+            plain_repeat_seconds=plain_walls,
             median_seconds=walls[median_idx],
             repeat_seconds=sorted(walls),
             peak_alloc_bytes=peak,

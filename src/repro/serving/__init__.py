@@ -4,7 +4,8 @@ Closes the gap between the paper's capacity-violation metric and the
 latency an operator actually buys (see ``docs/SERVING.md``):
 
 - :mod:`repro.serving.queue` — per-VM finite-capacity FIFO queues
-  (batch-exact integer state), the fleet latency histogram with exact
+  (batch-exact integer state), the array store that holds every VM's
+  queue for the vectorized tick, the fleet latency histogram with exact
   percentiles and the empirical ``P(T_S > t)`` SLA tail, and the
   degradation/thrash service-capacity rule;
 - :mod:`repro.serving.leveling` — the queue-based load-leveling tier:
@@ -17,7 +18,12 @@ latency an operator actually buys (see ``docs/SERVING.md``):
 
 from repro.serving.layer import SERVING_DEFAULTS, ServingLayer, ServingReport
 from repro.serving.leveling import LoadLevelingTier, Request
-from repro.serving.queue import LatencyHistogram, VMQueue, service_capacity
+from repro.serving.queue import (
+    LatencyHistogram,
+    QueueStore,
+    VMQueue,
+    service_capacity,
+)
 
 __all__ = [
     "SERVING_DEFAULTS",
@@ -26,6 +32,7 @@ __all__ = [
     "LoadLevelingTier",
     "Request",
     "LatencyHistogram",
+    "QueueStore",
     "VMQueue",
     "service_capacity",
 ]

@@ -1,7 +1,7 @@
 """The per-interval request-serving layer a scenario tick drives.
 
-:class:`ServingLayer` owns one :class:`~repro.serving.queue.VMQueue` per
-VM, the fleet :class:`~repro.serving.queue.LatencyHistogram`, optionally a
+:class:`ServingLayer` owns the per-VM request queues, the fleet
+:class:`~repro.serving.queue.LatencyHistogram`, optionally a
 :class:`~repro.serving.leveling.LoadLevelingTier`, and the serving RNG
 stream.  Each interval it:
 
@@ -17,11 +17,15 @@ stream.  Each interval it:
    levelled work from the tier (tier mode) or admits the new arrivals
    directly (direct mode), accounting every lost request.
 
-The ``vectorized`` mode evaluates steps 1–2 with NumPy elementwise ops and
-the ``scalar`` mode with explicit per-VM Python loops over the same IEEE
-arithmetic; queue bookkeeping is exact integers either way, so the two
-modes agree **bit-for-bit** on queue state, histogram, and every counter
-(asserted in ``tests/test_serving_scenario.py``).
+The ``vectorized`` mode keeps every VM's queue in one
+:class:`~repro.serving.queue.QueueStore` and runs steps 1–3 as
+whole-fleet array operations (the tier, when on, still drains per VM);
+the ``scalar`` mode is the reference, with one
+:class:`~repro.serving.queue.VMQueue` per VM and explicit per-VM Python
+loops over the same IEEE arithmetic.  Queue bookkeeping is exact
+integers either way, so the two modes agree **bit-for-bit** on queue
+state, histogram, and every counter (asserted in
+``tests/test_serving_scenario.py``).
 """
 
 from __future__ import annotations
@@ -31,7 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.serving.leveling import LoadLevelingTier
-from repro.serving.queue import LatencyHistogram, VMQueue, service_capacity
+from repro.serving.queue import (
+    LatencyHistogram,
+    QueueStore,
+    VMQueue,
+    service_capacity,
+)
 from repro.telemetry import ServingSnapshot, Telemetry, resolve
 from repro.utils.rng import (
     SeedLike,
@@ -181,7 +190,12 @@ class ServingLayer:
         self.sla_t = check_integer(sla_t, "sla_t", minimum=1)
         self._rng = as_generator(seed)
         self.telemetry = resolve(telemetry)
-        self.queues = [VMQueue(max_depth) for _ in range(n_vms)]
+        # the vectorized mode keeps every queue in one array store; the
+        # scalar reference keeps one VMQueue per VM
+        self.store = (QueueStore(n_vms, max_depth)
+                      if mode == "vectorized" else None)
+        self.queues = ([VMQueue(max_depth) for _ in range(n_vms)]
+                       if mode == "scalar" else None)
         self.histogram = LatencyHistogram(max_latency)
         self.tier = (
             LoadLevelingTier(n_vms, buffer_size=buffer_size,
@@ -210,13 +224,12 @@ class ServingLayer:
         """
         n = self.n_vms
         queues = self.queues
-        if self.mode == "vectorized":
+        if self.store is not None:
             rates = np.where(on, self.peak_rate, self.base_rate)
-            depths = np.fromiter((q.depth for q in queues), dtype=np.int64,
-                                 count=n)
             factor = np.ones(n)
             factor[violated] *= self.degraded_factor
-            factor[depths > self.thrash_threshold] *= self.thrash_factor
+            factor[self.store.depth > self.thrash_threshold] *= \
+                self.thrash_factor
             caps = np.floor(self.service_rate * factor).astype(np.int64)
         else:
             rates = np.empty(n)
@@ -235,37 +248,18 @@ class ServingLayer:
         # datacenter's per-interval uniform draw vector).
         arrivals = self._rng.poisson(rates)
 
-        completions = 0
-        slow = 0
-        lost_queue = 0
+        if self.store is not None:
+            completions, slow, lost_queue = self._serve_admit_store(
+                t, caps, arrivals)
+        else:
+            completions, slow, lost_queue = self._serve_admit_scalar(
+                t, caps, arrivals)
         lost_tier = 0
-        for i in range(n):
-            served, late = queues[i].serve(t, int(caps[i]), self.histogram,
-                                           self.sla_t)
-            completions += served
-            slow += late
         if self.tier is not None:
-            # levelled delivery never pushes a VM past its thrash
-            # threshold — the whole point of the tier is that a burst
-            # cannot collapse a server's throughput
-            deliveries = self.tier.drain(
-                t, [min(q.free, max(0, self.thrash_threshold - q.depth))
-                    for q in queues])
-            for i in range(n):
-                for arrival, count in deliveries[i]:
-                    admitted = queues[i].admit(arrival, count)
-                    if admitted != count:  # pragma: no cover - drain is
-                        # bounded by free space, so this cannot happen
-                        raise RuntimeError("tier overdelivered into a queue")
             for i in range(n):
                 count = int(arrivals[i])
                 buffered = self.tier.accept(i, t, count)
                 lost_tier += count - buffered
-        else:
-            for i in range(n):
-                count = int(arrivals[i])
-                admitted = queues[i].admit(t, count)
-                lost_queue += count - admitted
 
         interval_arrivals = int(arrivals.sum())
         self.arrivals_total += interval_arrivals
@@ -296,12 +290,65 @@ class ServingLayer:
             ))
             self._dlq_seen = dlq_total
 
+    def _serve_admit_store(self, t: int, caps: np.ndarray,
+                           arrivals: np.ndarray) -> tuple[int, int, int]:
+        """Serve, then admit, every VM at once; returns
+        ``(completions, slow, lost_queue)``."""
+        store = self.store
+        completions, slow = store.serve(t, caps, self.histogram, self.sla_t)
+        if self.tier is not None:
+            # levelled delivery never pushes a VM past its thrash
+            # threshold — the whole point of the tier is that a burst
+            # cannot collapse a server's throughput
+            depth = store.depth
+            store.deliver(self.tier.drain(t, np.minimum(
+                store.max_depth - depth,
+                np.maximum(0, self.thrash_threshold - depth))))
+            return completions, slow, 0
+        admitted = store.admit(t, arrivals)
+        return completions, slow, int(arrivals.sum() - admitted.sum())
+
+    def _serve_admit_scalar(self, t: int, caps: np.ndarray,
+                            arrivals: np.ndarray) -> tuple[int, int, int]:
+        """The per-VM reference of :meth:`_serve_admit_store`."""
+        n = self.n_vms
+        queues = self.queues
+        completions = 0
+        slow = 0
+        lost_queue = 0
+        for i in range(n):
+            served, late = queues[i].serve(t, int(caps[i]), self.histogram,
+                                           self.sla_t)
+            completions += served
+            slow += late
+        if self.tier is not None:
+            # levelled delivery never pushes a VM past its thrash
+            # threshold — the whole point of the tier is that a burst
+            # cannot collapse a server's throughput
+            deliveries = self.tier.drain(
+                t, [min(q.free, max(0, self.thrash_threshold - q.depth))
+                    for q in queues])
+            for i in range(n):
+                for arrival, count in deliveries[i]:
+                    admitted = queues[i].admit(arrival, count)
+                    if admitted != count:  # pragma: no cover - drain is
+                        # bounded by free space, so this cannot happen
+                        raise RuntimeError("tier overdelivered into a queue")
+        else:
+            for i in range(n):
+                count = int(arrivals[i])
+                admitted = queues[i].admit(t, count)
+                lost_queue += count - admitted
+        return completions, slow, lost_queue
+
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
     @property
     def backlog(self) -> int:
         """Requests waiting in VM queues right now."""
+        if self.store is not None:
+            return int(self.store.depth.sum())
         return sum(q.depth for q in self.queues)
 
     def report(self) -> ServingReport:
@@ -323,7 +370,10 @@ class ServingLayer:
             p95=hist.percentile(0.95) if done else float("nan"),
             p99=hist.percentile(0.99) if done else float("nan"),
             sla_t=self.sla_t,
-            sla_violation_fraction=hist.tail_probability(self.sla_t),
+            # exact for any sla_t: the histogram clamps sojourns above
+            # max_latency, so its tail cannot see past that bound
+            sla_violation_fraction=(self.slow_total / self.completions_total
+                                    if self.completions_total else 0.0),
         )
 
     # ------------------------------------------------------------------ #
@@ -333,7 +383,9 @@ class ServingLayer:
         """JSON-safe snapshot of RNG, queues, histogram, tier, counters."""
         return {
             "rng": capture_rng_state(self._rng),
-            "queues": [q.capture_state() for q in self.queues],
+            "queues": (self.store.capture_state()
+                       if self.store is not None
+                       else [q.capture_state() for q in self.queues]),
             "histogram": self.histogram.capture_state(),
             "tier": (self.tier.capture_state()
                      if self.tier is not None else None),
@@ -356,8 +408,11 @@ class ServingLayer:
                 "checkpoint load-leveling configuration does not match this "
                 "serving layer (one has a tier, the other does not)")
         self._rng = restore_rng_state(state["rng"])
-        for q, qs in zip(self.queues, state["queues"]):
-            q.restore_state(qs)
+        if self.store is not None:
+            self.store.restore_state(state["queues"])
+        else:
+            for q, qs in zip(self.queues, state["queues"]):
+                q.restore_state(qs)
         self.histogram.restore_state(state["histogram"])
         if self.tier is not None:
             self.tier.restore_state(state["tier"])

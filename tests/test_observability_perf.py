@@ -276,6 +276,17 @@ class TestPerfSweep:
         trace = json.loads(paths["trace"].read_text())
         assert chrome_trace_to_spans(trace)["n12"] == result.points[12].spans
 
+    def test_plain_baseline_is_the_median_of_plain_repeats(self, tmp_path):
+        result = run_perf_sweep(**{**SWEEP_KW, "repeats": 3})
+        point = result.points[12]
+        assert len(point.plain_repeat_seconds) == 3
+        assert point.plain_repeat_seconds == sorted(point.plain_repeat_seconds)
+        assert point.plain_seconds == point.plain_repeat_seconds[1]
+        timings = json.loads(result.write(tmp_path)["timings"].read_text())
+        row = timings["sweep"]["12"]
+        assert row["plain_repeat_seconds"] == point.plain_repeat_seconds
+        assert row["plain_seconds"] == point.plain_seconds
+
     def test_slow_phase_shifts_attribution(self):
         slowed = run_perf_sweep(slow_phase=("monitor", 0.002), **SWEEP_KW)
         frac = slowed.points[12].report.phase_fraction["monitor"]

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.serving import LatencyHistogram, VMQueue, service_capacity
+from repro.serving import (
+    LatencyHistogram,
+    QueueStore,
+    VMQueue,
+    service_capacity,
+)
 
 
 class TestLatencyHistogram:
@@ -25,6 +31,35 @@ class TestLatencyHistogram:
         assert h.percentile(0.95) == 5.0
         assert h.percentile(0.99) == 9.0
         assert h.percentile(1.00) == 9.0
+
+    def test_percentile_zero_is_the_smallest_recorded_sojourn(self):
+        h = LatencyHistogram(16)
+        h.record(5, 10)
+        assert h.percentile(0.0) == 5.0
+        h.record(3, 1)
+        assert h.percentile(0.0) == 3.0
+
+    def test_record_many_equals_pairwise_record(self):
+        rng = np.random.default_rng(4)
+        latencies = rng.integers(1, 20, size=200)
+        counts = rng.integers(0, 6, size=200)
+        bulk, loop = LatencyHistogram(8), LatencyHistogram(8)
+        bulk.record_many(latencies, counts)
+        for latency, n in zip(latencies.tolist(), counts.tolist()):
+            loop.record(latency, n)
+        assert bulk.overflow > 0
+        assert bulk.capture_state() == loop.capture_state()
+
+    def test_record_many_validation(self):
+        h = LatencyHistogram(8)
+        h.record_many(np.array([], dtype=np.int64), np.array([]))  # no-op
+        assert h.total == 0
+        with pytest.raises(ValueError, match="latency"):
+            h.record_many(np.array([0, 2]), np.array([1, 1]))
+        with pytest.raises(ValueError, match="counts"):
+            h.record_many(np.array([1, 2]), np.array([1, -1]))
+        with pytest.raises(ValueError, match="length"):
+            h.record_many(np.array([1, 2]), np.array([1]))
 
     def test_tail_probability(self):
         h = LatencyHistogram(16)
@@ -124,6 +159,85 @@ class TestVMQueue:
         bad = {"max_depth": 50, "batches": [[0, 60]]}
         with pytest.raises(ValueError, match="exceeds"):
             VMQueue(50).restore_state(bad)
+
+
+class TestQueueStore:
+    """One array store against one ``VMQueue`` per VM, operation by
+    operation."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_vmqueues_under_random_traffic(self, seed):
+        rng = np.random.default_rng(seed)
+        n, max_depth = 7, 40
+        store = QueueStore(n, max_depth)
+        queues = [VMQueue(max_depth) for _ in range(n)]
+        h_store, h_queues = LatencyHistogram(6), LatencyHistogram(6)
+        for t in range(120):
+            caps = rng.integers(0, 16, size=n)
+            served, slow = 0, 0
+            for q, cap in zip(queues, caps.tolist()):
+                done, late = q.serve(t, cap, h_queues, 3)
+                served += done
+                slow += late
+            assert store.serve(t, caps, h_store, 3) == (served, slow)
+            if t % 3 == 0:
+                # older stamps, some equal to a tail batch (merge)
+                deliveries = []
+                for q in queues:
+                    out, room = [], q.free
+                    for _ in range(int(rng.integers(0, 3))):
+                        c = min(int(rng.integers(1, 4)), room)
+                        if c:
+                            out.append((t - int(rng.integers(0, 2)), c))
+                            room -= c
+                    for a, c in out:
+                        q.admit(a, c)
+                    deliveries.append(out)
+                store.deliver(deliveries)
+            arrivals = rng.integers(0, 25, size=n)
+            admitted = store.admit(t, arrivals)
+            assert admitted.tolist() == [q.admit(t, int(a)) for q, a in
+                                         zip(queues, arrivals.tolist())]
+            assert store.capture_state() == [q.capture_state()
+                                             for q in queues]
+            assert store.depth.tolist() == [q.depth for q in queues]
+        assert h_store.capture_state() == h_queues.capture_state()
+        assert store.width <= 64  # max_depth rounded up to a power of 2
+
+    def test_restores_vmqueue_snapshots(self):
+        queues = [VMQueue(50) for _ in range(3)]
+        queues[0].admit(0, 10)
+        queues[0].admit(2, 5)
+        queues[2].admit(1, 50)
+        states = [q.capture_state() for q in queues]
+        store = QueueStore(3, 50)
+        store.restore_state(states)
+        assert store.capture_state() == states
+        assert store.depth.tolist() == [15, 0, 50]
+        # a restored tail stamp still merges, like VMQueue.admit
+        store.push(np.array([0]), np.array([2]), np.array([1]))
+        queues[0].admit(2, 1)
+        assert store.capture_state() == [q.capture_state() for q in queues]
+
+    def test_restore_validation(self):
+        state = VMQueue(50).capture_state()
+        with pytest.raises(ValueError, match="max_depth"):
+            QueueStore(1, 10).restore_state([state])
+        with pytest.raises(ValueError, match="exceeds"):
+            QueueStore(1, 50).restore_state(
+                [{"max_depth": 50, "batches": [[0, 30], [1, 30]]}])
+        with pytest.raises(ValueError, match="queues"):
+            QueueStore(2, 50).restore_state([state])
+
+    def test_width_doubles_only_when_a_vm_needs_a_slot(self):
+        store = QueueStore(2, 100)
+        width = QueueStore.INITIAL_WIDTH
+        for t in range(width):
+            store.admit(t, np.array([1, 1]))
+        assert store.width == width
+        store.admit(width, np.array([1, 0]))
+        assert store.width == 2 * width
+        assert store.length.tolist() == [width + 1, width]
 
 
 class TestServiceCapacity:
