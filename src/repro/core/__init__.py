@@ -3,8 +3,8 @@
 - :mod:`repro.core.types` — VM/PM specifications and the placement mapping.
 - :mod:`repro.core.mapcal` — Algorithm 1 (MapCal): minimal reservation-block
   count for ``k`` collocated ON-OFF VMs under a CVR bound.
-- :mod:`repro.core.reservation` — per-PM block bookkeeping and the Eq. (17)
-  admission constraint.
+- :mod:`repro.core.reservation` — the Eq. (17) admission kernel every
+  consolidation path evaluates, plus its scalar reference.
 - :mod:`repro.core.queuing_ffd` — Algorithm 2 (QueuingFFD): the complete
   cluster-then-first-fit consolidation scheme.
 - :mod:`repro.core.online` — online arrivals/departures/batches (Section IV-E).
@@ -30,7 +30,11 @@ from repro.core.quantile import (
 from repro.core.multidim import MultiDimFirstFit, MultiDimVMSpec, MultiDimPMSpec
 from repro.core.online import OnlineConsolidator
 from repro.core.queuing_ffd import QueuingFFD
-from repro.core.reservation import PMReservationState, fits_with_reservation
+from repro.core.reservation import (
+    PMReservationState,
+    ReservationKernel,
+    fits_with_reservation,
+)
 from repro.core.rounding import round_switch_probabilities
 from repro.core.types import PMSpec, Placement, VMSpec
 
@@ -52,6 +56,7 @@ __all__ = [
     "OnlineConsolidator",
     "QueuingFFD",
     "PMReservationState",
+    "ReservationKernel",
     "fits_with_reservation",
     "round_switch_probabilities",
     "PMSpec",

@@ -22,22 +22,22 @@ paper's actual performance constraint (Eq. 5) — does not.
 :class:`HeterogeneousQueuingFFD` is a drop-in placer using the exact
 per-candidate-set tail: instead of a precomputed ``mapping[k]`` it
 recomputes the Poisson-binomial tail as each VM is tentatively added
-(incremental O(k) update per test).
+(one O(k) convolution step per PM, vectorized over the fleet).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from repro.cluster.binning import equal_width_bins
+from repro.core.reservation import ReservationKernel
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.perf.cache import get_cache
 from repro.placement.base import InsufficientCapacityError, Placer
 from repro.utils.validation import check_integer, check_probability
-
-_EPS = 1e-9
 
 
 def poisson_binomial_pmf(q: np.ndarray) -> np.ndarray:
@@ -99,9 +99,14 @@ def heterogeneous_blocks(vms: Sequence[VMSpec], rho: float) -> int:
 
 def _solve_blocks(q: np.ndarray, rho: float) -> int:
     pmf = poisson_binomial_pmf(q)
-    cumulative = np.cumsum(pmf)
-    meets = np.flatnonzero(cumulative >= 1.0 - rho - 1e-15)
-    return int(meets[0]) if meets.size else q.size
+    return int(_exact_blocks(pmf[None, :], 1.0 - rho - 1e-15, q.size)[0])
+
+
+def _exact_blocks(pmfs: np.ndarray, threshold: float, fallback) -> np.ndarray:
+    """Per row of ON-count PMFs, the least ``K`` with ``P[#ON <= K] >=
+    threshold``; ``fallback`` where no ``K`` reaches it."""
+    meets = np.cumsum(pmfs, axis=1) >= threshold
+    return np.where(meets.any(axis=1), meets.argmax(axis=1), fallback)
 
 
 def heterogeneous_cvr(vms: Sequence[VMSpec], n_blocks: int) -> float:
@@ -113,60 +118,20 @@ def heterogeneous_cvr(vms: Sequence[VMSpec], n_blocks: int) -> float:
     return float(pmf[n_blocks + 1 :].sum())
 
 
+@dataclass(frozen=True)
 class _HeteroPMState:
-    """Incremental Poisson-binomial state of one PM.
+    """One PM after exact placement: hosted VM ids, the ON-count PMF of the
+    hosted set, its exact block count and the Eq. (17) aggregates."""
 
-    Keeps the PMF of the hosted set's ON-count; adding a VM is an O(k)
-    convolution step, so one admission test is O(k) after the tentative
-    update (we recompute the tentative PMF without committing).
-    """
-
-    def __init__(self, spec: PMSpec, rho: float, d: int):
-        self.spec = spec
-        self.rho = rho
-        self.d = d
-        self.pmf = np.array([1.0])
-        self.base_sum = 0.0
-        self.max_extra = 0.0
-        self.vm_ids: list[int] = []
+    vm_ids: list[int]
+    pmf: np.ndarray
+    n_blocks: int
+    base_sum: float
+    max_extra: float
 
     @property
     def count(self) -> int:
         return len(self.vm_ids)
-
-    def _blocks_from(self, pmf: np.ndarray) -> int:
-        cumulative = np.cumsum(pmf)
-        meets = np.flatnonzero(cumulative >= 1.0 - self.rho - 1e-15)
-        return int(meets[0]) if meets.size else pmf.size - 1
-
-    def _extended(self, q: float) -> np.ndarray:
-        new = np.zeros(self.pmf.size + 1)
-        new[: self.pmf.size] = self.pmf * (1.0 - q)
-        new[1:] += self.pmf * q
-        return new
-
-    def fits(self, vm: VMSpec) -> bool:
-        """Exact Eq. (17)-style test with the Poisson-binomial block count."""
-        if self.count + 1 > self.d:
-            return False
-        q = vm.p_on / (vm.p_on + vm.p_off)
-        pmf = self._extended(q)
-        blocks = self._blocks_from(pmf)
-        new_max = max(self.max_extra, vm.r_extra)
-        need = new_max * blocks + self.base_sum + vm.r_base
-        return need <= self.spec.capacity + _EPS
-
-    def add(self, vm_id: int, vm: VMSpec) -> None:
-        q = vm.p_on / (vm.p_on + vm.p_off)
-        self.pmf = self._extended(q)
-        self.base_sum += vm.r_base
-        self.max_extra = max(self.max_extra, vm.r_extra)
-        self.vm_ids.append(vm_id)
-
-    @property
-    def n_blocks(self) -> int:
-        """Current exact block requirement of the hosted set."""
-        return self._blocks_from(self.pmf)
 
     @property
     def committed(self) -> float:
@@ -213,19 +178,37 @@ class HeterogeneousQueuingFFD(Placer):
     def place_with_states(
         self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]
     ) -> tuple[Placement, list[_HeteroPMState]]:
-        """Place and return the exact per-PM states (for inspection)."""
+        """Place and return the exact per-PM states (for inspection).
+
+        Each PM keeps the PMF of its hosted set's ON-count (row ``j`` of
+        ``pmfs``).  A candidate's exact block count on every PM is one
+        convolution step of those PMFs, and the Eq. (17) test runs in
+        :class:`ReservationKernel` with those counts in place of a table.
+        """
         placement = Placement(len(vms), len(pms))
-        states = [_HeteroPMState(p, self.rho, self.d) for p in pms]
-        if not vms:
-            return placement, states
+        kernel = ReservationKernel([p.capacity for p in pms], self.d)
+        pmfs = np.zeros((len(pms), self.d + 1))
+        pmfs[:, 0] = 1.0
+        threshold = 1.0 - self.rho - 1e-15
         for vm_idx in self.order_vms(vms):
             vm_idx = int(vm_idx)
             vm = vms[vm_idx]
-            for pm_idx, state in enumerate(states):
-                if state.fits(vm):
-                    state.add(vm_idx, vm)
-                    placement.place(vm_idx, pm_idx)
-                    break
-            else:
+            q = vm.p_on / (vm.p_on + vm.p_off)
+            extended = pmfs * (1.0 - q)
+            extended[:, 1:] += pmfs[:, :-1] * q
+            blocks = _exact_blocks(extended, threshold, kernel.counts + 1)
+            hit = np.flatnonzero(kernel.feasible(vm, blocks=blocks))
+            if not hit.size:
                 raise InsufficientCapacityError(vm_idx)
+            pm_idx = int(hit[0])
+            kernel.add(pm_idx, vm_idx, vm)
+            pmfs[pm_idx] = extended[pm_idx]
+            placement.place(vm_idx, pm_idx)
+        n_blocks = _exact_blocks(pmfs, threshold, kernel.counts)
+        states = [
+            _HeteroPMState(list(kernel.hosted[j]),
+                           pmfs[j, :kernel.counts[j] + 1].copy(),
+                           int(n_blocks[j]), float(kernel.base_sums[j]),
+                           float(kernel.max_extras[j]))
+            for j in range(len(pms))]
         return placement, states

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.mapcal import BlockMapping, mapcal_table
+from repro.core.reservation import ReservationKernel
 from repro.core.rounding import RoundingRule, round_switch_probabilities
 from repro.core.types import Placement, VMSpec
 from repro.markov.chain import StationaryMethod
@@ -180,29 +181,12 @@ class MultiDimFirstFit:
             raise ValueError("PM dimensionality must match the VMs")
         mapping = self._mapping(vms)
 
-        caps = np.array([p.capacity for p in pms], dtype=float)        # (m, D)
-        base_sum = np.zeros_like(caps)
-        max_extra = np.zeros_like(caps)
-        counts = np.zeros(len(pms), dtype=np.int64)
-
+        kernel = ReservationKernel([p.capacity for p in pms], mapping.d,
+                                   mapping.table)  # caps of shape (m, D)
         for vm_idx, vm in enumerate(vms):
-            vb = np.asarray(vm.r_base)
-            ve = np.asarray(vm.r_extra)
-            placed = False
-            for pm_idx in range(len(pms)):
-                k_new = counts[pm_idx] + 1
-                if k_new > mapping.d:
-                    continue
-                blocks = mapping.blocks_for(int(k_new))
-                new_max = np.maximum(max_extra[pm_idx], ve)
-                need = new_max * blocks + base_sum[pm_idx] + vb
-                if np.all(need <= caps[pm_idx] + 1e-9):
-                    base_sum[pm_idx] += vb
-                    max_extra[pm_idx] = new_max
-                    counts[pm_idx] = k_new
-                    placement.place(vm_idx, pm_idx)
-                    placed = True
-                    break
-            if not placed:
+            pm_idx = kernel.first_fit(vm)
+            if pm_idx < 0:
                 raise InsufficientCapacityError(vm_idx)
+            kernel.add(pm_idx, vm_idx, vm)
+            placement.place(vm_idx, pm_idx)
         return placement

@@ -14,26 +14,35 @@ running ``max R_e``.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.core.mapcal import BlockMapping, mapcal_table, table_fingerprint
 from repro.core.queuing_ffd import QueuingFFD
-from repro.core.reservation import PMReservationState
+from repro.core.reservation import PMReservationState, ReservationKernel
 from repro.core.types import PMSpec, VMSpec
 from repro.placement.base import (
-    REASON_CHOSEN,
-    REASON_CVR_THRESHOLD,
-    REASON_DRAINING,
-    REASON_FEASIBLE,
     REASON_FLEET_FULL,
-    REASON_VM_CAP,
     AdmissionRejectedError,
     InsufficientCapacityError,
     PlacementExplainer,
 )
 from repro.telemetry import PRE_RUN, Telemetry, resolve
+
+
+class AdmissionDecision(NamedTuple):
+    """An admission decision, not yet applied, with the full-fleet Eq. (17)
+    terms it was made from (its ``PlacementDecided`` rows come from them)."""
+
+    pm: int  # -1: no eligible PM passes Eq. (17)
+    vm_id: int  # -1 when rejected
+    need: np.ndarray
+    count_ok: np.ndarray
+    eligible: np.ndarray | None  # per-PM mask; None = every PM
 
 
 class OnlineConsolidator:
@@ -59,7 +68,7 @@ class OnlineConsolidator:
         self.telemetry = telemetry
         self._pms = list(pms)
         self._mapping: BlockMapping | None = None
-        self._states: list[PMReservationState] = []
+        self._kernel: ReservationKernel | None = None
         self._locations: dict[int, int] = {}  # vm_id -> pm index
         self._next_id = 0
         #: recalibrate() calls that found the mapping unchanged (or had no
@@ -82,7 +91,14 @@ class OnlineConsolidator:
     @property
     def n_used_pms(self) -> int:
         """PMs currently hosting at least one VM."""
-        return sum(1 for s in self._states if not s.is_empty)
+        if self._kernel is None:
+            return 0
+        return int(np.count_nonzero(self._kernel.counts))
+
+    @property
+    def kernel(self) -> ReservationKernel | None:
+        """The live Eq. (17) state, read-only (None before any arrival)."""
+        return self._kernel
 
     def pm_of(self, vm_id: int) -> int:
         """PM index hosting ``vm_id``."""
@@ -92,57 +108,81 @@ class OnlineConsolidator:
             raise KeyError(f"unknown VM id {vm_id}") from None
 
     def state_of(self, pm_index: int) -> PMReservationState:
-        """Reservation state of PM ``pm_index``."""
-        self._ensure_states()
-        return self._states[pm_index]
+        """A snapshot of PM ``pm_index``'s reservation state."""
+        if self._kernel is None:
+            raise RuntimeError(
+                "no VMs admitted yet; the mapping table is created on the "
+                "first arrival"
+            )
+        return self._kernel.snapshot(pm_index, self._pms[pm_index],
+                                     self._mapping)
 
     def hosted_vms(self) -> dict[int, VMSpec]:
         """Snapshot mapping vm_id -> spec of all hosted VMs."""
         out: dict[int, VMSpec] = {}
-        for s in self._states:
-            out.update(s.vms)
+        if self._kernel is not None:
+            for hosted in self._kernel.hosted:
+                out.update(hosted)
         return out
-
-    def _ensure_states(self) -> None:
-        if not self._states:
-            if self._mapping is None:
-                raise RuntimeError(
-                    "no VMs admitted yet; the mapping table is created on the "
-                    "first arrival"
-                )
 
     # ------------------------------------------------------------------ #
     # online operations
     # ------------------------------------------------------------------ #
     def _init_mapping(self, vms: Sequence[VMSpec]) -> None:
-        self._mapping = self.placer.mapping_for(vms)
-        self._states = [
-            PMReservationState(spec=p, mapping=self._mapping) for p in self._pms
-        ]
+        self._set_mapping(self.placer.mapping_for(vms))
 
-    def _admission_row(self, vm: VMSpec) -> tuple[list[str], list[float]]:
-        """Per-PM Eq. (17) verdicts and post-admission headroom scores."""
-        mapping = self._mapping
-        verdicts: list[str] = []
-        scores: list[float] = []
-        for state in self._states:
-            new_count = state.count + 1
-            blocks = int(mapping.table[min(new_count, mapping.d)])
-            need = (max(state.max_extra, vm.r_extra) * blocks
-                    + state.base_sum + vm.r_base)
-            scores.append(state.spec.capacity - need)
-            if new_count > mapping.d:
-                verdicts.append(REASON_VM_CAP)
-            elif need > state.spec.capacity + 1e-9:
-                verdicts.append(REASON_CVR_THRESHOLD)
-            else:
-                verdicts.append(REASON_FEASIBLE)
-        return verdicts, scores
+    def _set_mapping(self, mapping: BlockMapping) -> None:
+        """Start from an empty fleet under ``mapping``."""
+        self._mapping = mapping
+        self._kernel = ReservationKernel([p.capacity for p in self._pms],
+                                         mapping.d, mapping.table)
 
-    def _record_decision(self, vm: VMSpec, vm_id: int, chosen: int, *,
-                         context: str, time: int,
-                         eligible: set[int] | None = None) -> None:
-        """Emit one ``PlacementDecided`` for an online admission attempt."""
+    def _mask(self, eligible: Iterable[int] | None) -> np.ndarray | None:
+        if eligible is None:
+            return None
+        mask = np.zeros(len(self._pms), dtype=bool)
+        mask[np.asarray(list(eligible), dtype=np.int64)] = True
+        return mask
+
+    def _decide(self, kernel: ReservationKernel, vm: VMSpec, vm_id: int,
+                eligible: np.ndarray | None = None,
+                choose: Callable[[Sequence[int]], int] | None = None,
+                ) -> AdmissionDecision:
+        need, count_ok = kernel.need(vm)
+        ok = count_ok & kernel.within(need)
+        if eligible is not None:
+            ok &= eligible
+        feasible = np.flatnonzero(ok)
+        pm = -1
+        if feasible.size and choose is None:
+            pm = int(feasible[0])
+        elif feasible.size:
+            candidates = feasible.tolist()
+            pm = int(choose(candidates))
+            if pm not in candidates:
+                raise ValueError(
+                    f"choose() returned PM {pm}, not one of the feasible "
+                    f"candidates {candidates}")
+        return AdmissionDecision(pm, vm_id if pm >= 0 else -1, need,
+                                 count_ok, eligible)
+
+    def decide(self, vm: VMSpec, *, eligible: Iterable[int] | None = None,
+               choose: Callable[[Sequence[int]], int] | None = None,
+               ) -> AdmissionDecision:
+        """Choose a PM for ``vm`` in one Eq. (17) pass, changing no state
+        (but the first call builds the block table from ``vm``).
+
+        ``eligible`` and ``choose`` are as in :meth:`admit`; the decision's
+        ``vm_id`` is the one :meth:`apply_admit` expects next.
+        """
+        if self._kernel is None:
+            self._init_mapping([vm])
+        return self._decide(self._kernel, vm, self._next_id,
+                            self._mask(eligible), choose)
+
+    def explain(self, decision: AdmissionDecision, *, time: int,
+                context: str = "online") -> None:
+        """Emit one ``PlacementDecided`` for a decision (when traced)."""
         tel = resolve(self.telemetry)
         if tel is None or not tel.events.enabled:
             return
@@ -151,14 +191,9 @@ class OnlineConsolidator:
             p_on=self._mapping.p_on, p_off=self._mapping.p_off,
             table_fingerprint=table_fingerprint(self._mapping),
             score_kind="reservation_headroom")
-        verdicts, scores = self._admission_row(vm)
-        if eligible is not None:
-            for i in range(len(verdicts)):
-                if i not in eligible:
-                    verdicts[i] = REASON_DRAINING
-        if chosen >= 0:
-            verdicts[chosen] = REASON_CHOSEN
-        explainer.record(vm_id, chosen, verdicts, scores, time=time)
+        explainer.record(decision.vm_id, decision.pm, *self._kernel.verdicts(
+            decision.need, decision.count_ok, decision.pm,
+            eligible=decision.eligible), time=time)
 
     def fleet_headroom(self, vm: VMSpec | None = None, *,
                        eligible: Iterable[int] | None = None) -> dict:
@@ -170,44 +205,29 @@ class OnlineConsolidator:
         the Eq. (17) reservation test), so a rejection message says what it
         would take to admit the VM, not just that it failed.
         """
-        allowed = (range(len(self._states)) if eligible is None
-                   else sorted(set(int(i) for i in eligible)))
+        mask = self._mask(eligible)
         out: dict[str, object] = {
             "pms": len(self._pms),
             "hosted_vms": len(self._locations),
         }
-        if self._mapping is None:
-            out["eligible_pms"] = (len(self._pms) if eligible is None
-                                   else len(list(allowed)))
+        if self._kernel is None:
+            out["eligible_pms"] = (len(self._pms) if mask is None
+                                   else int(mask.sum()))
             return out
-        mapping = self._mapping
-        free_slots = 0
-        max_headroom = float("-inf")
-        vm_cap_blocked = cvr_blocked = 0
-        n_eligible = 0
-        for i in allowed:
-            state = self._states[i]
-            n_eligible += 1
-            free_slots += max(0, mapping.d - state.count)
-            max_headroom = max(max_headroom,
-                               state.spec.capacity - state.committed)
-            if vm is not None:
-                new_count = state.count + 1
-                if new_count > mapping.d:
-                    vm_cap_blocked += 1
-                else:
-                    blocks = int(mapping.table[new_count])
-                    need = (max(state.max_extra, vm.r_extra) * blocks
-                            + state.base_sum + vm.r_base)
-                    if need > state.spec.capacity + 1e-9:
-                        cvr_blocked += 1
+        kernel = self._kernel
+        pick = slice(None) if mask is None else mask
+        n_eligible = int(kernel.counts[pick].size)
         out["eligible_pms"] = n_eligible
-        out["free_slots"] = int(free_slots)
-        out["max_headroom"] = (round(float(max_headroom), 6)
+        out["free_slots"] = int(
+            np.maximum(0, kernel.d - kernel.counts[pick]).sum())
+        headroom = (kernel.caps - kernel.committed())[pick]
+        out["max_headroom"] = (round(float(headroom.max()), 6)
                                if n_eligible else 0.0)
         if vm is not None:
-            out["vm_cap_blocked"] = vm_cap_blocked
-            out["cvr_blocked"] = cvr_blocked
+            need, count_ok = kernel.need(vm)
+            out["vm_cap_blocked"] = int((~count_ok)[pick].sum())
+            out["cvr_blocked"] = int(
+                (count_ok & ~kernel.within(need))[pick].sum())
         return out
 
     def admit(self, vm: VMSpec, *, time: int = PRE_RUN,
@@ -217,7 +237,8 @@ class OnlineConsolidator:
         """Admit one VM; returns ``(vm_id, pm_index)``.
 
         First-fit over PMs with the Eq. (17) test, exactly the paper's
-        single-arrival rule.  When an event-enabled telemetry context is
+        single-arrival rule: :meth:`decide`, :meth:`explain`, then
+        :meth:`apply_admit`.  When an event-enabled telemetry context is
         resolved, the attempt (successful or not) is recorded as a
         ``PlacementDecided`` with ``context="online"``, stamped ``time``.
 
@@ -230,8 +251,7 @@ class OnlineConsolidator:
         choose:
             Optional selection rule: called with the sorted list of *all*
             feasible eligible PM indices and must return one of them.  The
-            default (``None``) keeps the paper's first-fit and short-circuits
-            on the first feasible PM.
+            default (``None``) keeps the paper's first-fit.
 
         Raises
         ------
@@ -239,39 +259,17 @@ class OnlineConsolidator:
             If no eligible PM can take the VM (``reason="fleet_full"``,
             with a :meth:`fleet_headroom` summary attached).
         """
-        if self._mapping is None:
-            self._init_mapping([vm])
-        allowed = (range(len(self._states)) if eligible is None
-                   else sorted(set(int(i) for i in eligible)))
-        eligible_set = None if eligible is None else set(allowed)
-        chosen = -1
-        if choose is None:
-            for pm_idx in allowed:
-                if self._states[pm_idx].fits(vm):
-                    chosen = pm_idx
-                    break
-        else:
-            feasible = [i for i in allowed if self._states[i].fits(vm)]
-            if feasible:
-                chosen = int(choose(feasible))
-                if chosen not in feasible:
-                    raise ValueError(
-                        f"choose() returned PM {chosen}, not one of the "
-                        f"feasible candidates {feasible}")
-        vm_id = self._next_id if chosen >= 0 else -1
-        self._record_decision(vm, vm_id, chosen, context="online", time=time,
-                              eligible=eligible_set)
-        if chosen < 0:
+        decision = self.decide(vm, eligible=eligible, choose=choose)
+        self.explain(decision, time=time)
+        if decision.pm < 0:
             raise AdmissionRejectedError(
                 -1, REASON_FLEET_FULL,
                 headroom=self.fleet_headroom(vm, eligible=eligible))
-        self._next_id += 1
-        self._states[chosen].add(vm_id, vm)
-        self._locations[vm_id] = chosen
-        return vm_id, chosen
+        self.apply_admit(vm, decision.pm, decision.vm_id)
+        return decision.vm_id, decision.pm
 
     def apply_admit(self, vm: VMSpec, pm_index: int, vm_id: int) -> None:
-        """Apply a *recorded* admission outcome (WAL replay path).
+        """Apply an admission outcome: a fresh decision or a WAL record.
 
         Replay must reproduce decisions, not re-make them — selection policy,
         pool eligibility, and circuit-breaker state at decision time are all
@@ -280,16 +278,16 @@ class OnlineConsolidator:
         sequencing (``vm_id`` must equal the next id, so a divergent or
         reordered log fails loudly instead of silently corrupting state).
         """
-        if self._mapping is None:
+        if self._kernel is None:
             self._init_mapping([vm])
         if int(vm_id) != self._next_id:
             raise ValueError(
                 f"replayed vm_id {vm_id} != expected next id {self._next_id}; "
                 "WAL is divergent from the restored checkpoint")
         pm_index = int(pm_index)
-        if not 0 <= pm_index < len(self._states):
+        if not 0 <= pm_index < len(self._pms):
             raise ValueError(f"replayed pm_index {pm_index} out of range")
-        self._states[pm_index].add(int(vm_id), vm)
+        self._kernel.add(pm_index, int(vm_id), vm)
         self._locations[int(vm_id)] = pm_index
         self._next_id = int(vm_id) + 1
 
@@ -298,59 +296,35 @@ class OnlineConsolidator:
         """Admit a batch using Algorithm 2's ordering over the batch.
 
         Returns ``(vm_id, pm_index)`` per input VM, in input order.  The
-        operation is atomic: if any VM fails to fit, no VM from the batch is
-        admitted.  Under tracing each admission becomes a
-        ``PlacementDecided`` with ``context="online_batch"`` (the candidate
-        verdicts reflect earlier batch members, matching the actual test).
+        operation is atomic: the batch is decided on a copy of the state,
+        which replaces the live one only if every VM fits.  Under tracing
+        each admission becomes a ``PlacementDecided`` with
+        ``context="online_batch"`` (the candidate verdicts reflect earlier
+        batch members, matching the actual test).
         """
         if not vms:
             return []
-        if self._mapping is None:
+        if self._kernel is None:
             self._init_mapping(vms)
-        tel = resolve(self.telemetry)
-        traced = tel is not None and tel.events.enabled
-        order = self.placer.order_vms(vms)
-        placed: list[tuple[int, int, VMSpec]] = []  # (input position, pm, spec)
-        rows: list[tuple[list[str], list[float]]] = []  # parallel to placed
-        for pos in order:
+        trial = copy.deepcopy(self._kernel)
+        placed: list[tuple[int, AdmissionDecision]] = []
+        for pos in self.placer.order_vms(vms):
             pos = int(pos)
-            vm = vms[pos]
-            row = self._admission_row(vm) if traced else None
-            for pm_idx, state in enumerate(self._states):
-                if state.fits(vm):
-                    # reserve without ids yet; use a temp negative id
-                    state.add(-(pos + 1), vm)
-                    placed.append((pos, pm_idx, vm))
-                    if traced:
-                        row[0][pm_idx] = REASON_CHOSEN
-                        rows.append(row)
-                    break
-            else:
-                if traced:
-                    self._record_decision(vm, -1, -1, context="online_batch",
-                                          time=time)
-                for p, pm_idx, v in placed:  # rollback
-                    self._states[pm_idx].remove(-(p + 1))
-                raise InsufficientCapacityError(pos, f"batch VM {pos} does not fit")
+            decision = self._decide(trial, vms[pos],
+                                    self._next_id + len(placed))
+            if decision.pm < 0:
+                self.explain(decision, time=time, context="online_batch")
+                raise InsufficientCapacityError(
+                    pos, f"batch VM {pos} does not fit")
+            trial.add(decision.pm, decision.vm_id, vms[pos])
+            placed.append((pos, decision))
+        self._kernel = trial
+        self._next_id += len(placed)
         results: list[tuple[int, int]] = [(-1, -1)] * len(vms)
-        explainer = None
-        if traced:
-            explainer = PlacementExplainer(tel, self.placer.name,
-                                           context="online_batch")
-            explainer.set_inputs(
-                p_on=self._mapping.p_on, p_off=self._mapping.p_off,
-                table_fingerprint=table_fingerprint(self._mapping),
-                score_kind="reservation_headroom")
-        for i, (pos, pm_idx, vm) in enumerate(placed):
-            self._states[pm_idx].remove(-(pos + 1))
-            vm_id = self._next_id
-            self._next_id += 1
-            self._states[pm_idx].add(vm_id, vm)
-            self._locations[vm_id] = pm_idx
-            results[pos] = (vm_id, pm_idx)
-            if explainer is not None:
-                verdicts, scores = rows[i]
-                explainer.record(vm_id, pm_idx, verdicts, scores, time=time)
+        for pos, decision in placed:
+            self._locations[decision.vm_id] = decision.pm
+            results[pos] = (decision.vm_id, decision.pm)
+            self.explain(decision, time=time, context="online_batch")
         return results
 
     def depart(self, vm_id: int) -> int:
@@ -360,21 +334,31 @@ class OnlineConsolidator:
         table, block size via the recomputed ``max R_e``).
         """
         pm_idx = self.pm_of(vm_id)
-        self._states[pm_idx].remove(vm_id)
+        self._kernel.remove(pm_idx, vm_id)
         del self._locations[vm_id]
         return pm_idx
 
+    def move(self, vm_id: int, pm_index: int) -> None:
+        """Migrate hosted VM ``vm_id`` to PM ``pm_index`` (already tested)."""
+        vm = self._kernel.remove(self.pm_of(vm_id), vm_id)
+        self._kernel.add(pm_index, vm_id, vm)
+        self._locations[vm_id] = pm_index
+
+    def check_mapping(self, new_mapping: BlockMapping) -> None:
+        """Raise unless every PM's hosted set fits under ``new_mapping``."""
+        if not self._kernel.fits_table(new_mapping.table):
+            raise InsufficientCapacityError(
+                -1,
+                "recalibrated reservations exceed capacity; "
+                "re-consolidate the fleet",
+            )
+
     def _apply_mapping(self, new_mapping: BlockMapping) -> None:
-        """Swap the block table under the live reservations, or raise."""
-        for state in self._states:
-            state.mapping = new_mapping
-            if not state.is_empty and state.committed > state.spec.capacity + 1e-9:
-                raise InsufficientCapacityError(
-                    -1,
-                    "recalibrated reservations exceed capacity; "
-                    "re-consolidate the fleet",
-                )
+        """Swap the block table under the live reservations, or raise
+        without changing anything."""
+        self.check_mapping(new_mapping)
         self._mapping = new_mapping
+        self._kernel.table = new_mapping.table
 
     def recalibrate(self) -> bool:
         """Recompute the mapping from the current population (Section IV-E).
@@ -386,9 +370,9 @@ class OnlineConsolidator:
         run on a timer without churning journals or provenance.  (Entries,
         not :func:`table_fingerprint`: re-rounding a drifting population
         perturbs ``p_on``/``p_off`` in the last float bits without moving a
-        single block count, and that is not a recalibration.)  Raises if
-        the rebuilt reservations no longer fit — the caller should then
-        re-consolidate from scratch.
+        single block count, and that is not a recalibration.)  Raises, and
+        keeps the old table, if the rebuilt reservations no longer fit —
+        the caller should then re-consolidate the fleet.
         """
         hosted = self.hosted_vms()
         if not hosted or self._mapping is None:
@@ -442,7 +426,7 @@ class OnlineConsolidator:
             }
         vms = {}
         for vm_id, pm_idx in self._locations.items():
-            spec = self._states[pm_idx].vms[vm_id]
+            spec = self._kernel.hosted[pm_idx][vm_id]
             vms[str(vm_id)] = {
                 "pm": pm_idx,
                 "p_on": spec.p_on, "p_off": spec.p_off,
@@ -474,7 +458,7 @@ class OnlineConsolidator:
                 "snapshot PM capacities do not match this fleet: "
                 f"{state['pm_capacities']} != {caps}")
         self._mapping = None
-        self._states = []
+        self._kernel = None
         self._locations = {}
         if state["mapping"] is not None:
             m = state["mapping"]
@@ -486,15 +470,13 @@ class OnlineConsolidator:
                 raise ValueError(
                     f"rebuilt mapping fingerprint {got} != recorded "
                     f"{m['fingerprint']}; MapCal configuration drifted")
-            self._mapping = mapping
-            self._states = [PMReservationState(spec=p, mapping=mapping)
-                            for p in self._pms]
+            self._set_mapping(mapping)
         for vm_id_str in sorted(state["vms"], key=int):
             rec = state["vms"][vm_id_str]
             vm_id = int(vm_id_str)
             spec = VMSpec(p_on=rec["p_on"], p_off=rec["p_off"],
                           r_base=rec["r_base"], r_extra=rec["r_extra"])
-            self._states[int(rec["pm"])].add(vm_id, spec)
+            self._kernel.add(int(rec["pm"]), vm_id, spec)
             self._locations[vm_id] = int(rec["pm"])
         self._next_id = int(state["next_id"])
         self.recalibrate_noops = int(state.get("recalibrate_noops", 0))

@@ -22,19 +22,11 @@ import numpy as np
 from repro.cluster.binning import equal_width_bins
 from repro.cluster.kmeans import kmeans_1d
 from repro.core.mapcal import BlockMapping, mapcal_table, table_fingerprint
-from repro.core.reservation import PMReservationState
+from repro.core.reservation import PMReservationState, ReservationKernel
 from repro.core.rounding import RoundingRule, round_switch_probabilities
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.markov.chain import StationaryMethod
-from repro.placement.base import (
-    REASON_CHOSEN,
-    REASON_CVR_THRESHOLD,
-    REASON_FEASIBLE,
-    REASON_SPREAD,
-    REASON_VM_CAP,
-    InsufficientCapacityError,
-    Placer,
-)
+from repro.placement.base import InsufficientCapacityError, Placer
 from repro.placement.spread import DomainSpreadConstraint
 from repro.telemetry import timed
 from repro.utils.validation import check_integer, check_probability
@@ -134,18 +126,11 @@ class QueuingFFD(Placer):
     ) -> tuple[Placement, list[PMReservationState]]:
         """Place VMs and also return the per-PM reservation states.
 
-        The simulator and the online consolidator consume the states to know
-        each PM's committed (base + reserved) load without recomputation.
-
-        The first-fit scan is vectorized: each VM's Eq. (17) test is one
-        NumPy pass (count/base-sum/max-``R_e`` vectors plus a block-table
-        gather) over the *opened* PMs ``[0, hi)``, ``hi`` being one past
-        the highest PM that holds a VM.  Only when none of them fits does
-        it scan the empty PMs ``[hi, m)``.  The elementwise test is the one
-        a full scan would make, so the first hit is the same PM.  An
-        explained placement scores every PM instead, for its candidate
-        rows.  :meth:`_place_reference` keeps the literal Algorithm 2 loop
-        for cross-validation.
+        VMs go in :meth:`order_vms` order, each to the PM :meth:`_select`
+        picks with the :class:`ReservationKernel`; an explained placement
+        also scores every PM, for its candidate rows.
+        :meth:`_place_reference` keeps the literal Algorithm 2 loop for
+        cross-validation.
         """
         with timed("queuing_ffd.place"):
             return self._place_vectorized(vms, pms)
@@ -172,79 +157,36 @@ class QueuingFFD(Placer):
                 table_fingerprint=table_fingerprint(mapping),
                 cache_hit=cache_stats()["misses"] == misses_before,
                 score_kind="reservation_headroom")
-        m = len(pms)
-        caps = np.array([p.capacity for p in pms], dtype=float)
-        counts = np.zeros(m, dtype=np.int64)
-        base_sums = np.zeros(m, dtype=float)
-        max_extras = np.zeros(m, dtype=float)
+        kernel = ReservationKernel([p.capacity for p in pms], mapping.d,
+                                   mapping.table)
         domain_counts = None
         if self.spread is not None:
-            self.spread.check_n_pms(m)
+            self.spread.check_n_pms(len(pms))
             domain_counts = self.spread.new_counts()
-        table = mapping.table  # table[k] = blocks for k VMs
-        d = mapping.d
-
-        def scan(vm: VMSpec, lo: int, hi: int, spread_ok):
-            """Eq. (17) on PMs ``[lo, hi)``: first fit plus per-PM terms."""
-            new_counts = counts[lo:hi] + 1
-            count_ok = new_counts <= d
-            blocks = table[np.minimum(new_counts, d)]
-            need = (
-                np.maximum(max_extras[lo:hi], vm.r_extra) * blocks
-                + base_sums[lo:hi] + vm.r_base
-            )
-            capacity_ok = need <= caps[lo:hi] + 1e-9
-            eligible = count_ok & capacity_ok
-            if spread_ok is not None:
-                eligible &= spread_ok[lo:hi]
-            hit = np.flatnonzero(eligible)
-            first = lo + int(hit[0]) if hit.size else -1
-            return first, count_ok, capacity_ok, need
-
-        hi = 0  # one past the highest PM that holds a VM
-        order = self.order_vms(vms)
-        for vm_idx in order:
+        for vm_idx in self.order_vms(vms):
             vm_idx = int(vm_idx)
             vm = vms[vm_idx]
             spread_ok = (self.spread.allowed_pms(domain_counts)
                          if self.spread is not None else None)
-            if explainer is None:
-                # Every PM in [hi, m) is empty: scan the opened prefix
-                # first and open a new PM only when none of them fits.
-                pm_idx = scan(vm, 0, hi, spread_ok)[0]
-                if pm_idx < 0:
-                    pm_idx = scan(vm, hi, m, spread_ok)[0]
-            else:
-                pm_idx, count_ok, capacity_ok, need = scan(vm, 0, m,
-                                                           spread_ok)
-                verdicts = []
-                for j in range(m):
-                    if j == pm_idx:
-                        verdicts.append(REASON_CHOSEN)
-                    elif not count_ok[j]:
-                        verdicts.append(REASON_VM_CAP)
-                    elif not capacity_ok[j]:
-                        verdicts.append(REASON_CVR_THRESHOLD)
-                    elif spread_ok is not None and not spread_ok[j]:
-                        verdicts.append(REASON_SPREAD)
-                    else:
-                        verdicts.append(REASON_FEASIBLE)
-                explainer.record(vm_idx, pm_idx, verdicts,
-                                 (caps - need).tolist())
+            pm_idx = self._select(kernel, vm, vm_idx, spread_ok)
+            if explainer is not None:
+                need, count_ok = kernel.need(vm)
+                explainer.record(vm_idx, pm_idx, *kernel.verdicts(
+                    need, count_ok, pm_idx, spread_ok=spread_ok))
             if pm_idx < 0:
                 raise InsufficientCapacityError(vm_idx)
-            counts[pm_idx] += 1
-            base_sums[pm_idx] += vm.r_base
-            max_extras[pm_idx] = max(max_extras[pm_idx], vm.r_extra)
+            kernel.add(pm_idx, vm_idx, vm)
             if self.spread is not None:
                 self.spread.admit(pm_idx, domain_counts)
             placement.place(vm_idx, pm_idx)
-            hi = max(hi, pm_idx + 1)
-        # Materialize the reservation states from the final assignment.
-        states = [PMReservationState(spec=p, mapping=mapping) for p in pms]
-        for vm_idx, pm_idx in placement:
-            states[pm_idx].add(vm_idx, vms[vm_idx])
-        return placement, states
+        return placement, [kernel.snapshot(i, p, mapping)
+                           for i, p in enumerate(pms)]
+
+    def _select(self, kernel: ReservationKernel, vm: VMSpec, vm_idx: int,
+                allowed: np.ndarray | None) -> int:
+        """Algorithm 2's first fit: one NumPy pass over the opened PMs, then
+        over the empty tail only if none of them fits (-1: none does)."""
+        return kernel.first_fit(vm, allowed)
 
     def _place_reference(
         self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]

@@ -23,17 +23,11 @@ from __future__ import annotations
 import hashlib
 from typing import Sequence
 
-from repro.core.mapcal import table_fingerprint
+import numpy as np
+
 from repro.core.queuing_ffd import QueuingFFD
-from repro.core.reservation import PMReservationState
-from repro.core.types import Placement, PMSpec, VMSpec
-from repro.placement.base import (
-    REASON_CHOSEN,
-    REASON_CVR_THRESHOLD,
-    REASON_FEASIBLE,
-    REASON_VM_CAP,
-    InsufficientCapacityError,
-)
+from repro.core.reservation import ReservationKernel
+from repro.core.types import VMSpec
 
 
 def hash_pick(seed: int, decision_seq: int, n_choices: int) -> int:
@@ -55,24 +49,25 @@ class GreedyRandomPlacer(QueuingFFD):
     """GRAND(C, 0): uniform-random choice among Eq. (17)-feasible PMs.
 
     Inherits MapCal configuration (``rho``, ``d``, rounding, stationary
-    method) from :class:`QueuingFFD` so the two strategies share block
-    tables; only ordering and selection differ:
+    method, spread cap) and the placement loop from :class:`QueuingFFD`,
+    so the two strategies share block tables and the Eq. (17) kernel;
+    only ordering and selection differ:
 
     - VMs are placed in **input order** (GRAND models an arrival stream;
       there is no batch-wide sort to exploit), and
     - the PM is drawn uniformly from all feasible candidates via
       :func:`hash_pick` keyed on ``(seed, decision_seq)``.
 
-    ``decision_seq`` starts at ``seed_seq`` and increments once per VM, so
-    a batch ``place`` and a sequence of online ``choose_for`` calls that
-    present the same feasible sets make the same picks.
+    Batch :meth:`place` picks for VM ``i`` with ``choose_for(i)``, its
+    input index, so it makes the same picks as online admissions
+    ``admit(vm_i, choose=placer.choose_for(i))`` for ``i = 0, 1, ...``
+    against the same table.
     """
 
     name = "GRAND"
 
     def __init__(self, rho: float = 0.01, d: int = 16, *, seed: int = 0,
                  **kwargs):
-        kwargs.setdefault("cluster_method", "none")
         super().__init__(rho, d, **kwargs)
         self.seed = int(seed)
 
@@ -95,47 +90,16 @@ class GreedyRandomPlacer(QueuingFFD):
         return choose
 
     # ------------------------------------------------------------------ #
-    # Placer interface
+    # what differs from QueuingFFD: the order and the pick
     # ------------------------------------------------------------------ #
-    def place_with_states(
-        self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]
-    ) -> tuple[Placement, list[PMReservationState]]:
-        placement = Placement(len(vms), len(pms))
-        if not vms:
-            return placement, []
-        explainer = self.explainer
-        mapping = self.mapping_for(vms)
-        if explainer is not None:
-            explainer.set_inputs(
-                p_on=mapping.p_on, p_off=mapping.p_off,
-                table_fingerprint=table_fingerprint(mapping),
-                score_kind="reservation_headroom")
-        states = [PMReservationState(spec=p, mapping=mapping) for p in pms]
-        for vm_idx, vm in enumerate(vms):
-            feasible: list[int] = []
-            verdicts: list[str] = []
-            scores: list[float] = []
-            for pm_idx, state in enumerate(states):
-                new_count = state.count + 1
-                blocks = int(mapping.table[min(new_count, mapping.d)])
-                need = (max(state.max_extra, vm.r_extra) * blocks
-                        + state.base_sum + vm.r_base)
-                scores.append(state.spec.capacity - need)
-                if new_count > mapping.d:
-                    verdicts.append(REASON_VM_CAP)
-                elif need > state.spec.capacity + 1e-9:
-                    verdicts.append(REASON_CVR_THRESHOLD)
-                else:
-                    verdicts.append(REASON_FEASIBLE)
-                    feasible.append(pm_idx)
-            chosen = -1
-            if feasible:
-                chosen = feasible[hash_pick(self.seed, vm_idx, len(feasible))]
-                verdicts[chosen] = REASON_CHOSEN
-            if explainer is not None:
-                explainer.record(vm_idx, chosen, verdicts, scores)
-            if chosen < 0:
-                raise InsufficientCapacityError(vm_idx)
-            states[chosen].add(vm_idx, vm)
-            placement.place(vm_idx, chosen)
-        return placement, states
+    def order_vms(self, vms: Sequence[VMSpec]) -> np.ndarray:
+        """Input order: GRAND places an arrival stream."""
+        return np.arange(len(vms))
+
+    def _select(self, kernel: ReservationKernel, vm: VMSpec, vm_idx: int,
+                allowed: np.ndarray | None) -> int:
+        ok = kernel.feasible(vm)
+        if allowed is not None:
+            ok &= allowed
+        feasible = np.flatnonzero(ok).tolist()
+        return self.choose_for(vm_idx)(feasible) if feasible else -1

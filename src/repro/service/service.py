@@ -38,6 +38,8 @@ from __future__ import annotations
 import logging
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.core.mapcal import table_fingerprint
 from repro.core.online import OnlineConsolidator
 from repro.core.queuing_ffd import QueuingFFD
@@ -46,7 +48,6 @@ from repro.placement.base import (
     REASON_FLEET_FULL,
     REASON_SHED_SOLVER,
     SHED_REASONS,
-    AdmissionRejectedError,
 )
 from repro.service.breaker import SolverCircuitBreaker
 from repro.service.pool import ElasticPMPool
@@ -146,15 +147,14 @@ class PlacementService:
             tel.emit(event)
 
     def _empty_pms(self) -> set[int]:
-        if self.consolidator._mapping is None:
+        kernel = self.consolidator.kernel
+        if kernel is None:
             return set()
-        return {i for i in range(self.consolidator.n_pms)
-                if self.consolidator.state_of(i).count == 0}
+        return set(np.flatnonzero(kernel.counts == 0).tolist())
 
-    def _eligible(self) -> list[int]:
-        if self.pool is None:
-            return list(range(self.consolidator.n_pms))
-        return self.pool.active_indices()
+    def _eligible(self) -> list[int] | None:
+        """Active PM indices; ``None`` (every PM) without a pool."""
+        return None if self.pool is None else self.pool.active_indices()
 
     def _plan_scale(self, empty_after: set[int]) -> list[list]:
         """Autoscale actions for the post-decision state (pure; journaled
@@ -232,25 +232,21 @@ class PlacementService:
             if degraded:
                 self._emit_degraded(seq_next)
                 return self._decide_shed(req, REASON_SHED_SOLVER)
-        eligible = self._eligible()
-        feasible = [i for i in eligible
-                    if self.consolidator.state_of(i).fits(vm)]
-        if not feasible:
-            return self._decide_shed(req, REASON_FLEET_FULL)
         chooser = getattr(self.placer, "choose_for", None)
-        pm = (int(chooser(seq_next)(feasible)) if chooser is not None
-              else feasible[0])
-        vm_id = self.consolidator._next_id
+        decision = self.consolidator.decide(
+            vm, eligible=self._eligible(),
+            choose=chooser(seq_next) if chooser is not None else None)
+        if decision.pm < 0:
+            return self._decide_shed(req, REASON_FLEET_FULL)
+        pm, vm_id = decision.pm, decision.vm_id
         empty_after = self._empty_pms() - {pm}
         scale = self._plan_scale(empty_after)
         body = {"vm": _spec_dict(vm), "vm_id": vm_id, "pm": pm,
                 "vm_class": req.vm_class, "scale": scale}
         seq = self.wal.append("admit", body, key=req.key)
         self._chaos("appended", seq)
-        # admit() re-verifies Eq. (17) and emits the PlacementDecided
-        # provenance; `choose` pins it to the journaled outcome.
-        self.consolidator.admit(vm, time=seq, eligible=eligible,
-                                choose=lambda feas: pm)
+        self.consolidator.explain(decision, time=seq)
+        self.consolidator.apply_admit(vm, pm, vm_id)
         outcome = {"op": "admit", "vm_id": vm_id, "pm": pm, "seq": seq}
         self.results[req.key] = outcome
         self.counters["requests"] += 1
@@ -291,7 +287,7 @@ class PlacementService:
         if key in self.results:
             return self.results[key]
         pm = self.consolidator.pm_of(vm_id)
-        becomes_empty = self.consolidator.state_of(pm).count == 1
+        becomes_empty = self.consolidator.kernel.counts[pm] == 1
         empty_after = self._empty_pms() | ({pm} if becomes_empty else set())
         scale = self._plan_scale(empty_after)
         body = {"vm_id": int(vm_id), "pm": pm, "scale": scale}
@@ -329,6 +325,9 @@ class PlacementService:
             return False
         if list(new_mapping.table) == list(self.consolidator._mapping.table):
             return self._decide_recalibrate_noop(key)
+        # A refit the live reservations do not fit is refused here, before
+        # it is journaled: a WAL record must be an outcome that applies.
+        self.consolidator.check_mapping(new_mapping)
         empty_after = self._empty_pms()
         scale = self._plan_scale(empty_after)
         body = {"p_on": new_mapping.p_on, "p_off": new_mapping.p_off,
@@ -463,19 +462,16 @@ class PlacementService:
                                      "pm": body["pm"], "seq": rec.seq}
             self.counters["requests"] += 1
             self.counters["admitted"] += 1
-            empty_after = self._empty_pms()
         elif rec.op == "shed":
             self.results[rec.key] = {"op": "shed", "reason": body["reason"],
                                      "seq": rec.seq}
             self.counters["requests"] += 1
             self.counters["shed"] += 1
-            empty_after = self._empty_pms()
         elif rec.op == "depart":
             self.consolidator.depart(int(body["vm_id"]))
             self.results[rec.key] = {"op": "depart", "vm_id": body["vm_id"],
                                      "pm": body["pm"], "seq": rec.seq}
             self.counters["departed"] += 1
-            empty_after = self._empty_pms()
         elif rec.op == "recalibrate":
             self.consolidator.apply_recalibrate(body["p_on"], body["p_off"])
             got = table_fingerprint(self.consolidator._mapping)
@@ -486,17 +482,15 @@ class PlacementService:
             self.results[rec.key] = {"op": "recalibrate", "seq": rec.seq,
                                      "fingerprint": body["fingerprint"]}
             self.counters["recalibrations"] += 1
-            empty_after = self._empty_pms()
         elif rec.op == "recalibrate_noop":
             self.consolidator.recalibrate_noops += 1
             self.results[rec.key] = {"op": "recalibrate_noop",
                                      "seq": rec.seq}
-            empty_after = self._empty_pms()
         else:
             raise WALError(f"unknown WAL op {rec.op!r} at seq {rec.seq}")
         if self.pool is not None:
-            self._apply_scale(body.get("scale", []), empty_after, rec.seq,
-                              live=False)
+            self._apply_scale(body.get("scale", []), self._empty_pms(),
+                              rec.seq, live=False)
 
     # ------------------------------------------------------------------ #
     # introspection

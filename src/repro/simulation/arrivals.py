@@ -19,9 +19,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.mapcal import BlockMapping
+from repro.core.online import OnlineConsolidator
 from repro.core.queuing_ffd import QueuingFFD
-from repro.core.reservation import PMReservationState
 from repro.core.types import PMSpec, VMSpec
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_integer, check_probability
@@ -101,10 +100,9 @@ class DynamicFleetSimulator:
         self._rng = as_generator(seed)
         self.vm_factory = vm_factory or self._default_factory
         self._pms = list(pms)
-        self._mapping: BlockMapping | None = None
-        self._states: list[PMReservationState] = []
+        #: admission control: Eq. (17) state and the single-arrival rule
+        self.consolidator = OnlineConsolidator(self._pms, self.placer)
         self._live: dict[int, _LiveVM] = {}
-        self._next_id = 0
 
     @staticmethod
     def _default_factory(rng: np.random.Generator) -> VMSpec:
@@ -121,7 +119,7 @@ class DynamicFleetSimulator:
 
     def used_pm_count(self) -> int:
         """Powered-on PM count."""
-        return sum(1 for s in self._states if not s.is_empty)
+        return self.consolidator.n_used_pms
 
     def pm_loads(self) -> np.ndarray:
         """Instantaneous aggregate demand per PM."""
@@ -133,28 +131,17 @@ class DynamicFleetSimulator:
     # ------------------------------------------------------------------ #
     # mechanics
     # ------------------------------------------------------------------ #
-    def _ensure_states(self, sample: VMSpec) -> None:
-        if self._mapping is None:
-            self._mapping = self.placer.mapping_for([sample])
-            self._states = [
-                PMReservationState(spec=p, mapping=self._mapping)
-                for p in self._pms
-            ]
-
     def _admit(self, spec: VMSpec) -> bool:
-        self._ensure_states(spec)
-        for pm_idx, state in enumerate(self._states):
-            if state.fits(spec):
-                vm_id = self._next_id
-                self._next_id += 1
-                state.add(vm_id, spec)
-                self._live[vm_id] = _LiveVM(spec=spec, pm=pm_idx)
-                return True
-        return False
+        decision = self.consolidator.decide(spec)
+        if decision.pm < 0:
+            return False
+        self.consolidator.apply_admit(spec, decision.pm, decision.vm_id)
+        self._live[decision.vm_id] = _LiveVM(spec=spec, pm=decision.pm)
+        return True
 
     def _depart(self, vm_id: int) -> None:
-        vm = self._live.pop(vm_id)
-        self._states[vm.pm].remove(vm_id)
+        self._live.pop(vm_id)
+        self.consolidator.depart(vm_id)
 
     def _step_workloads(self) -> None:
         for vm in self._live.values():
@@ -177,18 +164,15 @@ class DynamicFleetSimulator:
                 demand = vm.spec.demand(vm.on)
                 current = self.pm_loads()
                 order = np.argsort(current)
-                for cand in order:
-                    cand = int(cand)
-                    if cand == pm_idx:
-                        continue
-                    fits_now = current[cand] + demand <= caps[cand] + _EPS
-                    if fits_now and self._states[cand].fits(vm.spec):
-                        self._states[pm_idx].remove(vid)
-                        self._states[cand].add(vid, vm.spec)
-                        vm.pm = cand
-                        record.migrations += 1
-                        moved = True
-                        break
+                ok = (self.consolidator.kernel.feasible(vm.spec)
+                      & (current + demand <= caps + _EPS))
+                ok[pm_idx] = False
+                targets = order[ok[order]]
+                if targets.size:
+                    vm.pm = int(targets[0])
+                    self.consolidator.move(vid, vm.pm)
+                    record.migrations += 1
+                    moved = True
             if not moved and loads[pm_idx] > caps[pm_idx] + _EPS:
                 record.violations += 1
 

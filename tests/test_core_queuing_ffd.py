@@ -1,17 +1,29 @@
 """Tests for repro.core.queuing_ffd — Algorithm 2."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.core.mapcal import table_fingerprint
+from repro.core.online import OnlineConsolidator
 from repro.core.queuing_ffd import QueuingFFD
+from repro.core.reservation import PMReservationState, fits_with_reservation
 from repro.core.types import PMSpec, VMSpec
-from repro.placement.base import InsufficientCapacityError
+from repro.placement.base import (
+    AdmissionRejectedError,
+    InsufficientCapacityError,
+)
 from repro.placement.ffd import ffd_by_peak
+from repro.placement.grand import GreedyRandomPlacer
 from repro.placement.validation import (
     check_capacity_at_base,
     check_placement_complete,
     max_vms_on_any_pm,
 )
+from repro.service.service import PlacementService
+from repro.telemetry import RingBufferSink, Telemetry
 from repro.workload.patterns import generate_pattern_instance
 
 P_ON, P_OFF = 0.01, 0.09
@@ -123,10 +135,13 @@ class TestPlacement:
         assert strict.n_used_pms >= loose.n_used_pms
 
 
-def random_fleet(rng, n_vms, n_pms):
+def random_fleet(rng, n_vms, n_pms, *, shared_probabilities=False):
     """Heterogeneous VMs and capacities, some PMs too small for any VM."""
-    vms = [VMSpec(float(rng.uniform(0.005, 0.2)),
-                  float(rng.uniform(0.05, 0.6)),
+    def probabilities():
+        return (float(rng.uniform(0.005, 0.2)), float(rng.uniform(0.05, 0.6)))
+
+    shared = probabilities() if shared_probabilities else None
+    vms = [VMSpec(*(shared or probabilities()),
                   float(rng.uniform(0.0, 40.0)),
                   float(rng.uniform(0.0, 60.0)))
            for _ in range(n_vms)]
@@ -134,11 +149,107 @@ def random_fleet(rng, n_vms, n_pms):
     return vms, pms
 
 
+def boundary_instance():
+    """Eq. (17) lands on its bound: ``max·K + (ΣR_b + r_b)`` admits VM 1 on
+    PM 0, the kernel's ``(max·K + ΣR_b) + r_b`` does not."""
+    vms = [VMSpec(P_ON, P_OFF, 15.1, 2.7), VMSpec(P_ON, P_OFF, 6.66, 0.0)]
+    pms = [PMSpec(24.459999998999997), PMSpec(100.0)]
+    return vms, pms
+
+
+def pin_mapping(consolidator, mapping):
+    """Start an empty consolidator on ``mapping`` (through its snapshot
+    format), so the online paths test against the offline table."""
+    snapshot = consolidator.capture_state()
+    snapshot["mapping"] = {"p_on": mapping.p_on, "p_off": mapping.p_off,
+                           "rho": mapping.rho, "d": mapping.d,
+                           "fingerprint": table_fingerprint(mapping)}
+    consolidator.restore_state(snapshot)
+    return consolidator
+
+
+def online_outcomes(placer, vms, pms):
+    """``{path: (assignment, failing VM index or None)}`` for the online
+    admission paths, all on the offline table: single admissions in Algorithm 2
+    order, ``admit_batch``, and the placement service."""
+    mapping = placer.mapping_for(vms)
+    order = [int(i) for i in placer.order_vms(vms)]
+    out = {}
+
+    single = pin_mapping(OnlineConsolidator(pms, placer), mapping)
+    assignment, failed = [-1] * len(vms), None
+    for i in order:
+        try:
+            assignment[i] = single.admit(vms[i])[1]
+        except AdmissionRejectedError:
+            failed = i
+            break
+    out["admit"] = (assignment, failed)
+
+    batch = pin_mapping(OnlineConsolidator(pms, placer), mapping)
+    try:
+        out["admit_batch"] = ([pm for _, pm in batch.admit_batch(vms)], None)
+    except InsufficientCapacityError as exc:
+        out["admit_batch"] = ([-1] * len(vms), exc.vm_index)
+        assert batch.n_vms == 0  # atomic
+
+    with tempfile.TemporaryDirectory() as tmp:
+        svc = PlacementService(pms, placer, wal_path=Path(tmp) / "wal.jsonl")
+        pin_mapping(svc.consolidator, mapping)
+        assignment, failed = [-1] * len(vms), None
+        for i in order:
+            svc.submit(f"vm{i}", vms[i])
+            outcome = svc.process_next()
+            if outcome["op"] != "admit":
+                failed = i
+                break
+            assignment[i] = outcome["pm"]
+        out["service"] = (assignment, failed)
+    return out
+
+
+def assert_verdicts_match_reference(events, specs, pms, mapping,
+                                    eligible=None):
+    """Replay decision events on scalar states: every kept ``feasible``,
+    ``cvr_threshold`` and ``vm_cap`` row agrees with
+    :func:`fits_with_reservation`, and exactly the PMs outside
+    ``eligible`` are ``draining_pm``."""
+    states = [PMReservationState(spec=p, mapping=mapping) for p in pms]
+    assert len(events) == len(specs)
+    for vm_id, (event, vm) in enumerate(zip(events, specs)):
+        for pm, verdict in zip(event.cand_pms, event.cand_verdicts):
+            if eligible is not None:
+                assert (verdict == "draining_pm") == (pm not in eligible)
+            state = states[pm]
+            fits = fits_with_reservation(
+                vm, state.spec.capacity, current_count=state.count,
+                current_base_sum=state.base_sum,
+                current_max_extra=state.max_extra, mapping=mapping)
+            if verdict in ("feasible", "chosen"):
+                assert fits
+            elif verdict == "cvr_threshold":
+                assert not fits and state.count < mapping.d
+            elif verdict == "vm_cap":
+                assert state.count == mapping.d
+        if event.chosen_pm >= 0:
+            states[event.chosen_pm].add(vm_id, vm)
+
+
+def decision_events(sink):
+    return [e for e in sink.events if e.kind == "placement_decided"]
+
+
 class TestVectorizedEqualsReference:
-    """One property suite: the vectorized first fit (opened PMs first, then
-    empty ones; the explained path scans every PM) must agree with the
-    literal Algorithm 2 loop on assignment, reservation states and the VM
-    an infeasible input fails at."""
+    """One property suite for every caller of the Eq. (17) kernel.
+
+    The vectorized first fit (opened PMs first, then empty ones) must
+    agree with the literal Algorithm 2 loop on assignment, reservation
+    states and the VM an infeasible input fails at.  Without a spread
+    cap, single online admissions in Algorithm 2 order, ``admit_batch``
+    and the placement service must choose the same PMs.  GRAND and the
+    one-dimensional ``MultiDimFirstFit`` must equal online admission in
+    input order, and every recorded verdict must agree with the scalar
+    :func:`fits_with_reservation`."""
 
     @staticmethod
     def assert_agrees(placer, vms, pms):
@@ -148,20 +259,33 @@ class TestVectorizedEqualsReference:
             with pytest.raises(InsufficientCapacityError) as fast_exc:
                 placer.place_with_states(vms, pms)
             assert fast_exc.value.vm_index == ref_exc.vm_index
+            if placer.spread is None:
+                for path, (_, failed) in online_outcomes(
+                        placer, vms, pms).items():
+                    assert failed == ref_exc.vm_index, path
             return None
         fast, fast_states = placer.place_with_states(vms, pms)
         np.testing.assert_array_equal(fast.assignment, ref.assignment)
         for a, b in zip(fast_states, ref_states):
-            assert set(a.vms) == set(b.vms)
-            # states are materialized in VM-index order, the reference adds
-            # in placement order: the sums may differ in the last bit
-            assert a.base_sum == pytest.approx(b.base_sum)
+            # both add in placement order: the aggregates are bit-equal
+            assert a.vms == b.vms
+            assert a.base_sum == b.base_sum
             assert a.max_extra == b.max_extra
+        if placer.spread is None:
+            for path, (assignment, failed) in online_outcomes(
+                    placer, vms, pms).items():
+                assert failed is None, path
+                assert assignment == ref.assignment.tolist(), path
         return fast
 
     @pytest.mark.parametrize("pattern", ["equal", "small", "large"])
     def test_assignments_identical(self, pattern):
         vms, pms = generate_pattern_instance(pattern, 120, seed=21)
+        assert self.assert_agrees(QueuingFFD(rho=0.01, d=16), vms, pms)
+
+    @pytest.mark.parametrize("seed", [40, 41])
+    def test_online_equals_offline(self, seed):
+        vms, pms = generate_pattern_instance("equal", 60, seed=seed)
         assert self.assert_agrees(QueuingFFD(rho=0.01, d=16), vms, pms)
 
     def test_identical_under_tight_capacity(self):
@@ -174,6 +298,11 @@ class TestVectorizedEqualsReference:
         vms = [VMSpec(P_ON, P_OFF, 50.0, 50.0) for _ in range(4)]
         pms = [PMSpec(60.0)]
         assert self.assert_agrees(QueuingFFD(rho=0.01, d=16), vms, pms) is None
+
+    def test_boundary_instance(self):
+        vms, pms = boundary_instance()
+        placement = self.assert_agrees(QueuingFFD(rho=0.01, d=16), vms, pms)
+        np.testing.assert_array_equal(placement.assignment, [0, 1])
 
     def test_small_unopened_pm_below_the_first_that_fits(self):
         # VM 0 opens PM 0; VM 1 fits neither PM 0 nor the still-empty,
@@ -216,8 +345,6 @@ class TestVectorizedEqualsReference:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_explained_placement_picks_the_same_pms(self, seed):
-        from repro.telemetry import RingBufferSink, Telemetry
-
         rng = np.random.default_rng(100 + seed)
         vms, pms = random_fleet(rng, 30, 60)
         placer = QueuingFFD(rho=0.01, d=8)
@@ -225,9 +352,94 @@ class TestVectorizedEqualsReference:
             ref, _ = placer._place_reference(vms, pms)
         except InsufficientCapacityError:
             pytest.skip("infeasible draw")
-        explained = placer.place_and_report(
-            vms, pms, telemetry=Telemetry(RingBufferSink(10_000)))
+        sink = RingBufferSink()
+        explained = placer.place_and_report(vms, pms,
+                                            telemetry=Telemetry(sink))
         np.testing.assert_array_equal(explained.assignment, ref.assignment)
+        events = decision_events(sink)
+        assert_verdicts_match_reference(
+            events, [vms[e.vm_id] for e in events], pms,
+            placer.mapping_for(vms))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_grand_batch_equals_online_choices(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        vms, pms = random_fleet(rng, int(rng.integers(1, 50)),
+                                int(rng.integers(1, 40)),
+                                shared_probabilities=True)
+        placer = GreedyRandomPlacer(rho=0.01, d=int(rng.choice([2, 4, 16])),
+                                    seed=seed)
+        batch_sink, online_sink = RingBufferSink(), RingBufferSink()
+        online = OnlineConsolidator(pms, placer,
+                                    telemetry=Telemetry(online_sink))
+        online_pms, failed = [], None
+        for i, v in enumerate(vms):
+            try:
+                online_pms.append(online.admit(v, choose=placer.choose_for(i))[1])
+            except AdmissionRejectedError:
+                failed = i
+                break
+        try:
+            batch = placer.place_and_report(vms, pms,
+                                            telemetry=Telemetry(batch_sink))
+        except InsufficientCapacityError as exc:
+            assert exc.vm_index == failed
+        else:
+            assert failed is None
+            assert batch.assignment.tolist() == online_pms
+        mapping = placer.mapping_for(vms)
+        for sink in (batch_sink, online_sink):
+            events = decision_events(sink)
+            assert_verdicts_match_reference(
+                events, vms[:len(events)], pms, mapping)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_dimensional_multidim_equals_online_admission(self, seed):
+        from repro.core.multidim import (
+            MultiDimFirstFit,
+            MultiDimPMSpec,
+            MultiDimVMSpec,
+        )
+
+        rng = np.random.default_rng(300 + seed)
+        vms, pms = random_fleet(rng, int(rng.integers(1, 50)),
+                                int(rng.integers(1, 40)),
+                                shared_probabilities=True)
+        d = int(rng.choice([2, 4, 16]))
+        online = OnlineConsolidator(pms, QueuingFFD(rho=0.01, d=d))
+        online_pms, failed = [], None
+        for i, v in enumerate(vms):
+            try:
+                online_pms.append(online.admit(v)[1])
+            except AdmissionRejectedError:
+                failed = i
+                break
+        md_vms = [MultiDimVMSpec(v.p_on, v.p_off, (v.r_base,), (v.r_extra,))
+                  for v in vms]
+        md_pms = [MultiDimPMSpec((p.capacity,)) for p in pms]
+        try:
+            md = MultiDimFirstFit(rho=0.01, d=d).place(md_vms, md_pms)
+        except InsufficientCapacityError as exc:
+            assert exc.vm_index == failed
+        else:
+            assert failed is None
+            assert md.assignment.tolist() == online_pms
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_online_verdicts_match_reference(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        vms, pms = random_fleet(rng, 40, 12, shared_probabilities=True)
+        placer = QueuingFFD(rho=0.01, d=4)
+        sink = RingBufferSink()
+        online = OnlineConsolidator(pms, placer, telemetry=Telemetry(sink))
+        eligible = range(0, len(pms), 2) if seed % 2 else None
+        for v in vms:  # one decision event per attempt, admitted or not
+            try:
+                online.admit(v, eligible=eligible)
+            except AdmissionRejectedError:
+                pass
+        assert_verdicts_match_reference(decision_events(sink), vms, pms,
+                                        online.state_of(0).mapping, eligible)
 
 
 class TestMappingCache:

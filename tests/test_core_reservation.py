@@ -5,8 +5,8 @@ import pytest
 from repro.core.mapcal import mapcal_table
 from repro.core.reservation import (
     PMReservationState,
+    ReservationKernel,
     fits_with_reservation,
-    reserved_size,
 )
 from repro.core.types import PMSpec, VMSpec
 
@@ -20,16 +20,6 @@ def mapping():
 
 def vm(base, extra):
     return VMSpec(P_ON, P_OFF, base, extra)
-
-
-class TestReservedSize:
-    def test_empty_pm(self, mapping):
-        assert reserved_size(10.0, 0, mapping) == 0.0
-
-    def test_block_size_times_count(self, mapping):
-        k = 5
-        expected = 10.0 * mapping.blocks_for(k)
-        assert reserved_size(10.0, k, mapping) == expected
 
 
 class TestFitsWithReservation:
@@ -139,3 +129,66 @@ class TestPMReservationState:
         state.add(1, vm(10, 20))
         state.remove(0)
         assert state.max_extra == 20.0
+
+    def test_remove_recomputes_base_sum_in_id_order(self, mapping):
+        state = PMReservationState(spec=PMSpec(50.0), mapping=mapping)
+        for vm_id, r_base in enumerate((2.37, 2.4, 0.97)):
+            state.add(vm_id, vm(r_base, 1.0))
+        state.remove(1)
+        assert state.base_sum == 2.37 + 0.97
+
+
+class TestReservationKernel:
+    def test_need_and_snapshot_match_the_scalar_reference(self, mapping):
+        kernel = ReservationKernel([60.0, 100.0], mapping.d, mapping.table)
+        kernel.add(0, 0, vm(20, 10))
+        candidate = vm(25, 5)
+        need, count_ok = kernel.need(candidate)
+        assert count_ok.tolist() == [True, True]
+        for pm, cap in enumerate((60.0, 100.0)):
+            state = kernel.snapshot(pm, PMSpec(cap), mapping)
+            assert bool(kernel.within(need)[pm]) == state.fits(candidate)
+            assert state.headroom == pytest.approx(
+                float(cap - kernel.committed()[pm]))
+
+    def test_guards_fail_loudly(self, mapping):
+        kernel = ReservationKernel([1e9], mapping.d, mapping.table)
+        kernel.add(0, 0, vm(0.1, 0.1))
+        with pytest.raises(ValueError, match="already"):
+            kernel.add(0, 0, vm(0.1, 0.1))
+        for i in range(1, 16):
+            kernel.add(0, i, vm(0.1, 0.1))
+        assert not kernel.need(vm(0.1, 0.1))[1][0]
+        with pytest.raises(ValueError, match="d=16"):
+            kernel.add(0, 99, vm(0.1, 0.1))
+        with pytest.raises(KeyError):
+            kernel.remove(0, 99)
+
+    def test_remove_recomputes_aggregates_in_id_order(self, mapping):
+        # a running -= would leave 3.3399999999999994; a restore re-adds
+        # the hosted VMs in id order and gets 2.37 + 0.97
+        kernel = ReservationKernel([50.0], mapping.d, mapping.table)
+        for vm_id, (r_base, r_extra) in enumerate(
+                ((2.37, 1.0), (2.4, 3.0), (0.97, 1.0))):
+            kernel.add(0, vm_id, vm(r_base, r_extra))
+        kernel.remove(0, 1)
+        assert kernel.base_sums[0] == 2.37 + 0.97
+        assert kernel.max_extras[0] == 1.0
+        assert kernel.counts[0] == 2
+        kernel.remove(0, 0)
+        kernel.remove(0, 2)
+        assert (kernel.counts[0], kernel.base_sums[0],
+                kernel.max_extras[0]) == (0, 0.0, 0.0)
+
+    def test_per_dimension_caps_need_every_dimension(self, mapping):
+        from repro.core.multidim import MultiDimVMSpec
+
+        kernel = ReservationKernel([[100.0, 10.0], [100.0, 100.0]],
+                                   mapping.d, mapping.table)
+        big_memory = MultiDimVMSpec(P_ON, P_OFF, (10.0, 20.0), (1.0, 1.0))
+        need, count_ok = kernel.need(big_memory)
+        assert need.shape == (2, 2)
+        assert kernel.within(need).tolist() == [False, True]
+        assert kernel.first_fit(big_memory) == 1
+        kernel.add(1, 0, big_memory)
+        assert kernel.base_sums[1].tolist() == [10.0, 20.0]

@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis.cvr import cvr_per_pm, evaluate_placement_cvr
 from repro.core.mapcal import mapcal
-from repro.core.online import OnlineConsolidator
 from repro.core.queuing_ffd import QueuingFFD
 from repro.placement.ffd import ffd_by_base, ffd_by_peak
 from repro.placement.rbex import RBExPlacer
@@ -132,31 +131,6 @@ class TestRuntimeShapes:
         # migration keeps its count low).
         assert (runtime_results["RB"].final_pms_used
                 <= runtime_results["QUEUE"].final_pms_used + 1)
-
-
-class TestOnlineMatchesOffline:
-    def test_online_single_arrivals_equal_offline_first_fit(self):
-        """Feeding VMs one-by-one in Algorithm 2's order reproduces the
-        offline QueuingFFD placement exactly."""
-        vms, pms = generate_pattern_instance("equal", 60, seed=40)
-        placer = QueuingFFD(rho=RHO, d=D)
-        offline = placer.place(vms, pms)
-        online = OnlineConsolidator(pms, QueuingFFD(rho=RHO, d=D))
-        order = placer.order_vms(vms)
-        pm_by_vm = {}
-        for idx in order:
-            _, pm = online.admit(vms[int(idx)])
-            pm_by_vm[int(idx)] = pm
-        for vm_idx in range(len(vms)):
-            assert pm_by_vm[vm_idx] == offline.pm_of(vm_idx)
-
-    def test_online_batch_equals_offline(self):
-        vms, pms = generate_pattern_instance("equal", 60, seed=41)
-        offline = QueuingFFD(rho=RHO, d=D).place(vms, pms)
-        online = OnlineConsolidator(pms, QueuingFFD(rho=RHO, d=D))
-        results = online.admit_batch(vms)
-        for vm_idx, (_, pm) in enumerate(results):
-            assert pm == offline.pm_of(vm_idx)
 
 
 class TestMapcalSimulationAgreement:

@@ -224,3 +224,59 @@ def test_replay_rejects_divergent_vm_ids(tmp_path):
     with pytest.raises(ValueError, match="divergent"):
         PlacementService.recover([PMSpec(20.0)] * 4,
                                  wal_path=tmp_path / "wal.jsonl")
+
+
+def test_refused_recalibration_is_not_journaled(tmp_path):
+    """A refit the live reservations do not fit raises before the WAL
+    append and before any PM changes table; recovery still works."""
+    from repro.core.queuing_ffd import QueuingFFD
+    from repro.placement.base import InsufficientCapacityError
+
+    pms = [PMSpec(20.0)] * 4
+    svc = PlacementService(pms, QueuingFFD(rho=0.01, d=8),
+                           wal_path=tmp_path / "wal.jsonl",
+                           checkpoint_path=tmp_path / "ckpt.json")
+    for j in range(6):
+        svc.submit(f"calm{j}", VMSpec(0.01, 0.5, 2.0, 3.0))
+    for j in range(12):
+        svc.submit(f"bursty{j}", VMSpec(0.5, 0.05, 0.5, 0.5))
+    svc.drain()
+    old_table = svc.consolidator.state_of(0).mapping.table.tolist()
+    fingerprint = svc.consolidator.state_fingerprint()
+    with pytest.raises(InsufficientCapacityError):
+        svc.recalibrate("r0")
+    assert all(rec.op != "recalibrate" for rec in svc.wal.records())
+    assert all(svc.consolidator.state_of(i).mapping.table.tolist()
+               == old_table for i in range(len(pms)))
+    assert svc.consolidator.state_fingerprint() == fingerprint
+    recovered = PlacementService.recover(
+        pms, QueuingFFD(rho=0.01, d=8), wal_path=tmp_path / "wal.jsonl",
+        checkpoint_path=tmp_path / "ckpt.json")
+    assert recovered.consolidator.state_fingerprint() == fingerprint
+
+
+def test_recovered_service_decides_like_the_uninterrupted_one(tmp_path):
+    """A departure leaves the live base sum equal to the one a restore
+    rebuilds, so a boundary arrival gets the same outcome on both."""
+    def service(where):
+        return PlacementService([PMSpec(50.0)], wal_path=where / "wal.jsonl",
+                                checkpoint_path=where / "ckpt.json")
+
+    live = service(tmp_path)
+    for j, r_base in enumerate((2.37, 2.4, 0.97)):
+        live.submit(f"a{j}", VMSpec(0.01, 0.09, r_base, 1.0))
+    live.drain()
+    live.depart("d1", 1)
+    live.checkpoint()
+    recovered = PlacementService.recover(
+        [PMSpec(50.0)], wal_path=tmp_path / "wal.jsonl",
+        checkpoint_path=tmp_path / "ckpt.json")
+    boundary = VMSpec(0.01, 0.09, 44.660000001, 1.0)
+    outcomes = []
+    for svc in (live, recovered):
+        svc.submit("boundary", boundary)
+        svc.drain()
+        outcomes.append(svc.results["boundary"]["op"])
+    assert outcomes[0] == outcomes[1]
+    assert (recovered.consolidator.state_fingerprint()
+            == live.consolidator.state_fingerprint())

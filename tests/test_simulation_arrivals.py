@@ -63,7 +63,8 @@ class TestRun:
         sim = DynamicFleetSimulator(fleet(), arrival_probability=0.8,
                                     departure_probability=0.02, seed=3)
         sim.run(200)
-        for state in sim._states:
+        for j in range(sim.consolidator.n_pms):
+            state = sim.consolidator.state_of(j)
             if not state.is_empty:
                 assert state.committed <= state.spec.capacity + 1e-6
                 assert state.count <= sim.placer.d
