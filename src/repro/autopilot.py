@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import logging
 import os
 from dataclasses import dataclass, field
@@ -51,7 +50,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core.mapcal import mapcal_table
-from repro.core.types import VMSpec
+from repro.durable import canonical
 from repro.markov.hmm import fit_hmm_onoff
 from repro.simulation.checkpoint import (
     CheckpointRetention,
@@ -204,8 +203,7 @@ def refit_fingerprint(fits: Sequence[OnOffFit]) -> str:
     """Content hash of a refit's rounded parameters (blacklist key)."""
     rows = [[round(f.p_on, 4), round(f.p_off, 4),
              round(f.r_base, 3), round(f.r_extra, 3)] for f in fits]
-    blob = json.dumps(rows, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return hashlib.sha256(canonical(rows)).hexdigest()[:12]
 
 
 def adversarial_refit(traces: np.ndarray) -> list[OnOffFit]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import json
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ from repro.core.mapcal import BlockMapping, mapcal_table, table_fingerprint
 from repro.core.queuing_ffd import QueuingFFD
 from repro.core.reservation import PMReservationState, ReservationKernel
 from repro.core.types import PMSpec, VMSpec
+from repro.durable import canonical
 from repro.placement.base import (
     REASON_FLEET_FULL,
     AdmissionRejectedError,
@@ -489,6 +489,5 @@ class OnlineConsolidator:
         fingerprint, and ``next_id`` — which is exactly the crash-recovery
         parity criterion.
         """
-        payload = json.dumps(self.capture_state(), sort_keys=True,
-                             separators=(",", ":")).encode()
+        payload = canonical(self.capture_state())
         return hashlib.sha256(payload).hexdigest()[:16]

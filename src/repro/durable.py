@@ -1,0 +1,220 @@
+"""Durable files: one encoder, one atomic write, one envelope, one journal.
+
+Every file that must survive a crash -- a power loss, not just a process
+kill -- is written here; docs/ROBUSTNESS.md lists them.  A
+:class:`Journal` is a durable buffer with at-least-once replay, so its
+records carry idempotency keys.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import json
+import os
+import secrets
+from pathlib import Path
+from typing import Any, Callable
+
+_SHA_KEY = b',"sha256":"'
+
+
+def canonical(obj: Any) -> bytes:
+    """The canonical JSON encoding: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def atomic_write(path: str | os.PathLike, data: bytes) -> None:
+    """Replace ``path`` with ``data``: after any crash, old bytes or new.
+
+    The temp file is this writer's own and is removed if anything raises
+    before the rename; the directory fsync makes the rename durable.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            _write_all(fd, data)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+class Envelope:
+    """A checksummed JSON file: ``{"format","payload","sha256","version"}``.
+
+    The file is ``canonical`` of that dict and ``sha256`` covers exactly
+    the payload's bytes in it, so reading hashes and parses that slice.
+    The layout earlier builds wrote (``json.dumps(envelope,
+    sort_keys=True)``) is verified by re-encoding its payload instead.
+    """
+
+    def __init__(self, format: str, version: int, *,
+                 error: type[Exception],
+                 read_error: type[Exception] | None = None):
+        self.format, self.version, self.error = format, version, error
+        self.read_error = read_error or error
+        self._head = b'{"format":' + canonical(format) + b',"payload":'
+        self._tail = b'","version":' + canonical(version) + b"}"
+
+    def write(self, path: str | os.PathLike, payload: dict) -> tuple[str, int]:
+        """Seal ``payload`` into ``path`` atomically: ``(sha256, size)``."""
+        body = canonical(payload)
+        digest = hashlib.sha256(body).hexdigest()
+        data = self._head + body + _SHA_KEY + digest.encode() + self._tail
+        atomic_write(path, data)
+        return digest, len(data)
+
+    def read(self, path: str | os.PathLike) -> dict:
+        """Read and verify a sealed file; returns the payload."""
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise self.read_error(
+                f"cannot read checkpoint {path}: {exc}") from exc
+        end = len(data) - len(self._tail)
+        start = end - 64 - len(_SHA_KEY)
+        payload = None
+        if (start >= len(self._head) and data.startswith(self._head)
+                and data.endswith(self._tail)
+                and data[start:end - 64] == _SHA_KEY):
+            body = data[len(self._head):start]
+            expected = data[end - 64:end].decode("ascii", "replace")
+        else:
+            envelope = self._parse(data, path)
+            payload, expected = envelope["payload"], envelope.get("sha256")
+            body = canonical(payload)
+        digest = hashlib.sha256(body).hexdigest()
+        if digest != expected:
+            raise self.error(
+                f"checkpoint {path} failed its checksum (expected "
+                f"{expected!r}, computed {digest!r}); the file is corrupt")
+        return json.loads(body) if payload is None else payload
+
+    def _parse(self, data: bytes, path) -> dict:
+        try:
+            envelope = json.loads(data)
+        except ValueError as exc:
+            raise self.error(f"checkpoint {path} is not valid JSON "
+                             f"(truncated write?): {exc}") from exc
+        if not isinstance(envelope, dict) \
+                or envelope.get("format") != self.format:
+            raise self.error(f"{path} is not a {self.format} file")
+        if envelope.get("version") != self.version:
+            raise self.error(
+                f"checkpoint {path} has format version "
+                f"{envelope.get('version')!r}; this build reads version "
+                f"{self.version} only")
+        if not isinstance(envelope.get("payload"), dict):
+            raise self.error(f"checkpoint {path} has no payload")
+        return envelope
+
+
+def read_journal(path: str | os.PathLike, decode: Callable[[Any], Any], *,
+                 header: dict | None = None,
+                 error: type[Exception] = ValueError,
+                 ) -> tuple[dict | None, list, int, int]:
+    """Scan a journal without writing: ``(header, records, valid, torn)``.
+
+    A line lacking its newline, or that ``decode(json.loads(line))``
+    rejects, is malformed.  A malformed suffix is a torn tail of ``torn``
+    lines after ``valid`` bytes; a malformed line followed by a valid one
+    raises ``error``.  ``header`` names the ``format`` and ``version``
+    line 1 must carry.
+    """
+    *lines, partial = Path(path).read_bytes().split(b"\n")
+    found, lineno, end = None, 0, 0
+    if header is not None:
+        try:
+            found = json.loads(lines[0])
+            ok = (found["format"], found["version"]) \
+                == (header["format"], header["version"])
+        except (IndexError, ValueError, KeyError, TypeError):
+            ok = False
+        if not ok:
+            raise error(f"{path} has no {header['format']} version "
+                        f"{header['version']} header")
+        lineno, end, lines = 1, len(lines[0]) + 1, lines[1:]
+    records: list = []
+    first_bad = 0
+    for line in lines:
+        lineno += 1
+        try:
+            record = decode(json.loads(line))
+        except (ValueError, KeyError, TypeError):
+            first_bad = first_bad or lineno
+            continue
+        if first_bad:
+            raise error(f"{path}:{first_bad}: malformed record followed by "
+                        "valid records (mid-file corruption, not a torn "
+                        "write)")
+        records.append(record)
+        end += len(line) + 1
+    return found, records, end, len(lines) + bool(partial) - len(records)
+
+
+class Journal:
+    """Append-only JSON Lines: one canonical line and one fsync per append.
+
+    Opening creates the file atomically if absent, scans it with
+    :func:`read_journal` and truncates a torn tail on disk.  The file
+    stays open; an append that raises closes it, as its tail is unknown.
+    """
+
+    def __init__(self, path: str | os.PathLike, decode: Callable[[Any], Any],
+                 *, header: dict | None = None,
+                 error: type[Exception] = ValueError):
+        self.path, self.error = Path(path), error
+        if not self.path.exists():
+            atomic_write(self.path,
+                         b"" if header is None else canonical(header) + b"\n")
+        self.header, self.entries, end, self.truncated_tail = read_journal(
+            self.path, decode, header=header, error=error)
+        if self.truncated_tail:
+            with open(self.path, "r+b") as fh:
+                fh.truncate(end)
+                os.fsync(fh.fileno())
+        self._fh = open(self.path, "ab", buffering=0)
+
+    def append(self, obj: Any) -> None:
+        """Durably append ``canonical(obj)`` as one line."""
+        if self._fh is None:
+            raise self.error(f"{self.path} is closed; reopen it to recover")
+        try:
+            _write_all(self._fh.fileno(), canonical(obj) + b"\n")
+            os.fsync(self._fh.fileno())
+        except BaseException:
+            self.close()
+            raise
+
+    def rewrite(self, lines: list) -> None:
+        """Atomically replace the file; later appends go to the new one."""
+        try:
+            atomic_write(self.path, b"".join(canonical(obj) + b"\n"
+                                             for obj in lines))
+        finally:  # the path holds the old file or the new one: append there
+            self.close()
+            self._fh = open(self.path, "ab", buffering=0)
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None

@@ -15,10 +15,9 @@ worker pool* in the shape of a preemption-tolerant training-job harness:
 - **poison-job quarantine** — a job failing ``max_attempts`` times is
   quarantined (reported failed, never blocks the rest of the suite);
 - **crash-safe journal** — every lifecycle transition is appended to
-  ``journal.jsonl`` as a typed telemetry event and fsync'd, so a SIGKILL of
-  the *supervisor* loses at most the in-flight jobs' progress.  Reads go
-  through :func:`repro.telemetry.read_events_tolerant`, so a torn final
-  line (crash mid-append) is skipped, not fatal;
+  ``journal.jsonl`` (a :class:`repro.durable.Journal`) as a typed event,
+  so a SIGKILL of the *supervisor* loses at most the in-flight jobs'
+  progress.  A torn final line (crash mid-append) is truncated, not fatal;
 - **resume** — ``python -m repro bench --resume <run-dir>`` re-executes
   only jobs without a verified result (journal says finished *and* the
   on-disk table matches the recorded content hash) and re-aggregates a
@@ -51,6 +50,7 @@ from typing import Callable
 
 import multiprocessing
 
+from repro.durable import Journal, atomic_write, canonical, read_journal
 from repro.perf.bench import (
     BenchJobResult,
     _execute_job,
@@ -68,7 +68,7 @@ from repro.telemetry import (
     BenchRunStarted,
     RunResumed,
     TelemetryEvent,
-    read_events_tolerant,
+    event_from_dict,
     resolve,
 )
 from repro.utils.validation import check_integer
@@ -190,44 +190,27 @@ class ChaosConfig:
 # --------------------------------------------------------------------- #
 # the journal
 # --------------------------------------------------------------------- #
-class JobJournal:
-    """Append-only, fsync'd JSONL journal of typed telemetry events.
+class JobJournal(Journal):
+    """Typed telemetry events on a :class:`repro.durable.Journal`.
 
-    Every append is flushed and fsync'd before returning: after a crash at
-    any instant, the journal contains every acknowledged event plus at most
-    one torn trailing line, which :meth:`read` (via
-    :func:`~repro.telemetry.read_events_tolerant`) skips.
+    Every append is fsync'd before returning: after a crash at any
+    instant, the journal holds every acknowledged event plus at most one
+    torn trailing line, which opening truncates and :meth:`read` counts.
+    Garbage followed by valid events raises ``ValueError`` naming the line.
     """
 
     def __init__(self, path: str | os.PathLike):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Seal a torn trailing line (crash mid-append) with a newline so new
-        # events land on their own lines instead of merging into the wreck.
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                torn = fh.read(1) != b"\n"
-        except OSError:  # absent or empty file
-            torn = False
-        self._fh = open(self.path, "a", encoding="utf-8")
-        if torn:
-            self._fh.write("\n")
-            self._fh.flush()
+        super().__init__(path, event_from_dict)
 
     def append(self, event: TelemetryEvent) -> None:
-        """Durably append one event (flush + fsync)."""
-        self._fh.write(json.dumps(event.to_dict()) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        self._fh.close()
+        """Durably append one event (write + fsync)."""
+        super().append(event.to_dict())
 
     @staticmethod
     def read(path: str | os.PathLike) -> tuple[list[TelemetryEvent], int]:
-        """Tolerantly read a journal: ``(events, skipped_line_count)``."""
-        return read_events_tolerant(path)
+        """Read a journal without writing: ``(events, torn_tail_lines)``."""
+        _, events, _, torn = read_journal(path, event_from_dict)
+        return events, torn
 
 
 # --------------------------------------------------------------------- #
@@ -238,7 +221,7 @@ def _worker_entry(name: str, seed: int | None, attempt: int,
                   heartbeat_interval: float) -> None:
     """Worker process body: beat, maybe inject chaos, run, write result.
 
-    The result file is written atomically (temp + rename) so the
+    The result file is written atomically (``atomic_write``) so the
     supervisor never reads a torn payload; a worker that dies before the
     rename simply leaves no result, which the supervisor treats as a
     crash.
@@ -260,13 +243,8 @@ def _worker_entry(name: str, seed: int | None, attempt: int,
         stop.set()  # stop beating: the supervisor must notice and kill us
         time.sleep(3600)
     payload = _execute_job((name, seed))
-    res_path = Path(workdir) / f"res_{name}_{attempt}.json"
-    tmp = res_path.with_name(res_path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, res_path)
+    atomic_write(Path(workdir) / f"res_{name}_{attempt}.json",
+                 canonical(payload))
     stop.set()
 
 
@@ -488,10 +466,8 @@ def run_durable_bench(
         result = BenchJobResult(**payload)
         results[result.name] = result
         if result.ok:
-            table = run_dir / f"{result.name}.txt"
-            tmp = table.with_name(table.name + ".tmp")
-            tmp.write_text(result.text + "\n")
-            os.replace(tmp, table)
+            atomic_write(run_dir / f"{result.name}.txt",
+                         (result.text + "\n").encode())
         publish(BenchJobFinished(
             time=seq, job=result.name, seconds=result.seconds,
             ok=result.ok, error=result.error,

@@ -90,6 +90,7 @@ def _drive_service(placer, *, elastic: bool, rate: float, n_pms: int,
                 deaths.setdefault(t + max(1, life), []).append(
                     outcome["vm_id"])
         used_samples.append(svc.consolidator.n_used_pms)
+    svc.wal.close()
     m = svc.metrics()
     # The drain-before-retire guard is an invariant, not a sample: every
     # retired PM went through prepare -> empty -> commit, or PoolGuardError

@@ -44,6 +44,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
+from repro.durable import atomic_write, canonical
 from repro.telemetry import resolve
 from repro.telemetry.logfilter import LogRateLimiter
 
@@ -191,14 +192,11 @@ class MapCalCache:
         if self.disk_dir is None:
             return
         try:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
-            path = self._path_for(key)
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(
+            # each writer renames its own temp file: never a torn entry
+            atomic_write(self._path_for(key), canonical(
                 {"version": CACHE_VERSION,
                  "key": list(_jsonable(key)),
                  "value": int(value)}))
-            os.replace(tmp, path)  # atomic: readers never see a torn file
         except OSError:
             pass  # a read-only or full disk degrades to memory-only caching
 

@@ -33,7 +33,6 @@ the overload tests.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from pathlib import Path
@@ -42,6 +41,7 @@ import numpy as np
 
 from repro.core.queuing_ffd import QueuingFFD
 from repro.core.types import PMSpec, VMSpec
+from repro.durable import canonical
 from repro.observability.recorder import TimeSeriesRecorder
 from repro.observability.slo import SLOEngine, default_service_rules
 from repro.placement.grand import GreedyRandomPlacer
@@ -189,6 +189,7 @@ def run_serve(args) -> int:
             slo.evaluate(t)
     finally:
         tel.close()
+        svc.wal.close()
 
     m = svc.metrics()
     print(f"serve: {m['requests']} requests -> {m['admitted']} admitted, "
@@ -209,8 +210,7 @@ def run_serve(args) -> int:
 
     if args.state_out:
         args.state_out.parent.mkdir(parents=True, exist_ok=True)
-        args.state_out.write_text(json.dumps(
-            svc.capture_state(), sort_keys=True, separators=(",", ":")))
+        args.state_out.write_bytes(canonical(svc.capture_state()))
         print(f"state written: {args.state_out}")
 
     if args.chaos == "corrupt-wal":

@@ -7,20 +7,20 @@ Durability contract (tested by the crash drills in
   depart, recalibrate, pool scale) is appended — and fsync'd — *before*
   the in-memory state mutates.  A record therefore implies "this decision
   was made"; recovery replays recorded outcomes, it never re-decides.
-- **Torn-tail tolerance.**  ``kill -9`` mid-append leaves at most one
-  partial line at EOF.  Recovery truncates a malformed *tail* (reported,
-  never silent) but treats a malformed line *followed by valid records*
-  as real corruption and refuses to guess (:class:`WALCorruptError`).
+- **Torn-tail tolerance** (:class:`repro.durable.Journal`).  A crash
+  mid-append leaves at most one partial line at EOF.  Recovery truncates
+  a malformed *tail* (reported, never silent) but treats a malformed line
+  *followed by valid records* as real corruption and refuses to guess
+  (:class:`WALCorruptError`).
 - **Tamper evidence.**  Records are sha256-chained: each record's
   ``chain`` hashes its canonical body onto the previous chain value, so a
   bit-flipped or spliced record breaks the chain at verification time.
-- **Compaction.**  A service checkpoint (same envelope discipline as
-  :mod:`repro.simulation.checkpoint`: canonical-JSON payload, sha256,
-  atomic ``tmp -> fsync -> rename``) absorbs the log prefix; the WAL is
-  then atomically rewritten with a header carrying the checkpoint's
-  ``(seq, chain)`` as its new base.  A crash *between* those two steps is
-  safe: recovery skips replaying records at or below the checkpoint's
-  sequence number.
+- **Compaction.**  A service checkpoint (a :class:`repro.durable.Envelope`,
+  durable once written) absorbs the log prefix; the WAL is then
+  atomically rewritten with a header carrying the checkpoint's ``(seq,
+  chain)`` as its new base.  A crash *between* those two steps is safe:
+  recovery skips replaying records at or below the checkpoint's sequence
+  number.
 
 File format — JSON Lines, one object per line:
 
@@ -34,10 +34,11 @@ File format — JSON Lines, one object per line:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.durable import Envelope, Journal, canonical
 
 WAL_FORMAT = "repro-wal"
 WAL_VERSION = 1
@@ -56,15 +57,10 @@ class WALCorruptError(WALError):
     """The log is damaged beyond the torn-tail case; refuse to guess."""
 
 
-def _canonical(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-
-
 def chain_hash(prev_chain: str, seq: int, key: str, op: str,
                body: dict) -> str:
     """The chain value for one record: covers predecessor + canonical body."""
-    material = prev_chain.encode() + _canonical(
+    material = prev_chain.encode() + canonical(
         {"seq": seq, "key": key, "op": op, "body": body})
     return hashlib.sha256(material).hexdigest()
 
@@ -80,97 +76,29 @@ class WALRecord:
     chain: str
 
 
-class WriteAheadLog:
+def _header(base_seq: int, base_chain: str) -> dict:
+    return {"format": WAL_FORMAT, "version": WAL_VERSION,
+            "base_seq": base_seq, "base_chain": base_chain}
+
+
+class WriteAheadLog(Journal):
     """An append-only, fsync'd, hash-chained decision journal.
 
-    ``open()`` (or the constructor) scans and verifies the whole log; a
-    malformed tail is truncated on disk immediately so a subsequent append
-    never interleaves with garbage.  ``append`` journals one record and
-    returns its sequence number; ``records`` returns the verified records
-    currently in the log (post-base only).
+    Opening (a :class:`~repro.durable.Journal`: a torn tail is truncated on
+    disk so a later append never interleaves with garbage) also verifies
+    every sequence number and the hash chain.  ``append`` journals one
+    record and returns its sequence number; ``records`` returns the
+    verified records currently in the log (post-base only).
     """
 
-    def __init__(self, path: str | os.PathLike, *, fsync: bool = True):
-        self.path = Path(path)
-        self.fsync = fsync
-        self.base_seq = 0
-        self.base_chain = GENESIS_CHAIN
-        self.last_seq = 0
-        self.last_chain = GENESIS_CHAIN
-        self.truncated_tail = 0  # malformed tail lines dropped on open
-        self._records: list[WALRecord] = []
-        self._open()
-
-    # ------------------------------------------------------------------ #
-    # open / scan
-    # ------------------------------------------------------------------ #
-    def _write_header(self, fh, base_seq: int, base_chain: str) -> None:
-        fh.write(_canonical({
-            "format": WAL_FORMAT, "version": WAL_VERSION,
-            "base_seq": base_seq, "base_chain": base_chain,
-        }) + b"\n")
-
-    def _open(self) -> None:
-        if not self.path.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "wb") as fh:
-                self._write_header(fh, self.base_seq, self.base_chain)
-                fh.flush()
-                os.fsync(fh.fileno())
-            return
-        raw = self.path.read_bytes()
-        lines = raw.split(b"\n")
-        if lines and lines[-1] == b"":
-            lines.pop()
-        if not lines:
-            raise WALCorruptError(f"{self.path} is empty (no header)")
-        try:
-            header = json.loads(lines[0])
-        except ValueError as exc:
-            raise WALCorruptError(
-                f"{self.path} header is unreadable: {exc}") from exc
-        if header.get("format") != WAL_FORMAT:
-            raise WALCorruptError(f"{self.path} is not a {WAL_FORMAT} file")
-        if header.get("version") != WAL_VERSION:
-            raise WALCorruptError(
-                f"{self.path} has WAL version {header.get('version')!r}; "
-                f"this build reads version {WAL_VERSION} only")
-        self.base_seq = int(header["base_seq"])
-        self.base_chain = str(header["base_chain"])
-        # Parse every record line; remember where each line starts so a torn
-        # tail can be truncated at an exact byte offset.
-        parsed: list[WALRecord | None] = []
-        offsets: list[int] = []
-        pos = len(lines[0]) + 1
-        for line in lines[1:]:
-            offsets.append(pos)
-            pos += len(line) + 1
-            try:
-                obj = json.loads(line)
-                rec = WALRecord(seq=int(obj["seq"]), key=str(obj["key"]),
-                                op=str(obj["op"]), body=dict(obj["body"]),
-                                chain=str(obj["chain"]))
-            except (ValueError, KeyError, TypeError):
-                rec = None
-            parsed.append(rec)
-        # Torn tail vs. mid-file corruption: only a suffix of Nones (in
-        # practice one line) may be dropped.
-        first_bad = next((i for i, r in enumerate(parsed) if r is None),
-                         len(parsed))
-        if any(r is not None for r in parsed[first_bad:]):
-            raise WALCorruptError(
-                f"{self.path} has a malformed record followed by valid "
-                "records (mid-file corruption, not a torn write)")
-        self.truncated_tail = len(parsed) - first_bad
-        if self.truncated_tail:
-            with open(self.path, "r+b") as fh:
-                fh.truncate(offsets[first_bad])
-                fh.flush()
-                os.fsync(fh.fileno())
-            parsed = parsed[:first_bad]
-        # Verify sequence numbers and the hash chain.
+    def __init__(self, path: str | os.PathLike):
+        super().__init__(path, lambda obj: WALRecord(**obj),
+                         header=_header(0, GENESIS_CHAIN),
+                         error=WALCorruptError)
+        self.base_seq = int(self.header["base_seq"])
+        self.base_chain = str(self.header["base_chain"])
         seq, chain = self.base_seq, self.base_chain
-        for rec in parsed:
+        for rec in self.entries:
             if rec.seq != seq + 1:
                 raise WALCorruptError(
                     f"{self.path}: record seq {rec.seq} follows {seq} "
@@ -181,12 +109,9 @@ class WriteAheadLog:
                     f"{self.path}: chain mismatch at seq {rec.seq} "
                     "(record tampered or corrupted)")
             seq, chain = rec.seq, rec.chain
-        self._records = list(parsed)
+        self._records: list[WALRecord] = self.entries
         self.last_seq, self.last_chain = seq, chain
 
-    # ------------------------------------------------------------------ #
-    # append / read / compact
-    # ------------------------------------------------------------------ #
     def append(self, op: str, body: dict, *, key: str) -> int:
         """Durably journal one decision; returns its sequence number.
 
@@ -194,17 +119,11 @@ class WriteAheadLog:
         may only mutate in-memory state *after* that (journal-then-apply).
         """
         seq = self.last_seq + 1
-        chain = chain_hash(self.last_chain, seq, key, op, body)
-        line = _canonical({"seq": seq, "chain": chain, "key": key,
-                           "op": op, "body": body}) + b"\n"
-        with open(self.path, "ab") as fh:
-            fh.write(line)
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-        rec = WALRecord(seq=seq, key=key, op=op, body=dict(body), chain=chain)
+        rec = WALRecord(seq=seq, key=key, op=op, body=dict(body),
+                        chain=chain_hash(self.last_chain, seq, key, op, body))
+        super().append(vars(rec))
         self._records.append(rec)
-        self.last_seq, self.last_chain = seq, chain
+        self.last_seq, self.last_chain = seq, rec.chain
         return seq
 
     def records(self, *, after_seq: int | None = None) -> list[WALRecord]:
@@ -212,9 +131,6 @@ class WriteAheadLog:
         if after_seq is None:
             return list(self._records)
         return [r for r in self._records if r.seq > after_seq]
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     def compact(self, *, base_seq: int, base_chain: str) -> int:
         """Atomically drop records up to ``base_seq`` (checkpoint absorbed).
@@ -228,16 +144,8 @@ class WriteAheadLog:
             raise WALError(
                 f"cannot compact to seq {base_seq}: log ends at {self.last_seq}")
         keep = [r for r in self._records if r.seq > base_seq]
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            self._write_header(fh, base_seq, base_chain)
-            for r in keep:
-                fh.write(_canonical({"seq": r.seq, "chain": r.chain,
-                                     "key": r.key, "op": r.op,
-                                     "body": r.body}) + b"\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        self.rewrite([_header(base_seq, base_chain)]
+                     + [vars(r) for r in keep])
         dropped = len(self._records) - len(keep)
         self._records = keep
         self.base_seq, self.base_chain = base_seq, base_chain
@@ -245,33 +153,22 @@ class WriteAheadLog:
 
 
 # ---------------------------------------------------------------------- #
-# service checkpoint (same envelope discipline as simulation.checkpoint)
+# service checkpoint (the same envelope as simulation.checkpoint)
 # ---------------------------------------------------------------------- #
+_CHECKPOINT = Envelope(SERVICE_CHECKPOINT_FORMAT, SERVICE_CHECKPOINT_VERSION,
+                       error=WALCorruptError, read_error=WALError)
+
+
 def save_service_checkpoint(path: str | os.PathLike, *, state: dict,
                             wal_seq: int, wal_chain: str) -> Path:
     """Atomically write the service state snapshot taken at a WAL position.
 
-    ``state`` must be JSON-safe and canonicalizable; the envelope's sha256
-    covers the payload so a torn or bit-rotted checkpoint is detected on
-    load rather than silently replayed against.
+    ``state`` must be JSON-safe; the envelope's sha256 detects a bit-rotted
+    checkpoint on load rather than silently replaying against it.
     """
-    path = Path(path)
-    payload = {"wal_seq": int(wal_seq), "wal_chain": str(wal_chain),
-               "state": state}
-    envelope = {
-        "format": SERVICE_CHECKPOINT_FORMAT,
-        "version": SERVICE_CHECKPOINT_VERSION,
-        "sha256": hashlib.sha256(_canonical(payload)).hexdigest(),
-        "payload": payload,
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(json.dumps(envelope, sort_keys=True).encode("utf-8"))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+    _CHECKPOINT.write(path, {"wal_seq": int(wal_seq),
+                             "wal_chain": str(wal_chain), "state": state})
+    return Path(path)
 
 
 def load_service_checkpoint(path: str | os.PathLike) -> dict:
@@ -281,28 +178,4 @@ def load_service_checkpoint(path: str | os.PathLike) -> dict:
     Raises :class:`WALCorruptError` on any damage — the caller decides
     whether a full-log replay from genesis can substitute.
     """
-    path = Path(path)
-    try:
-        envelope = json.loads(path.read_bytes())
-    except OSError as exc:
-        raise WALError(f"cannot read checkpoint {path}: {exc}") from exc
-    except ValueError as exc:
-        raise WALCorruptError(
-            f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(envelope, dict) \
-            or envelope.get("format") != SERVICE_CHECKPOINT_FORMAT:
-        raise WALCorruptError(
-            f"{path} is not a {SERVICE_CHECKPOINT_FORMAT} file")
-    if envelope.get("version") != SERVICE_CHECKPOINT_VERSION:
-        raise WALCorruptError(
-            f"checkpoint {path} has version {envelope.get('version')!r}; "
-            f"this build reads version {SERVICE_CHECKPOINT_VERSION} only")
-    payload = envelope.get("payload")
-    if not isinstance(payload, dict):
-        raise WALCorruptError(f"checkpoint {path} has no payload")
-    digest = hashlib.sha256(_canonical(payload)).hexdigest()
-    if digest != envelope.get("sha256"):
-        raise WALCorruptError(
-            f"checkpoint {path} failed its checksum (expected "
-            f"{envelope.get('sha256')!r}, computed {digest!r})")
-    return payload
+    return _CHECKPOINT.read(path)

@@ -12,23 +12,16 @@ by ``tests/test_simulation_checkpoint.py`` across both tick modes):
 with equality on the full :class:`~repro.simulation.scenario.ScenarioReport`
 *and* the telemetry event stream.
 
-On-disk format (JSON, one object)::
+On disk a checkpoint is a :class:`repro.durable.Envelope` (format
+``repro-checkpoint``, version 1) whose checksum detects truncation and
+bit-rot before any state is trusted; a crash mid-write, power loss
+included, leaves the old checkpoint or the new one.  Its payload::
 
     {
-      "format":  "repro-checkpoint",
-      "version": 1,
-      "sha256":  "<hex digest of the canonical payload encoding>",
-      "payload": {
-        "config":      {...},   # rebuild recipe for the Scenario
-        "nonportable": [...],   # config pieces that cannot be serialized
-        "state":       {...}    # ScenarioRun.capture_state()
-      }
+      "config":      {...},   # rebuild recipe for the Scenario
+      "nonportable": [...],   # config pieces that cannot be serialized
+      "state":       {...}    # ScenarioRun.capture_state()
     }
-
-The checksum covers ``payload`` serialized canonically (sorted keys, no
-whitespace), so truncation and bit-rot are detected before any state is
-trusted.  Writes are atomic (temp file + fsync + rename): a crash mid-write
-leaves either the previous checkpoint or none, never a torn one.
 
 Scenarios configured with *custom* components (a hand-rolled policy,
 trigger, cost model, energy model, or an observatory) still checkpoint —
@@ -40,7 +33,6 @@ identically-configured :class:`~repro.simulation.scenario.Scenario`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -50,6 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.types import Placement, PMSpec, VMSpec
+from repro.durable import Envelope, atomic_write, canonical
 from repro.placement.base import Placer
 from repro.simulation.costmodel import MigrationCostModel
 from repro.simulation.energy import EnergyModel
@@ -80,6 +73,10 @@ _JSON_SCALARS = (bool, int, float, str, type(None))
 
 class CheckpointError(RuntimeError):
     """A checkpoint file is unreadable, corrupt, or incompatible."""
+
+
+_ENVELOPE = Envelope(CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+                     error=CheckpointError)
 
 
 # --------------------------------------------------------------------- #
@@ -226,12 +223,6 @@ def _build_scenario(config: dict,
 # --------------------------------------------------------------------- #
 # file I/O
 # --------------------------------------------------------------------- #
-def _canonical(payload: dict) -> bytes:
-    """The byte encoding the checksum covers: sorted keys, no whitespace."""
-    return json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-
-
 def canonical_state_bytes(state: dict) -> bytes:
     """Canonical byte encoding of a ``capture_state`` snapshot.
 
@@ -239,7 +230,7 @@ def canonical_state_bytes(state: dict) -> bytes:
     equal — the comparison the autopilot's rollback-parity check and the
     CI forced-rollback drill are built on.
     """
-    return _canonical(state)
+    return canonical(state)
 
 
 def save_checkpoint(run: ScenarioRun, path: str | os.PathLike) -> Path:
@@ -251,77 +242,27 @@ def save_checkpoint(run: ScenarioRun, path: str | os.PathLike) -> Path:
     """
     path = Path(path)
     config, nonportable = _scenario_config(run.scenario)
-    payload = {
+    digest, size = _ENVELOPE.write(path, {
         "config": config,
         "nonportable": sorted(nonportable),
         "state": run.capture_state(),
-    }
-    digest = hashlib.sha256(_canonical(payload)).hexdigest()
-    envelope = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "sha256": digest,
-        "payload": payload,
-    }
-    data = json.dumps(envelope, sort_keys=True).encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    })
     logger.info("checkpoint written: %s at interval %d (%d bytes)",
-                path, run.time, len(data))
+                path, run.time, size)
     tel = resolve(run.telemetry)
     if tel is not None and tel.events.enabled:
         tel.emit(CheckpointWritten(time=run.time, path=str(path),
-                                   sha256=digest, size_bytes=len(data)))
+                                   sha256=digest, size_bytes=size))
     return path
 
 
 def load_checkpoint(path: str | os.PathLike) -> dict:
     """Read and verify a checkpoint file; returns the payload dict.
 
-    Raises
-    ------
-    CheckpointError
-        On missing/truncated files, unknown format or version, or a
-        checksum mismatch (bit-rot / torn write).
+    Raises :class:`CheckpointError` on missing/truncated files, unknown
+    format or version, or a checksum mismatch (bit-rot).
     """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        envelope = json.loads(raw)
-    except ValueError as exc:
-        raise CheckpointError(
-            f"checkpoint {path} is not valid JSON (truncated write?): {exc}"
-        ) from exc
-    if not isinstance(envelope, dict) \
-            or envelope.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"{path} is not a {CHECKPOINT_FORMAT} file"
-        )
-    version = envelope.get("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path} has format version {version!r}; this build "
-            f"reads version {CHECKPOINT_VERSION} only"
-        )
-    payload = envelope.get("payload")
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"checkpoint {path} has no payload")
-    digest = hashlib.sha256(_canonical(payload)).hexdigest()
-    if digest != envelope.get("sha256"):
-        raise CheckpointError(
-            f"checkpoint {path} failed its checksum "
-            f"(expected {envelope.get('sha256')!r}, computed {digest!r}); "
-            "the file is corrupt"
-        )
-    return payload
+    return _ENVELOPE.read(path)
 
 
 def restore_checkpoint(path: str | os.PathLike, *,
@@ -422,17 +363,8 @@ class CheckpointRetention:
         return paths[-1] if paths else None
 
     def _write_index(self) -> None:
-        index = self.directory / self.INDEX_NAME
-        data = json.dumps(
-            {"next_seq": self._seq, "checkpoints": self._entries},
-            sort_keys=True,
-        ).encode("utf-8")
-        tmp = index.with_name(index.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, index)
+        atomic_write(self.directory / self.INDEX_NAME, canonical(
+            {"next_seq": self._seq, "checkpoints": self._entries}))
 
     def save(self, run: ScenarioRun, label: str = "rollback") -> Path:
         """Checkpoint ``run``, update the index, prune beyond ``keep``."""
