@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.simulation.datacenter import _EPS, Datacenter
+from repro.simulation.datacenter import _EPS, Datacenter, _frozen
 from repro.telemetry import timed
 
 
@@ -43,15 +43,16 @@ class ScalarReferenceDatacenter(Datacenter):
         per VM, so the resulting ON/OFF trajectory is bit-identical.
         """
         with timed("datacenter.step"):
-            u = self._rng.random(len(self.vms))
+            u = self._rng.random(self.n_vms)
             on = self._on
             new = np.empty_like(on)
-            for i in range(len(self.vms)):
+            for i in range(self.n_vms):
                 if on[i]:
                     new[i] = u[i] >= self._p_off[i]
                 else:
                     new[i] = u[i] < self._p_on[i]
-            self._on = new
+            self._on = _frozen(new)
+            self._invalidate()
 
     # -------------------------------------------------------------- #
     # queries
@@ -93,9 +94,17 @@ class ScalarReferenceDatacenter(Datacenter):
             loads[assignment[vm_id]] += self._r_base[vm_id]
         return loads
 
+    def hosted_counts(self) -> np.ndarray:
+        """VMs per PM via a per-VM walk of the assignment."""
+        counts = [0] * self.n_pms
+        for pm_id in self.placement.assignment.tolist():
+            counts[pm_id] += 1
+        return np.array(counts, dtype=np.int64)
+
     def pm_used_mask(self) -> np.ndarray:
-        """Powered-on mask via the per-PM hosted-set check."""
-        return np.array([p.is_used for p in self.pms], dtype=bool)
+        """Powered-on mask: the distinct hosts in the assignment."""
+        hosts = set(self.placement.assignment.tolist())
+        return np.array([j in hosts for j in range(self.n_pms)], dtype=bool)
 
     def overloaded_pms(self) -> np.ndarray:
         """Violated PM indices via a per-PM Python scan."""
@@ -105,5 +114,5 @@ class ScalarReferenceDatacenter(Datacenter):
         return np.array(hits, dtype=np.int64)
 
     def used_pm_count(self) -> int:
-        """Powered-on PM count via the per-PM Python scan."""
-        return sum(1 for p in self.pms if p.is_used)
+        """Powered-on PM count: the distinct hosts in the assignment."""
+        return len(set(self.placement.assignment.tolist()))

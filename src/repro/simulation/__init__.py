@@ -6,7 +6,7 @@ interval (the paper's sigma = 30 s), local resizing tracks demand instantly,
 and a dynamic scheduler reacts to capacity overflow with live migration.
 
 - :mod:`repro.simulation.engine` — the interval clock and hook loop.
-- :mod:`repro.simulation.datacenter` — runtime PM/VM state and local resizing.
+- :mod:`repro.simulation.datacenter` — the fleet's state arrays and local resizing.
 - :mod:`repro.simulation.migration` — VM-selection and target-selection
   policies plus the migration cost model (idle deception lives here).
 - :mod:`repro.simulation.scheduler` — the overflow-triggered migration loop.
@@ -14,7 +14,7 @@ and a dynamic scheduler reacts to capacity overflow with live migration.
 - :mod:`repro.simulation.monitor` — time series: migrations, PMs used, CVR.
 """
 
-from repro.simulation.datacenter import Datacenter, PMRuntime, VMRuntime
+from repro.simulation.datacenter import Datacenter
 from repro.simulation.energy import EnergyModel
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.migration import (
@@ -81,8 +81,6 @@ __all__ = [
     "OverflowTrigger",
     "SlidingWindowCVRTrigger",
     "Datacenter",
-    "PMRuntime",
-    "VMRuntime",
     "EnergyModel",
     "SimulationEngine",
     "MigrationEvent",

@@ -14,9 +14,11 @@ in seconds of downtime and PM-seconds of overhead, not just event counts:
 - **overhead** — a CPU tax on source and target for the whole duration.
 
 :class:`CostedScheduler` wraps the standard scheduler: each migration is
-charged to an account, and while a migration is in flight the moved VM's
-demand is counted on *both* PMs (the transfer double-residency), which makes
-thrash self-aggravating exactly as the paper describes.
+charged to an account, and while a migration is in flight
+:meth:`CostedScheduler.extra_load` reports the overhead it puts on *both*
+PMs (the transfer double-residency).  The overload scan does not read that
+overhead yet, so in-flight transfers cost downtime and PM-intervals in the
+account but never cause a violation or a further migration.
 """
 
 from __future__ import annotations
@@ -110,9 +112,10 @@ class _InFlight:
 class CostedScheduler(DynamicScheduler):
     """Dynamic scheduler with migration costs and double residency.
 
-    While a migration is in flight (``duration_intervals`` long), the moved
-    VM's overhead load is charged on both the source and target PM via
-    :meth:`extra_load`, which the overload scan incorporates.  Costs land in
+    While a migration is in flight (``duration_intervals`` long),
+    :meth:`extra_load` reports the moved VM's overhead load on both the
+    source and the target PM.  Nothing adds it to the PM loads: the
+    overload scan sees the hosted demands only.  Costs land in
     :attr:`account`.
     """
 
@@ -145,8 +148,7 @@ class CostedScheduler(DynamicScheduler):
         self.tick_transfers()
         events = super().resolve_overloads(time)
         for e in events:
-            vm = self.dc.vms[e.vm_id].spec
-            footprint = vm.r_base
+            footprint = self.dc.vm_specs[e.vm_id].r_base
             duration = self.cost_model.duration_intervals(footprint)
             downtime = self.cost_model.downtime_seconds(footprint)
             overhead = self.cost_model.overhead_load(

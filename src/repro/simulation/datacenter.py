@@ -6,11 +6,16 @@ configuration ... with neglectable time and resource overheads"), so a VM's
 allocation always equals its demand and a PM's load is the sum of hosted
 demands.  Capacity overflow (load > capacity) is what triggers the dynamic
 scheduler.
+
+The fleet is held only as arrays: the assignment, a per-PM hosted count,
+the capacities, the ON and throttle masks and the per-VM parameters, plus
+the instance as two spec tuples.  Served demands and PM loads are computed
+at most once per fleet state and handed out read-only; every mutator drops
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,95 +32,31 @@ from repro.utils.rng import (
 _EPS = 1e-9
 
 
-class VMRuntime:
-    """A VM's live state: its spec, spike state, and degradation flag.
-
-    When hosted by a :class:`Datacenter` the ``on`` / ``throttled`` flags
-    are *views* into the datacenter's fleet-wide state arrays: reading or
-    writing them goes straight to the vectorized store, so the per-interval
-    tick never has to synchronize per-VM Python objects.  A free-standing
-    ``VMRuntime`` (no datacenter) stores the flags locally.
-    """
-
-    __slots__ = ("spec", "_dc", "_idx", "_on_local", "_throttled_local")
-
-    def __init__(self, spec: VMSpec, on: bool = False,
-                 throttled: bool = False):
-        self.spec = spec
-        self._dc: "Datacenter | None" = None
-        self._idx = -1
-        self._on_local = bool(on)
-        self._throttled_local = bool(throttled)
-
-    def _bind(self, dc: "Datacenter", idx: int) -> None:
-        """Attach this runtime to a datacenter's state arrays."""
-        dc._on[idx] = self._on_local
-        dc._throttled[idx] = self._throttled_local
-        self._dc = dc
-        self._idx = idx
-
-    @property
-    def on(self) -> bool:
-        """Whether the VM is currently in its ON (spiking) state."""
-        if self._dc is not None:
-            return bool(self._dc._on[self._idx])
-        return self._on_local
-
-    @on.setter
-    def on(self, value: bool) -> None:
-        if self._dc is not None:
-            self._dc._on[self._idx] = bool(value)
-        else:
-            self._on_local = bool(value)
-
-    @property
-    def throttled(self) -> bool:
-        """When True the VM is served at ``R_b`` only (graceful
-        degradation); its spike demand is shed instead of charged to the
-        host PM."""
-        if self._dc is not None:
-            return bool(self._dc._throttled[self._idx])
-        return self._throttled_local
-
-    @throttled.setter
-    def throttled(self, value: bool) -> None:
-        if self._dc is not None:
-            self._dc._throttled[self._idx] = bool(value)
-        else:
-            self._throttled_local = bool(value)
-
-    @property
-    def demand(self) -> float:
-        """Current resource demand (local resizing keeps allocation == demand)."""
-        return self.spec.r_base if self.throttled else self.spec.demand(self.on)
-
-    def __repr__(self) -> str:  # keep the old dataclass-style repr
-        return (f"VMRuntime(spec={self.spec!r}, on={self.on}, "
-                f"throttled={self.throttled})")
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark ``arr`` read-only and return it."""
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass
-class PMRuntime:
-    """A PM's live state: capacity and the set of hosted VM ids."""
-
-    spec: PMSpec
-    vm_ids: set[int] = field(default_factory=set)
-
-    @property
-    def is_used(self) -> bool:
-        """Whether the PM hosts at least one VM (i.e. is powered on)."""
-        return bool(self.vm_ids)
+def _with(arr: np.ndarray, idx: int, value: bool) -> np.ndarray:
+    """A read-only copy of ``arr`` with ``arr[idx] = value``."""
+    out = arr.copy()
+    out[idx] = value
+    return _frozen(out)
 
 
 class Datacenter:
-    """The fleet: VM runtimes, PM runtimes, and their evolving demands.
+    """The fleet: placement, ON/OFF state and the demands they imply.
 
     Parameters
     ----------
     vms, pms:
-        Problem instance.
+        Problem instance, kept as the tuples :attr:`vm_specs` and
+        :attr:`pm_specs`.
     placement:
-        Initial complete placement (from any placer).
+        Initial complete placement (from any placer).  The datacenter keeps
+        its own copy as :attr:`placement`; only :meth:`migrate` and
+        :meth:`restore_state` may change it.
     seed:
         RNG for the ON-OFF evolution.
     start_stationary:
@@ -134,17 +75,15 @@ class Datacenter:
         if not placement.all_placed:
             raise ValueError("initial placement must place every VM")
         self._rng = as_generator(seed)
-        self.pms = [PMRuntime(spec=p) for p in pms]
-        self.placement = placement.copy()
-        for vm_id, pm_id in self.placement:
-            self.pms[pm_id].vm_ids.add(vm_id)
-        # Cache per-VM/per-PM parameter arrays for the vectorized tick.
+        self.vm_specs: tuple[VMSpec, ...] = tuple(vms)
+        self.pm_specs: tuple[PMSpec, ...] = tuple(pms)
+        self._adopt(placement.copy())
+        # Per-VM/per-PM parameter arrays for the vectorized tick.
         self._p_on = np.array([v.p_on for v in vms])
         self._p_off = np.array([v.p_off for v in vms])
-        self._r_base = np.array([v.r_base for v in vms])
-        self._r_extra = np.array([v.r_extra for v in vms])
-        self._caps = np.array([p.capacity for p in pms], dtype=float)
-        self._caps.setflags(write=False)
+        self._r_base = _frozen(np.array([v.r_base for v in vms]))
+        self._r_extra = _frozen(np.array([v.r_extra for v in vms]))
+        self._caps = _frozen(np.array([p.capacity for p in pms], dtype=float))
         # The *assumed* law, frozen from the specs at construction: the
         # stationary ON probability MapCal consolidated against, and the
         # asymptotic per-interval variance rate of the ON-state occupation
@@ -155,14 +94,28 @@ class Datacenter:
         self._assumed_p_on = self._p_on.copy()
         self._assumed_p_off = self._p_off.copy()
         self._recompute_assumed()
-        q = self._q_assumed
-        self._on = np.zeros(len(vms), dtype=bool)
-        self._throttled = np.zeros(len(vms), dtype=bool)
-        self.vms = [VMRuntime(spec=v) for v in vms]
-        for i, runtime in enumerate(self.vms):
-            runtime._bind(self, i)
+        self._throttled = _frozen(np.zeros(len(vms), dtype=bool))
+        on = np.zeros(len(vms), dtype=bool)
         if start_stationary and len(vms):
-            self._on = self._rng.random(len(vms)) < q
+            on = self._rng.random(len(vms)) < self._q_assumed
+        self._on = _frozen(on)
+
+    def _adopt(self, placement: Placement) -> None:
+        """Take ``placement`` as the fleet's own and recount the PMs."""
+        self.placement = placement
+        self._hosted = np.bincount(placement.assignment,
+                                   minlength=self.n_pms)
+        self._hosted_view = _frozen(self._hosted.view())
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Drop the cached demand and load vectors (the fleet changed)."""
+        self._demands = None
+        self._loads = None
+
+    def _check_vm(self, vm_id: int) -> None:
+        if not 0 <= vm_id < self.n_vms:
+            raise ValueError(f"vm_id must be in [0, {self.n_vms}), got {vm_id}")
 
     def _recompute_assumed(self) -> None:
         """Refresh ``_q_assumed``/``_var_rate_assumed`` from the assumed
@@ -180,12 +133,13 @@ class Datacenter:
         """Advance every VM's ON-OFF chain by one interval (vectorized).
 
         One RNG draw vector per interval; the fleet-wide transition is a
-        single masked update and the :class:`VMRuntime` views observe it
-        with no per-VM synchronization loop.
+        single masked update.
         """
         with timed("datacenter.step"):
-            u = self._rng.random(len(self.vms))
-            self._on = np.where(self._on, u >= self._p_off, u < self._p_on)
+            u = self._rng.random(self.n_vms)
+            self._on = _frozen(
+                np.where(self._on, u >= self._p_off, u < self._p_on))
+            self._invalidate()
 
     # ------------------------------------------------------------------ #
     # queries
@@ -193,59 +147,63 @@ class Datacenter:
     @property
     def n_vms(self) -> int:
         """Number of VMs."""
-        return len(self.vms)
+        return len(self.vm_specs)
 
     @property
     def n_pms(self) -> int:
         """Number of PMs in the fleet (used or idle)."""
-        return len(self.pms)
+        return len(self.pm_specs)
 
     def vm_demands(self) -> np.ndarray:
-        """Current *served* demand of every VM (vectorized).
+        """Current *served* demand of every VM (cached, read-only).
 
         A throttled VM is served at ``R_b`` regardless of its ON/OFF state
         (graceful degradation); see :meth:`set_throttle`.
         """
-        return self._r_base + self._r_extra * (self._on & ~self._throttled)
+        if self._demands is None:
+            self._demands = _frozen(
+                self._r_base + self._r_extra * (self._on & ~self._throttled))
+        return self._demands
 
     def vm_full_demands(self) -> np.ndarray:
         """Demand every VM *wants* right now, ignoring throttling."""
         return self._r_base + self._r_extra * self._on
 
-    def pm_load(self, pm_id: int) -> float:
-        """Aggregate demand on PM ``pm_id``."""
-        demands = self.vm_demands()
-        return float(sum(demands[v] for v in self.pms[pm_id].vm_ids))
-
     def pm_loads(self) -> np.ndarray:
-        """Aggregate demand of every PM (vectorized scatter-add)."""
-        loads = np.zeros(self.n_pms)
-        np.add.at(loads, self.placement.assignment, self.vm_demands())
-        return loads
+        """Aggregate demand of every PM (cached, read-only).
+
+        A full scatter-add in VM-index order on each fleet change, never an
+        incremental sum, so every caller sees the same float sums.
+        """
+        if self._loads is None:
+            loads = np.zeros(self.n_pms)
+            np.add.at(loads, self.placement.assignment, self.vm_demands())
+            self._loads = _frozen(loads)
+        return self._loads
 
     def pm_capacities(self) -> np.ndarray:
         """Per-PM capacity vector (cached, read-only — specs are frozen)."""
         return self._caps
 
-    def pm_used_mask(self) -> np.ndarray:
-        """Boolean mask of powered-on (non-empty) PMs, vectorized.
+    def hosted_counts(self) -> np.ndarray:
+        """Number of VMs on each PM (read-only).
 
-        Derived from the placement assignment, which :meth:`migrate` keeps
-        in lockstep with the per-PM ``vm_ids`` sets.
+        :meth:`migrate` updates the counts in place; the hosted ids
+        themselves are ``placement.vms_on(pm)``, in ascending order.
         """
-        mask = np.zeros(self.n_pms, dtype=bool)
-        assignment = self.placement.assignment
-        mask[assignment[assignment >= 0]] = True
-        return mask
+        return self._hosted_view
+
+    def pm_used_mask(self) -> np.ndarray:
+        """Boolean mask of powered-on (non-empty) PMs."""
+        return self._hosted > 0
 
     def overloaded_pms(self) -> np.ndarray:
         """PM indices whose load currently exceeds capacity."""
-        loads = self.pm_loads()
-        return np.flatnonzero(loads > self._caps + _EPS)
+        return np.flatnonzero(self.pm_loads() > self._caps + _EPS)
 
     def used_pm_count(self) -> int:
         """Number of powered-on (non-empty) PMs."""
-        return int(self.pm_used_mask().sum())
+        return int(np.count_nonzero(self._hosted))
 
     def pm_base_loads(self) -> np.ndarray:
         """Aggregate *base* (OFF-state) demand per PM — spike-independent."""
@@ -298,9 +256,7 @@ class Datacenter:
         detector is validated against.
         """
         for vm_id in vm_ids:
-            if not 0 <= vm_id < self.n_vms:
-                raise ValueError(
-                    f"vm_id must be in [0, {self.n_vms}), got {vm_id}")
+            self._check_vm(vm_id)
         ids = np.asarray(list(vm_ids), dtype=np.int64)
         if p_on is not None:
             if not 0.0 < p_on <= 1.0:
@@ -335,17 +291,33 @@ class Datacenter:
         self._assumed_p_off = off
         self._recompute_assumed()
 
+    def set_on(self, vm_id: int, on: bool) -> None:
+        """Put VM ``vm_id`` in its ON (spiking) or OFF state.
+
+        The chain continues from this state at the next :meth:`step`.
+        """
+        self._check_vm(vm_id)
+        self._on = _with(self._on, vm_id, bool(on))
+        self._invalidate()
+
     def set_throttle(self, vm_id: int, throttled: bool) -> None:
         """Mark VM ``vm_id`` as degraded (served at ``R_b``) or restored."""
-        if not 0 <= vm_id < self.n_vms:
-            raise ValueError(f"vm_id must be in [0, {self.n_vms}), got {vm_id}")
-        self._throttled[vm_id] = bool(throttled)
+        self._check_vm(vm_id)
+        self._throttled = _with(self._throttled, vm_id, bool(throttled))
+        self._invalidate()
 
     def migrate(self, vm_id: int, target_pm: int) -> int:
         """Move VM ``vm_id`` to ``target_pm``; returns the source PM."""
-        src = self.placement.migrate(vm_id, target_pm)
-        self.pms[src].vm_ids.discard(vm_id)
-        self.pms[target_pm].vm_ids.add(vm_id)
+        self._check_vm(vm_id)
+        if not 0 <= target_pm < self.n_pms:
+            raise ValueError(
+                f"target_pm must be in [0, {self.n_pms}), got {target_pm}")
+        assignment = self.placement.assignment
+        src = int(assignment[vm_id])
+        assignment[vm_id] = target_pm
+        self._hosted[src] -= 1
+        self._hosted[target_pm] += 1
+        self._loads = None  # per-VM demands do not depend on the host
         return src
 
     # ------------------------------------------------------------------ #
@@ -374,31 +346,33 @@ class Datacenter:
 
     def restore_state(self, state: dict) -> None:
         """Overwrite mutable state from a :meth:`capture_state` snapshot."""
-        for key in ("on", "throttled", "p_on", "p_off", "assignment"):
+        keys = ["on", "throttled", "p_on", "p_off", "assignment"]
+        # Older checkpoints predate the refittable assumed law.
+        keys += [k for k in ("assumed_p_on", "assumed_p_off") if k in state]
+        for key in keys:
             if len(state[key]) != self.n_vms:
                 raise ValueError(
                     f"checkpoint field {key!r} has {len(state[key])} entries "
                     f"but datacenter has {self.n_vms} VMs"
                 )
+        assignment = np.array(state["assignment"], dtype=np.int64)
+        bad = np.flatnonzero((assignment < 0) | (assignment >= self.n_pms))
+        if bad.size:
+            raise ValueError(
+                f"checkpoint field 'assignment' must place every VM on a PM "
+                f"in [0, {self.n_pms}); offending VMs: {bad[:5].tolist()}"
+            )
         self._rng = restore_rng_state(state["rng"])
-        self._on = np.array(state["on"], dtype=bool)
-        self._throttled = np.array(state["throttled"], dtype=bool)
+        self._on = _frozen(np.array(state["on"], dtype=bool))
+        self._throttled = _frozen(np.array(state["throttled"], dtype=bool))
         self._p_on = np.array(state["p_on"], dtype=float)
         self._p_off = np.array(state["p_off"], dtype=float)
-        # Older checkpoints predate the refittable assumed law: fall back to
-        # the construction-time default (the specs).
+        # Without it, fall back to the construction-time default (the specs).
         self._assumed_p_on = np.array(
-            state.get("assumed_p_on", [v.spec.p_on for v in self.vms]),
-            dtype=float)
+            state["assumed_p_on"] if "assumed_p_on" in state
+            else [v.p_on for v in self.vm_specs], dtype=float)
         self._assumed_p_off = np.array(
-            state.get("assumed_p_off", [v.spec.p_off for v in self.vms]),
-            dtype=float)
+            state["assumed_p_off"] if "assumed_p_off" in state
+            else [v.p_off for v in self.vm_specs], dtype=float)
         self._recompute_assumed()
-        self.placement = Placement(
-            self.n_vms, self.n_pms,
-            np.array(state["assignment"], dtype=np.int64),
-        )
-        for pm in self.pms:
-            pm.vm_ids.clear()
-        for vm_id, pm_id in self.placement:
-            self.pms[pm_id].vm_ids.add(vm_id)
+        self._adopt(Placement(self.n_vms, self.n_pms, assignment))

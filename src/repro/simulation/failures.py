@@ -194,20 +194,27 @@ class FailureInjector:
         retried (graceful degradation) when ``degrade_stranded`` is set;
         only if even that fails is the VM stranded.
         """
-        vm_ids = sorted(self.dc.pms[pm_id].vm_ids)
         demands = self.dc.vm_demands()
-        caps = self.dc.pm_capacities()
-        loads = self.dc.pm_loads()
-        for vm_id in vm_ids:
+        loads = self.dc.pm_loads().copy()
+        room = self._room()
+        room[pm_id] = -np.inf
+        for vm_id in self.dc.placement.vms_on(pm_id).tolist():
             if self._place_off(vm_id, pm_id, float(demands[vm_id]),
-                               caps, loads, time=time):
+                               room, loads, time=time):
                 continue
-            base = self.dc.vms[vm_id].spec.r_base
+            base = self.dc.vm_specs[vm_id].r_base
             if (self.degrade_stranded and base < demands[vm_id] - _EPS
-                    and self._place_off(vm_id, pm_id, base, caps, loads,
+                    and self._place_off(vm_id, pm_id, base, room, loads,
                                         degrade=True, time=time)):
                 continue
             self._strand(vm_id, pm_id, time)
+
+    def _room(self) -> np.ndarray:
+        """Per-PM bound a target's load plus the VM must stay under:
+        capacity + eps, and -inf on failed PMs so they never fit."""
+        room = self.dc.pm_capacities() + _EPS
+        room[self.failed] = -np.inf
+        return room
 
     def _strand(self, vm_id: int, pm_id: int, time: int) -> None:
         """Mark a VM stranded (no healthy host found even degraded)."""
@@ -226,18 +233,18 @@ class FailureInjector:
                 tel.emit(VMStranded(time=time, vm_id=vm_id, pm_id=pm_id))
 
     def _place_off(self, vm_id: int, pm_id: int, demand: float,
-                   caps: np.ndarray, loads: np.ndarray, *,
+                   room: np.ndarray, loads: np.ndarray, *,
                    degrade: bool = False, time: int = 0) -> bool:
         """Try to move ``vm_id`` off ``pm_id`` at ``demand``; updates loads.
 
-        The target is the least-loaded healthy PM, other than ``pm_id``,
-        that fits ``demand``; ties go to the lowest index.
+        The target is the least-loaded PM with ``loads + demand <= room``
+        (``room`` is -inf on failed PMs and on ``pm_id``); ties go to the
+        lowest index.
         """
-        fits = (loads + demand <= caps + _EPS) & ~self.failed
-        fits[pm_id] = False
-        if not fits.any():
+        score = np.where(loads + demand <= room, loads, np.inf)
+        cand = int(score.argmin())
+        if score[cand] == np.inf:  # loads are finite: nothing fits
             return False
-        cand = int(np.argmin(np.where(fits, loads, np.inf)))
         tel = self.telemetry
         if degrade:
             self.dc.set_throttle(vm_id, True)
@@ -265,8 +272,8 @@ class FailureInjector:
         if not self._stranded:
             return
         demands = self.dc.vm_demands()
-        caps = self.dc.pm_capacities()
-        loads = self.dc.pm_loads()
+        loads = self.dc.pm_loads().copy()
+        room = self._room()  # a stranded VM's host is failed, hence -inf
         tel = self.telemetry
         traced = tel is not None and tel.events.enabled
         for vm_id in sorted(self._stranded):
@@ -278,7 +285,7 @@ class FailureInjector:
                     tel.emit(ServiceRestored(time=time, vm_id=vm_id,
                                              pm_id=src, reason="host_recovered"))
                 continue
-            if self._place_off(vm_id, src, float(demands[vm_id]), caps, loads,
+            if self._place_off(vm_id, src, float(demands[vm_id]), room, loads,
                                time=time):
                 self._stranded.discard(vm_id)
                 if traced:
@@ -287,9 +294,9 @@ class FailureInjector:
                         pm_id=int(self.dc.placement.pm_of(vm_id)),
                         reason="evacuated"))
                 continue
-            base = self.dc.vms[vm_id].spec.r_base
+            base = self.dc.vm_specs[vm_id].r_base
             if (self.degrade_stranded and base < demands[vm_id] - _EPS
-                    and self._place_off(vm_id, src, base, caps, loads,
+                    and self._place_off(vm_id, src, base, room, loads,
                                         degrade=True, time=time)):
                 self._stranded.discard(vm_id)
 
@@ -300,7 +307,7 @@ class FailureInjector:
         served = self.dc.vm_demands()
         full = self.dc.vm_full_demands()
         caps = self.dc.pm_capacities()
-        loads = self.dc.pm_loads()
+        loads = self.dc.pm_loads().copy()
         tel = self.telemetry
         for vm_id in sorted(self._degraded):
             host = self.dc.placement.pm_of(vm_id)
@@ -330,7 +337,7 @@ class FailureInjector:
             self.failed[pm_id] = True
             self._down_since[pm_id] = time
             self.record.failures += 1
-            resident = len(self.dc.pms[pm_id].vm_ids)
+            resident = int(self.dc.hosted_counts()[pm_id])
             blast += resident
             if tel is not None:
                 self._m_crashes.inc()
@@ -398,7 +405,7 @@ class FailureInjector:
                 )
             for dom in np.flatnonzero(crashing_domains):
                 for pm_id in self.topology.pms_in(int(dom)):
-                    if self.dc.pms[int(pm_id)].vm_ids:
+                    if self.dc.hosted_counts()[pm_id]:
                         self._evacuate(int(pm_id), time)
 
         # independent per-PM crashes (powered-on PMs only)

@@ -97,29 +97,28 @@ def select_vm_largest_demand(dc: Datacenter, pm_id: int) -> int:
     Moving the biggest contributor relieves the overflow fastest and is the
     natural choice when the spike itself caused the overflow.
     """
-    vm_ids = dc.pms[pm_id].vm_ids
-    if not vm_ids:
+    vm_ids = dc.placement.vms_on(pm_id)
+    if not vm_ids.size:
         raise ValueError(f"PM {pm_id} hosts no VMs")
-    demands = dc.vm_demands()
-    return max(vm_ids, key=lambda v: (demands[v], -v))
+    # ids ascend, so argmax's first maximum breaks ties to the lowest id
+    return int(vm_ids[np.argmax(dc.vm_demands()[vm_ids])])
 
 
 def select_vm_min_sufficient(dc: Datacenter, pm_id: int) -> int:
     """Evict the smallest VM whose departure clears the overflow.
 
     Minimizes moved bytes; falls back to the largest-demand VM when no
-    single migration can clear the overflow.
+    single migration can clear the overflow.  Ties go to the lowest id.
     """
-    pm = dc.pms[pm_id]
-    if not pm.vm_ids:
+    vm_ids = dc.placement.vms_on(pm_id)
+    if not vm_ids.size:
         raise ValueError(f"PM {pm_id} hosts no VMs")
-    demands = dc.vm_demands()
-    load = dc.pm_load(pm_id)
-    excess = load - pm.spec.capacity
-    sufficient = [v for v in pm.vm_ids if demands[v] >= excess - _EPS]
-    if not sufficient:
+    demands = dc.vm_demands()[vm_ids]
+    excess = dc.pm_loads()[pm_id] - dc.pm_capacities()[pm_id]
+    sufficient = np.flatnonzero(demands >= excess - _EPS)
+    if not sufficient.size:
         return select_vm_largest_demand(dc, pm_id)
-    return min(sufficient, key=lambda v: (demands[v], v))
+    return int(vm_ids[sufficient[np.argmin(demands[sufficient])]])
 
 
 # --------------------------------------------------------------------- #
@@ -228,7 +227,7 @@ def select_target_reservation_aware(
     base_loads = dc.pm_base_loads()
     caps = dc.pm_capacities()
     demand_now = dc.vm_demands()[vm_id]
-    base_vm = dc.vms[vm_id].spec.r_base
+    base_vm = dc.vm_specs[vm_id].r_base
     loads = dc.pm_loads()
     ok = (
         (base_loads + base_vm <= caps * (1.0 - headroom_fraction) + _EPS)

@@ -139,8 +139,7 @@ class ReconsolidationScheduler(DynamicScheduler):
         ``cause`` labels the provenance event ("periodic", "requested", or
         a caller-supplied reason).
         """
-        planning = (tuple(vms) if vms is not None
-                    else tuple(v.spec for v in self.dc.vms))
+        planning = tuple(vms) if vms is not None else self.dc.vm_specs
         cap = self.max_planned_moves if max_moves is None else max_moves
         with timed("reconsolidation.replan"):
             target, neg_r_base = self._target(planning)
@@ -200,11 +199,11 @@ class ReconsolidationScheduler(DynamicScheduler):
         """The placer's assignment for ``planning`` and each VM's ``-R_b``.
 
         Memoized in one slot keyed on the exact spec tuples, compared by
-        equality: periodic replans pass the same spec objects every time,
+        equality: periodic replans pass the datacenter's own spec tuples,
         so a hit costs one identity check per spec.  ``(None, None)``
         stands for an infeasible plan.
         """
-        pms = tuple(p.spec for p in self.dc.pms)
+        pms = self.dc.pm_specs
         memo = self._memo
         if memo is not None and memo[0] == planning and memo[1] == pms:
             return memo[2], memo[3]

@@ -137,22 +137,24 @@ class DynamicScheduler:
         events: list[MigrationEvent] = []
         budget = self.max_migrations_per_interval
         self.failed_attempts_last_interval = 0
-        self.trigger.observe(self.dc, time)
+        dc = self.dc
+        self.trigger.observe(dc, time)
         overloaded = [
-            int(pm) for pm in self.dc.overloaded_pms()
+            int(pm) for pm in dc.overloaded_pms()
             if self.trigger.should_migrate(int(pm))
         ]
+        caps = dc.pm_capacities()
         for pm_id in overloaded:
-            pm_id = int(pm_id)
-            # Evict until this PM fits or we cannot improve it.
-            while budget > 0 and self.dc.pm_load(pm_id) > self.dc.pms[pm_id].spec.capacity + 1e-9:
-                if len(self.dc.pms[pm_id].vm_ids) <= 1:
+            # Evict until this PM fits or we cannot improve it.  The test
+            # reads the same loads overloaded_pms() does.
+            while budget > 0 and dc.pm_loads()[pm_id] > caps[pm_id] + 1e-9:
+                if dc.hosted_counts()[pm_id] <= 1:
                     break  # a lone VM that exceeds capacity has nowhere better
-                vm_id = self.policy.pick_vm(self.dc, pm_id)
+                vm_id = self.policy.pick_vm(dc, pm_id)
                 if self.executor.in_backoff(vm_id, time):
                     break  # cooling down after a failed flight
                 target = self.policy.pick_target(
-                    self.dc, vm_id, pm_id, excluded=self._excluded_mask(time)
+                    dc, vm_id, pm_id, excluded=self._excluded_mask(time)
                 )
                 decision_id = self.next_decision_id()
                 tel = self.telemetry

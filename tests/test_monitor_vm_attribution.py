@@ -25,8 +25,7 @@ class TestVmAttribution:
         dc = make_dc()
         monitor = Monitor(2, n_vms=3)
         monitor.record_interval(dc, [])  # loads 90 / 10: no violation
-        dc._on[0] = True
-        dc.vms[0].on = True  # PM0 load 140 > 100
+        dc.set_on(0, True)  # PM0 load 140 > 100
         monitor.record_interval(dc, [])
         record = monitor.finalize()
         np.testing.assert_array_equal(record.vm_suffering_counts, [1, 1, 0])
@@ -90,8 +89,7 @@ class TestVmAttribution:
         count to the suffering totals (when no migrations move VMs)."""
         dc = make_dc()
         monitor = Monitor(2, n_vms=3)
-        dc._on[0] = True
-        dc.vms[0].on = True
+        dc.set_on(0, True)
         for _ in range(5):
             monitor.record_interval(dc, [])
         record = monitor.finalize()

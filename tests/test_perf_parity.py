@@ -11,6 +11,8 @@ the last bit.  These tests sweep random fleet shapes and scenario features
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -116,24 +118,70 @@ class TestTickParity:
             Scenario(vms, pms, placer=QueuingFFD(), tick_mode="turbo")
 
 
-class TestRuntimeViews:
-    """The array-backed VMRuntime views stay coherent with the arrays."""
+class TestCacheCoherence:
+    """The cached demand/load vectors and the per-PM counts never go stale.
 
-    def test_property_writes_hit_the_arrays(self):
+    The scalar reference recomputes every query from the arrays on each
+    call, so it is the oracle for the vectorized datacenter's caches.
+    """
+
+    QUERIES = ("vm_demands", "vm_full_demands", "pm_loads", "pm_base_loads",
+               "pm_used_mask", "hosted_counts", "overloaded_pms",
+               "on_states")
+
+    def assert_fleets_identical(self, fast, slow):
+        for query in self.QUERIES:
+            np.testing.assert_array_equal(getattr(fast, query)(),
+                                          getattr(slow, query)(),
+                                          err_msg=query)
+        assert fast.used_pm_count() == slow.used_pm_count()
+        for pm in range(fast.n_pms):
+            hosted = fast.placement.vms_on(pm)
+            np.testing.assert_array_equal(hosted, slow.placement.vms_on(pm))
+            assert fast.hosted_counts()[pm] == hosted.size
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_mutator_stream_identical(self, case):
+        """Steps interleaved with every mutator and checkpoint round trips."""
+        ops = np.random.default_rng(500 + case)
+        vms, pms = generate_pattern_instance(PATTERNS[case % len(PATTERNS)],
+                                             40, seed=case)
+        placement = QueuingFFD(rho=0.01, d=16).place(vms, pms)
+        fast = Datacenter(vms, pms, placement, seed=case,
+                          start_stationary=True)
+        slow = ScalarReferenceDatacenter(vms, pms, placement, seed=case,
+                                         start_stationary=True)
+        snapshot = None
+        for _ in range(120):
+            op = int(ops.integers(6))
+            vm = int(ops.integers(fast.n_vms))
+            pm = int(ops.integers(fast.n_pms))
+            flag = bool(ops.integers(2))
+            if op == 4:
+                snapshot = json.loads(json.dumps(fast.capture_state()))
+                assert slow.capture_state() == snapshot
+            for dc in (fast, slow):
+                if op == 0:
+                    dc.step()
+                elif op == 1:
+                    dc.migrate(vm, pm)
+                elif op == 2:
+                    dc.set_throttle(vm, flag)
+                elif op == 3:
+                    dc.set_on(vm, flag)
+                elif op == 5 and snapshot is not None:
+                    dc.restore_state(snapshot)
+            self.assert_fleets_identical(fast, slow)
+
+    def test_stray_writes_raise(self):
         vms, pms = generate_pattern_instance("equal", 8, seed=5)
         placement = QueuingFFD(rho=0.01, d=16).place(vms, pms)
         dc = Datacenter(vms, pms, placement, seed=0)
-        dc.vms[3].on = True
-        assert bool(dc._on[3])
-        dc._on[3] = False
-        assert dc.vms[3].on is False
-        dc.vms[2].throttled = True
-        assert bool(dc._throttled[2])
-
-    def test_unbound_runtime_keeps_local_flags(self):
-        from repro.simulation.datacenter import VMRuntime
-        from repro.core.types import VMSpec
-        rt = VMRuntime(spec=VMSpec(0.1, 0.4, 1.0, 2.0))
-        rt.on = True
-        assert rt.on is True and rt.throttled is False
-        assert "VMRuntime" in repr(rt)
+        dc.step()
+        dc.set_on(3, True)
+        dc.set_throttle(2, True)
+        dc.migrate(0, dc.n_pms - 1)
+        for arr in (dc._on, dc._throttled, dc._r_base, dc._r_extra,
+                    dc.vm_demands(), dc.pm_loads(), dc.hosted_counts()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[1]

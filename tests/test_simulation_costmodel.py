@@ -65,9 +65,8 @@ class TestCostedScheduler:
         pms = [PMSpec(90.0), PMSpec(90.0)]
         placement = Placement(2, 2, assignment=np.array([0, 0]))
         dc = Datacenter(vms, pms, placement, seed=0)
-        dc._on[:] = True
-        for v in dc.vms:
-            v.on = True
+        for i in range(dc.n_vms):
+            dc.set_on(i, True)
         return dc
 
     def test_migration_is_charged(self):

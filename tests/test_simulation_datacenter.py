@@ -23,9 +23,10 @@ def build_dc(seed=0):
 class TestConstruction:
     def test_vm_ids_registered_on_pms(self):
         dc, _, _ = build_dc()
-        assert dc.pms[0].vm_ids == {0, 1}
-        assert dc.pms[1].vm_ids == {2}
-        assert dc.pms[2].vm_ids == set()
+        assert dc.placement.vms_on(0).tolist() == [0, 1]
+        assert dc.placement.vms_on(1).tolist() == [2]
+        assert dc.placement.vms_on(2).tolist() == []
+        assert dc.hosted_counts().tolist() == [2, 1, 0]
 
     def test_rejects_incomplete_placement(self):
         vms = [vm(1, 1)]
@@ -42,14 +43,14 @@ class TestConstruction:
 
     def test_all_off_initially(self):
         dc, _, _ = build_dc()
-        assert not any(v.on for v in dc.vms)
+        assert not dc.on_states().any()
 
     def test_stationary_start(self):
         vms = [vm(1, 1)] * 5000
         pms = [PMSpec(1e9)]
         placement = Placement(5000, 1, assignment=np.zeros(5000, dtype=int))
         dc = Datacenter(vms, pms, placement, seed=0, start_stationary=True)
-        on_frac = np.mean([v.on for v in dc.vms])
+        on_frac = np.mean(dc.on_states())
         assert on_frac == pytest.approx(0.1, abs=0.02)
 
     def test_placement_copied(self):
@@ -63,22 +64,23 @@ class TestConstruction:
 class TestLoads:
     def test_pm_load_all_off(self):
         dc, _, _ = build_dc()
-        assert dc.pm_load(0) == pytest.approx(30.0)
-        assert dc.pm_load(1) == pytest.approx(5.0)
-        assert dc.pm_load(2) == 0.0
+        assert dc.pm_loads()[0] == pytest.approx(30.0)
+        assert dc.pm_loads()[1] == pytest.approx(5.0)
+        assert dc.pm_loads()[2] == 0.0
 
     def test_pm_loads_vector_matches_scalar(self):
         dc, _, _ = build_dc()
         dc.step()
         loads = dc.pm_loads()
+        demands = dc.vm_demands()
         for j in range(3):
-            assert loads[j] == pytest.approx(dc.pm_load(j))
+            hosted = dc.placement.vms_on(j)
+            assert loads[j] == pytest.approx(sum(demands[v] for v in hosted))
 
     def test_demand_reflects_state(self):
         dc, _, _ = build_dc()
-        dc.vms[0].on = True
-        dc._on[0] = True
-        assert dc.pm_load(0) == pytest.approx(35.0)
+        dc.set_on(0, True)
+        assert dc.pm_loads()[0] == pytest.approx(35.0)
 
     def test_base_loads_state_independent(self):
         dc, _, _ = build_dc()
@@ -93,9 +95,8 @@ class TestLoads:
         placement = Placement(2, 1, assignment=np.array([0, 0]))
         dc = Datacenter(vms, pms, placement, seed=0)
         assert dc.overloaded_pms().size == 0
-        dc._on[:] = True
-        for v in dc.vms:
-            v.on = True
+        for i in range(dc.n_vms):
+            dc.set_on(i, True)
         np.testing.assert_array_equal(dc.overloaded_pms(), [0])
 
     def test_used_pm_count(self):
@@ -108,8 +109,10 @@ class TestDynamics:
         dc, _, _ = build_dc(seed=42)
         for _ in range(200):
             dc.step()
-        flags = np.array([v.on for v in dc.vms])
+        flags = dc.on_states()
         np.testing.assert_array_equal(flags, dc._on)
+        demands = np.where(flags, [15.0, 30.0, 10.0], [10.0, 20.0, 5.0])
+        np.testing.assert_array_equal(dc.vm_demands(), demands)
 
     def test_long_run_on_fraction(self):
         vms = [vm(1, 1)] * 50
@@ -137,11 +140,50 @@ class TestMigrate:
         src = dc.migrate(0, 2)
         assert src == 0
         assert dc.placement.pm_of(0) == 2
-        assert 0 not in dc.pms[0].vm_ids
-        assert 0 in dc.pms[2].vm_ids
+        assert 0 not in dc.placement.vms_on(0)
+        assert 0 in dc.placement.vms_on(2)
+        assert dc.hosted_counts().tolist() == [1, 1, 1]
 
     def test_migrate_preserves_load_total(self):
         dc, _, _ = build_dc()
         total_before = dc.pm_loads().sum()
         dc.migrate(1, 2)
         assert dc.pm_loads().sum() == pytest.approx(total_before)
+
+
+class TestRestoreState:
+    def test_rejects_unplaced_vm(self):
+        dc, _, _ = build_dc()
+        state = dc.capture_state()
+        state["assignment"] = [0, -1, 1]
+        with pytest.raises(ValueError, match="'assignment'"):
+            dc.restore_state(state)
+        assert dc.pm_loads().tolist() == [30.0, 5.0, 0.0]
+
+    def test_rejects_short_assumed_law(self):
+        dc, _, _ = build_dc()
+        state = dc.capture_state()
+        state["assumed_p_on"] = [0.5]
+        with pytest.raises(ValueError, match="'assumed_p_on'"):
+            dc.restore_state(state)
+
+    def test_state_without_assumed_law_falls_back_to_specs(self):
+        dc, vms, _ = build_dc()
+        dc.set_assumed_law([0.5] * 3, [0.5] * 3)
+        state = dc.capture_state()
+        del state["assumed_p_on"], state["assumed_p_off"]
+        dc.restore_state(state)
+        np.testing.assert_array_equal(
+            dc.assumed_on_probability(),
+            [v.p_on / (v.p_on + v.p_off) for v in vms])
+
+
+class TestMigrateValidation:
+    def test_bad_indices_leave_the_fleet_unchanged(self):
+        dc, _, _ = build_dc()
+        with pytest.raises(ValueError, match="target_pm"):
+            dc.migrate(0, 3)
+        with pytest.raises(ValueError, match="vm_id"):
+            dc.migrate(3, 0)
+        assert dc.placement.assignment.tolist() == [0, 0, 1]
+        assert dc.hosted_counts().tolist() == [2, 1, 0]

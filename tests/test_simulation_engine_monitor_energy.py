@@ -72,8 +72,7 @@ class TestMonitor:
         dc = self._dc()
         monitor = Monitor(3)
         monitor.record_interval(dc, [])
-        dc._on[0] = True
-        dc.vms[0].on = True  # PM0 load 110 > 100
+        dc.set_on(0, True)  # PM0 load 110 > 100
         monitor.record_interval(dc, [])
         record = monitor.finalize()
         np.testing.assert_array_equal(record.violation_counts, [1, 0, 0])

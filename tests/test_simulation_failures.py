@@ -39,7 +39,7 @@ class TestFailureInjector:
         assert inj.record.failures >= 1
         assert inj.failed[0]
         # PM 0's VMs moved off
-        assert len(dc.pms[0].vm_ids) == 0
+        assert dc.placement.vms_on(0).size == 0
         assert inj.record.evacuations == 2
 
     def test_stranded_when_nowhere_to_go(self):
@@ -71,8 +71,7 @@ class TestFailureInjector:
         pms = [PMSpec(100.0), PMSpec(100.0)]
         placement = Placement(2, 2, assignment=np.array([0, 1]))
         dc = Datacenter(vms, pms, placement, seed=4)
-        dc._on[0] = True
-        dc.vms[0].on = True  # demand 70 > PM1's free 40
+        dc.set_on(0, True)  # demand 70 > PM1's free 40
         inj = FailureInjector(dc, failure_probability=0.0,
                               repair_probability=0.0,
                               degrade_stranded=False, seed=5)
@@ -82,8 +81,7 @@ class TestFailureInjector:
         assert dc.placement.pm_of(0) == 0  # stranded on the dead host
         assert 0 in inj.stranded_vms
         # Spike ends -> demand 30 fits PM1's free 40 -> retry succeeds.
-        dc._on[0] = False
-        dc.vms[0].on = False
+        dc.set_on(0, False)
         inj.step(0)
         assert dc.placement.pm_of(0) == 1
         assert not inj.stranded_vms

@@ -26,10 +26,8 @@ def make_dc(vms, pms, assignment, on_flags=None, seed=0):
                           assignment=np.asarray(assignment))
     dc = Datacenter(vms, pms, placement, seed=seed)
     if on_flags is not None:
-        flags = np.asarray(on_flags, dtype=bool)
-        dc._on = flags
-        for i, runtime in enumerate(dc.vms):
-            runtime.on = bool(flags[i])
+        for i, flag in enumerate(on_flags):
+            dc.set_on(i, flag)
     return dc
 
 

@@ -38,8 +38,10 @@ def fleet_configs(draw):
 def check_invariants(dc: Datacenter) -> None:
     # 1. every VM placed exactly once and membership mirrors the placement
     counted = 0
-    for pm_id, pm in enumerate(dc.pms):
-        for vm_id in pm.vm_ids:
+    for pm_id in range(dc.n_pms):
+        hosted = dc.placement.vms_on(pm_id)
+        assert dc.hosted_counts()[pm_id] == hosted.size
+        for vm_id in hosted:
             assert dc.placement.pm_of(vm_id) == pm_id
             counted += 1
     assert counted == dc.n_vms

@@ -103,13 +103,15 @@ class TestCorrelatedFailures:
 
 class TestGracefulDegradation:
     def _crash_with_spiking_vm(self, cap_free=40.0):
-        # VM 0 spikes to 70 on the crashing PM; PM 1 has only 40 free.
-        vms = [VMSpec(0.01, 0.09, 30.0, 40.0), steady_vm(100.0 - cap_free, 0.0)]
+        # VM 0 spikes to 70 on the crashing PM; PM 1 has only 40 free
+        # while VM 1 (R_b = 10) spikes there too.
+        vms = [VMSpec(0.01, 0.09, 30.0, 40.0),
+               VMSpec(0.01, 0.09, 10.0, 90.0 - cap_free)]
         pms = [PMSpec(100.0), PMSpec(100.0)]
         placement = Placement(2, 2, assignment=np.array([0, 1]))
         dc = Datacenter(vms, pms, placement, seed=6)
-        dc._on[0] = True
-        dc.vms[0].on = True
+        dc.set_on(0, True)
+        dc.set_on(1, True)
         return dc
 
     def test_stranded_vm_degrades_instead_of_dropping(self):
@@ -133,9 +135,8 @@ class TestGracefulDegradation:
         inj.failed[0] = True
         inj._evacuate(0)
         assert 0 in inj.degraded_vms
-        # VM 1 departs its spike budget: drop its demand by shrinking state.
-        dc.vms[1].spec = VMSpec(0.01, 0.09, 10.0, 0.0)
-        dc._r_base[1] = 10.0
+        # VM 1's spike ends: its demand drops to R_b = 10.
+        dc.set_on(1, False)
         inj.step(0)
         assert not inj.degraded_vms
         assert inj.record.restorations == 1
@@ -207,8 +208,7 @@ class TestRetryAndBackoff:
         dc = Datacenter(vms, pms, placement, seed=14)
         sched = DynamicScheduler(dc, migration_failure_probability=1.0,
                                  seed=15)
-        dc._on[0] = True
-        dc.vms[0].on = True  # load 90 > cap 80
+        dc.set_on(0, True)  # load 90 > cap 80
         events = sched.resolve_overloads(0)
         assert events == []
         assert sched.failed_attempts_last_interval == 1

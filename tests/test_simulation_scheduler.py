@@ -7,7 +7,10 @@ from repro.core.queuing_ffd import QueuingFFD
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.placement.ffd import ffd_by_base, ffd_by_peak
 from repro.simulation.datacenter import Datacenter
-from repro.simulation.migration import StandardPolicy
+from repro.simulation.migration import (
+    StandardPolicy,
+    select_vm_min_sufficient,
+)
 from repro.simulation.scheduler import DynamicScheduler, run_simulation
 from repro.workload.patterns import generate_pattern_instance
 
@@ -32,9 +35,8 @@ class TestResolveOverloads:
         pms = [PMSpec(90.0), PMSpec(90.0)]
         placement = Placement(2, 2, assignment=np.array([0, 0]))
         dc = Datacenter(vms, pms, placement, seed=0)
-        dc._on[:] = True
-        for v in dc.vms:
-            v.on = True  # both spike: load 140 > 90
+        for i in range(dc.n_vms):
+            dc.set_on(i, True)  # both spike: load 140 > 90
         events = DynamicScheduler(dc).resolve_overloads(time=5)
         assert len(events) == 1
         e = events[0]
@@ -46,9 +48,8 @@ class TestResolveOverloads:
         pms = [PMSpec(90.0)]
         placement = Placement(2, 1, assignment=np.array([0, 0]))
         dc = Datacenter(vms, pms, placement, seed=0)
-        dc._on[:] = True
-        for v in dc.vms:
-            v.on = True
+        for i in range(dc.n_vms):
+            dc.set_on(i, True)
         events = DynamicScheduler(dc).resolve_overloads(0)
         assert events == []
         assert dc.overloaded_pms().size == 1
@@ -78,6 +79,48 @@ class TestResolveOverloads:
         events = DynamicScheduler(dc).resolve_overloads(0)
         assert len(events) == 2
         assert dc.overloaded_pms().size == 0
+
+
+def boundary_fleet(cap0):
+    """40 steady VMs with R_b rounded to 1-3 decimals on 4 PMs, after a
+    random migration history; PM 0's capacity is ``cap0``.
+
+    At the capacities the tests use, PM 0's load sits on a float boundary:
+    summing its demands in an order other than VM-index order reads
+    61.336 instead of 61.336000000000006.
+    """
+    rng = np.random.default_rng(41)
+    r_base = [round(float(x), int(k)) for x, k in
+              zip(rng.uniform(1.0, 8.0, 40), rng.integers(1, 4, 40))]
+    vms = [vm(b, 0.0) for b in r_base]
+    pms = [PMSpec(cap0)] + [PMSpec(1000.0)] * 3
+    dc = Datacenter(vms, pms, Placement(40, 4, rng.integers(0, 4, 40)),
+                    seed=0)
+    for _ in range(120):
+        dc.migrate(int(rng.integers(40)), int(rng.integers(4)))
+    restored = Datacenter(vms, pms, dc.placement, seed=1)
+    restored.restore_state(dc.capture_state())
+    return dc, restored
+
+
+class TestRestoredDecisions:
+    """A restored fleet decides exactly as the live one it came from."""
+
+    def test_resolve_overloads_at_a_float_boundary(self):
+        live, restored = boundary_fleet(61.335999999)
+        np.testing.assert_array_equal(live.overloaded_pms(), [0])
+        events = DynamicScheduler(live).resolve_overloads(0)
+        assert events == DynamicScheduler(restored).resolve_overloads(0)
+        # the PM overloaded_pms() (and so the monitor) counts as violated
+        # is acted upon, not left alone
+        assert [e.source_pm for e in events] == [0]
+        np.testing.assert_array_equal(live.placement.assignment,
+                                      restored.placement.assignment)
+
+    def test_min_sufficient_at_a_float_boundary(self):
+        live, restored = boundary_fleet(55.982999999)
+        assert (select_vm_min_sufficient(live, 0)
+                == select_vm_min_sufficient(restored, 0))
 
 
 class TestRunSimulation:

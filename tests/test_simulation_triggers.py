@@ -18,8 +18,7 @@ def overloadable_dc(seed=0):
 
 def force_spike(dc, vm_ids):
     for v in vm_ids:
-        dc._on[v] = True
-        dc.vms[v].on = True
+        dc.set_on(v, True)
 
 
 class TestOverflowTrigger:
@@ -58,9 +57,8 @@ class TestSlidingWindowCVRTrigger:
         force_spike(dc, [0, 1])
         trigger.observe(dc, 0)  # violation
         # now calm down
-        dc._on[:] = False
-        for v in dc.vms:
-            v.on = False
+        for i in range(dc.n_vms):
+            dc.set_on(i, False)
         for t in range(1, 5):
             trigger.observe(dc, t)
         assert trigger.windowed_cvr(0) == 0.0

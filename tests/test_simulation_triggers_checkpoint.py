@@ -33,8 +33,7 @@ def _dc(seed=0):
 
 def _force_spike(dc, vm_ids):
     for v in vm_ids:
-        dc._on[v] = True
-        dc.vms[v].on = True
+        dc.set_on(v, True)
 
 
 def _roundtrip(state: dict) -> dict:
