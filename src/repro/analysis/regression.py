@@ -12,10 +12,8 @@ Pure data layer: rendering lives in :mod:`repro.observability.compare`.
 
 from __future__ import annotations
 
-import fnmatch
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 __all__ = [
     "MetricDelta",
@@ -24,42 +22,15 @@ __all__ = [
     "regression_diff",
 ]
 
-#: metrics where an increase is a regression (everything else is neutral).
-#: Dotted perf keys (``sweep.200.telemetry_fraction``) match on their leaf.
+#: metrics where an increase is a regression (everything else is neutral)
 HIGHER_IS_WORSE = frozenset({
     "cvr_window", "violations_window", "migrations_window",
     "alerts_fired", "alerts_active", "drifted_pms", "skipped_lines",
     "events_dropped",
-    # perf-timings sidecar leaves
-    "median_seconds", "plain_seconds", "tick_seconds",
-    "seconds_per_vm_interval", "instrumentation_overhead",
-    "telemetry_fraction", "peak_alloc_bytes", "spans_dropped_total",
+    # the serving and service SLO rules burn on these
+    "sla_violation_window", "loss_rate_window", "shed_rate_window",
+    "svc_wal_lag",
 })
-
-#: metrics where a *decrease* is a regression (throughput-style)
-LOWER_IS_WORSE = frozenset({
-    "vm_intervals_per_second", "throughput",
-})
-
-
-def _direction(metric: str) -> str:
-    """'higher_worse' / 'lower_worse' / 'neutral' for a (dotted) metric."""
-    leaf = metric.rsplit(".", 1)[-1]
-    if metric in HIGHER_IS_WORSE or leaf in HIGHER_IS_WORSE:
-        return "higher_worse"
-    if metric in LOWER_IS_WORSE or leaf in LOWER_IS_WORSE:
-        return "lower_worse"
-    return "neutral"
-
-
-def metric_tolerance(metric: str, tolerances: Mapping[str, float] | None,
-                     default: float) -> float:
-    """Per-metric rtol: first matching ``--tolerance`` pattern wins."""
-    if tolerances:
-        for pattern, rtol in tolerances.items():
-            if fnmatch.fnmatch(metric, pattern):
-                return rtol
-    return default
 
 
 @dataclass(frozen=True)
@@ -72,7 +43,7 @@ class MetricDelta:
     delta: float
     #: relative change vs baseline (inf when baseline is 0 and delta isn't)
     relative: float
-    #: "regression", "improvement" or "unchanged"
+    #: "regression", "improvement", "changed" or "unchanged"
     verdict: str
 
 
@@ -100,18 +71,14 @@ def summarize_observatory(obs) -> dict[str, float]:
 
 
 def regression_diff(baseline: dict[str, float], candidate: dict[str, float],
-                    *, rtol: float = 0.05, atol: float = 1e-9,
-                    tolerances: Mapping[str, float] | None = None
+                    *, rtol: float = 0.05, atol: float = 1e-9
                     ) -> list[MetricDelta]:
     """Diff two summaries; one row per metric present in either.
 
     A metric is *unchanged* when ``|delta| <= atol + rtol * |baseline|``;
-    otherwise the sign and the metric's direction (``HIGHER_IS_WORSE`` /
-    ``LOWER_IS_WORSE``, matched on the full name or the dotted leaf)
-    decides regression vs improvement.  Direction-neutral metrics that
-    moved are labelled "changed".  ``tolerances`` maps metric-name
-    patterns (:mod:`fnmatch`) to per-metric rtol overrides — how perf
-    metrics get slack while accuracy metrics stay at the exact default.
+    otherwise a metric in ``HIGHER_IS_WORSE`` reads as a regression when
+    it rose and an improvement when it fell.  Direction-neutral metrics
+    that moved are labelled "changed".
     """
     rows: list[MetricDelta] = []
     for metric in sorted(set(baseline) | set(candidate)):
@@ -119,14 +86,10 @@ def regression_diff(baseline: dict[str, float], candidate: dict[str, float],
         b = float(candidate.get(metric, 0.0))
         delta = b - a
         relative = (delta / abs(a)) if a else (float("inf") if delta else 0.0)
-        effective_rtol = metric_tolerance(metric, tolerances, rtol)
-        direction = _direction(metric)
-        if abs(delta) <= atol + effective_rtol * abs(a):
+        if abs(delta) <= atol + rtol * abs(a):
             verdict = "unchanged"
-        elif direction == "higher_worse":
+        elif metric in HIGHER_IS_WORSE:
             verdict = "regression" if delta > 0 else "improvement"
-        elif direction == "lower_worse":
-            verdict = "regression" if delta < 0 else "improvement"
         else:
             verdict = "changed"
         rows.append(MetricDelta(metric, a, b, delta, relative, verdict))

@@ -24,14 +24,7 @@ Watch and diff runs (the observability plane):
     python -m repro dashboard x --from-jsonl run.jsonl # replay a trace
     python -m repro compare base.jsonl new.jsonl       # regression diff
 
-Profile and gate performance (the perf observatory):
-
-    python -m repro perf --sweep 50,200,800            # scaling probe
-    python -m repro perf --budget benchmarks/perf_budgets.json
-    python -m repro compare --budget benchmarks/perf_budgets.json \
-        benchmarks/results/BENCH_PERF_timings.json     # CI perf gate
-    python -m repro compare old_timings.json new_timings.json \
-        --tolerance 'sweep.*.median_seconds=25'        # perf trend diff
+Performance is measured by ``perfbench/`` (see ``perfbench/README.md``).
 
 Explain decisions (provenance, see docs/OBSERVABILITY.md):
 
@@ -76,17 +69,7 @@ def _register_ablations() -> None:
         EXPERIMENTS[exp_id] = (fn, f"Ablation: {desc}")
 
 
-def _register_perf_probe() -> None:
-    """Expose the perf-observatory probe to the (durable) bench runner."""
-    from repro.experiments.perf_probe import run_perf_scaling
-
-    EXPERIMENTS["perf_scaling"] = (
-        run_perf_scaling,
-        "Perf probe: deterministic scaling facts from the observatory")
-
-
 _register_ablations()
-_register_perf_probe()
 
 
 def _plot(result: ExperimentResult) -> str | None:
@@ -289,12 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser(
         "compare",
-        help="regression-diff two recorded JSONL traces or perf metrics "
-             "files (exit 1 on regression / budget violation)")
-    comp.add_argument("baseline", type=Path,
-                      help="baseline trace/metrics file (with --budget: "
-                           "the single metrics file to gate)")
-    comp.add_argument("candidate", type=Path, nargs="?", default=None)
+        help="regression-diff two recorded JSONL traces (exit 1 on "
+             "regression)")
+    comp.add_argument("baseline", type=Path, help="baseline trace")
+    comp.add_argument("candidate", type=Path, help="candidate trace")
     comp.add_argument("--rtol", type=float, default=0.05,
                       help="relative tolerance below which a metric is "
                            "'unchanged'")
@@ -304,52 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
                       metavar="METRIC",
                       help="exclude this metric from the verdict (repeat "
                            "for several; still rendered, marked 'ig')")
-    comp.add_argument("--tolerance", action="append", default=[],
-                      metavar="METRIC=PCT",
-                      help="per-metric rtol override in percent, e.g. "
-                           "'sweep.*.median_seconds=25' gives that metric "
-                           "25%% slack while everything else stays at "
-                           "--rtol (repeatable; fnmatch patterns)")
-    comp.add_argument("--budget", type=Path, default=None,
-                      metavar="BUDGETS_JSON",
-                      help="check the (single) metrics file against "
-                           "committed perf budgets instead of diffing "
-                           "two runs")
-
-    perf = sub.add_parser(
-        "perf",
-        help="scaling probe: sweep fleet sizes, attribute tick phases, "
-             "emit BENCH_PERF.json + Chrome trace")
-    perf.add_argument("--sweep", default="50,200,800", metavar="N1,N2,...",
-                      help="comma-separated fleet sizes (default "
-                           "50,200,800)")
-    perf.add_argument("--mode", choices=["scalar", "vector"],
-                      default="vector",
-                      help="tick implementation to probe")
-    perf.add_argument("-n", "--intervals", type=int, default=50,
-                      help="simulated intervals per run")
-    perf.add_argument("--repeats", type=int, default=3,
-                      help="instrumented repeats per size (median wall)")
-    perf.add_argument("--seed", type=int, default=2013)
-    perf.add_argument("-o", "--output-dir", type=Path,
-                      default=Path("benchmarks") / "results",
-                      help="write BENCH_PERF.json, the timings sidecar "
-                           "and the Chrome trace here")
-    perf.add_argument("--budget", type=Path, default=None,
-                      metavar="BUDGETS_JSON",
-                      help="gate the fresh timings against these budgets "
-                           "(exit 1 on violation)")
-    perf.add_argument("--max-telemetry-fraction", type=float, default=0.25,
-                      metavar="FRACTION",
-                      help="observer-effect self-check: fail when the "
-                           "telemetry pipeline exceeds this share of "
-                           "tick time at any size")
-    perf.add_argument("--slow-phase", default=None, metavar="PHASE=SECONDS",
-                      help="test hook: sleep this long inside the given "
-                           "phase every tick (demand, failures, "
-                           "scheduler, monitor)")
-    perf.add_argument("--no-memory", action="store_true",
-                      help="skip the tracemalloc allocation pass")
 
     explain = sub.add_parser(
         "explain",
@@ -705,105 +640,12 @@ def _cmd_dashboard(args) -> int:
     )
 
 
-def _parse_tolerances(specs: list[str]) -> dict[str, float]:
-    """``["sweep.*.median_seconds=25"]`` -> ``{"sweep.*...": 0.25}``."""
-    tolerances: dict[str, float] = {}
-    for spec in specs:
-        metric, sep, pct = spec.partition("=")
-        if not sep or not metric:
-            raise ValueError(
-                f"--tolerance expects METRIC=PCT, got {spec!r}")
-        try:
-            value = float(pct)
-        except ValueError:
-            raise ValueError(
-                f"--tolerance {spec!r}: {pct!r} is not a number") from None
-        if value < 0:
-            raise ValueError(f"--tolerance {spec!r}: PCT must be >= 0")
-        tolerances[metric] = value / 100.0
-    return tolerances
-
-
 def _cmd_compare(args) -> int:
     from repro.observability.compare import run_compare
 
-    try:
-        tolerances = _parse_tolerances(args.tolerance)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return run_compare(args.baseline, args.candidate, rtol=args.rtol,
                        show_unchanged=args.show_unchanged,
-                       ignore=tuple(args.ignore),
-                       tolerances=tolerances, budget=args.budget)
-
-
-def _cmd_perf(args) -> int:
-    """Run the scaling probe sweep; write perf artifacts; gate budgets."""
-    from repro.observability.compare import render_budget_check
-    from repro.observability.perf import run_perf_sweep
-
-    try:
-        sizes = [int(tok) for tok in str(args.sweep).split(",") if tok]
-        slow_phase = None
-        if args.slow_phase is not None:
-            phase, sep, seconds = args.slow_phase.partition("=")
-            if not sep:
-                raise ValueError(
-                    f"--slow-phase expects PHASE=SECONDS, "
-                    f"got {args.slow_phase!r}")
-            slow_phase = (phase, float(seconds))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    def progress(n_vms, point) -> None:
-        print(f"  [n={n_vms}] {point.median_seconds * 1e3:.1f} ms median, "
-              f"{point.vm_intervals_per_second:,.0f} vm-int/s, "
-              f"telemetry {point.telemetry_fraction:.1%}", flush=True)
-
-    t0 = time.perf_counter()
-    try:
-        sweep = run_perf_sweep(
-            sweep=sizes, intervals=args.intervals, repeats=args.repeats,
-            seed=args.seed, mode=args.mode, slow_phase=slow_phase,
-            trace_memory=not args.no_memory, on_point=progress)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - t0
-    paths = sweep.write(args.output_dir)
-    print()
-    print(sweep.table())
-    print()
-    largest = sweep.points[max(sweep.points)]
-    print(largest.report.table(vm_intervals=largest.vm_intervals))
-    print(f"\n[swept {len(sizes)} size(s) in {elapsed:.1f}s; facts in "
-          f"{paths['facts']}, wall-clock in {paths['timings']}, "
-          f"Chrome trace in {paths['trace']}]")
-
-    exit_code = 0
-    worst = max(p.telemetry_fraction for p in sweep.points.values())
-    if worst > args.max_telemetry_fraction:
-        print(f"observer-effect check: telemetry pipeline takes "
-              f"{worst:.1%} of tick time, over the "
-              f"--max-telemetry-fraction {args.max_telemetry_fraction:.1%} "
-              "ceiling", file=sys.stderr)
-        exit_code = 1
-    else:
-        print(f"observer-effect check: telemetry {worst:.2%} of tick time "
-              f"(ceiling {args.max_telemetry_fraction:.0%}) — ok")
-    if args.budget is not None:
-        if not args.budget.exists():
-            print(f"error: no such budget file: {args.budget}",
-                  file=sys.stderr)
-            return 2
-        text, violated = render_budget_check(args.budget, paths["timings"])
-        print()
-        print(text)
-        if violated:
-            exit_code = 1
-    return exit_code
+                       ignore=tuple(args.ignore))
 
 
 def _cmd_explain(args) -> int:
@@ -849,8 +691,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_dashboard(args)
     if args.command == "compare":
         return _cmd_compare(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
     if args.command == "explain":
         return _cmd_explain(args)
     if args.command == "serve":

@@ -22,9 +22,8 @@ operator questions the paper's consolidation story raises in production:
 - :mod:`repro.observability.provenance` — decision provenance: the query
   layer over the ``*Decided`` event vocabulary and the byte-deterministic
   "why here, why not there" renderer (``python -m repro explain``);
-- :mod:`repro.observability.perf` — the performance observatory: phase
-  attribution of the span tree, scaling probes (``python -m repro perf``),
-  Chrome-trace export and committed perf budgets for CI gating.
+- :mod:`repro.observability.perf` — phase attribution of the span tree,
+  behind the dashboard's PERF panel (benchmarks live in ``perfbench/``).
 """
 
 from repro.observability.dashboard import (
@@ -35,16 +34,7 @@ from repro.observability.dashboard import (
 )
 from repro.observability.drift import DriftDetector, PMDriftState
 from repro.observability.observatory import Observatory
-from repro.observability.perf import (
-    MemoryProbe,
-    PerfBudget,
-    PerfSnapshot,
-    PhaseAttributor,
-    PhaseReport,
-    chrome_trace_to_spans,
-    run_perf_sweep,
-    spans_to_chrome_trace,
-)
+from repro.observability.perf import PerfSnapshot, PhaseAttributor, PhaseReport
 from repro.observability.provenance import (
     REASON_TEXT,
     ProvenanceIndex,
@@ -86,12 +76,7 @@ __all__ = [
     "render_explanation",
     "PhaseAttributor",
     "PhaseReport",
-    "PerfBudget",
     "PerfSnapshot",
-    "MemoryProbe",
-    "run_perf_sweep",
-    "spans_to_chrome_trace",
-    "chrome_trace_to_spans",
     "build_scenario",
     "render_frame",
     "render_html",

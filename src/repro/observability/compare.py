@@ -5,32 +5,21 @@ execution), reduces each to the flat summary of
 :func:`repro.analysis.regression.run_summary`, and renders the
 :func:`~repro.analysis.regression.regression_diff` as an aligned table
 plus the two alert timelines side by side.  Exit code 1 when any metric
-regressed — so CI can gate on it.
-
-Two perf extensions share the same exit-code contract:
-
-- both inputs being perf JSON files (``"format": "repro-perf-..."``)
-  switches to a flat-metric diff over the dotted keys — how two
-  ``BENCH_PERF_timings.json`` sidecars are trended, with ``--tolerance
-  METRIC=PCT`` giving the noisy wall-clock metrics slack;
-- ``--budget budgets.json timings.json`` checks one timings file against
-  committed :class:`repro.observability.perf.PerfBudget` rules instead of
-  a baseline run.
+regressed — so CI can gate on it — and 2 when the pair cannot be
+compared: a file is missing, a trace replays to zero events, or the two
+traces cover different numbers of ticks.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
-from typing import Mapping
 
 from repro.analysis.regression import regression_diff, summarize_observatory
 from repro.observability.observatory import Observatory
 from repro.utils.tables import format_table
 
-__all__ = ["render_comparison", "render_budget_check", "run_compare",
-           "is_perf_metrics_file"]
+__all__ = ["render_comparison", "run_compare"]
 
 _MARK = {"regression": "!!", "improvement": "ok", "changed": "~", "unchanged": ""}
 
@@ -48,50 +37,36 @@ def _alert_lines(label: str, obs: Observatory) -> list[str]:
     return lines
 
 
-def is_perf_metrics_file(path: str | Path) -> bool:
-    """True when ``path`` is a perf JSON artifact (flat-metric diffable)."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, ValueError):
-        return False  # JSONL traces land here (multiple objects)
-    return (isinstance(data, dict)
-            and str(data.get("format", "")).startswith("repro-perf"))
-
-
-def _load_perf_metrics(path: str | Path) -> dict[str, float]:
-    from repro.observability.perf import flatten_metrics
-
-    data = json.loads(Path(path).read_text())
-    flat = flatten_metrics(data)
-    flat.pop("format", None)
-    return flat
+def _replayed_events(obs: Observatory) -> int:
+    """Every event the replay consumed, whichever part of ``obs`` took it."""
+    return (sum(obs.recorder.totals.values()) + len(obs.recorded_alerts)
+            + len(obs.autopilot_events) + len(obs.decision_events))
 
 
 def render_comparison(baseline: str | Path, candidate: str | Path, *,
                       rtol: float = 0.05, show_unchanged: bool = False,
-                      ignore: tuple[str, ...] = (),
-                      tolerances: Mapping[str, float] | None = None
-                      ) -> tuple[str, bool]:
+                      ignore: tuple[str, ...] = ()) -> tuple[str, bool]:
     """Render the diff; returns ``(text, any_regression)``.
 
     ``ignore`` names metrics excluded from the verdict (still rendered,
     marked ``ig``) — e.g. ``migrations_window`` when diffing an
-    adaptation policy that deliberately spends migrations.  ``tolerances``
-    maps metric-name patterns to per-metric rtol overrides (the
-    ``--tolerance METRIC=PCT`` flag).
+    adaptation policy that deliberately spends migrations.  Raises
+    :class:`ValueError` when a trace replays to zero events or the two
+    cover different tick counts: a run that recorded nothing, or died
+    early, must not read as "no regressions".
     """
-    perf_mode = (is_perf_metrics_file(baseline)
-                 and is_perf_metrics_file(candidate))
-    if perf_mode:
-        a = _load_perf_metrics(baseline)
-        b = _load_perf_metrics(candidate)
-        obs_a = obs_b = None
-    else:
-        obs_a = Observatory.from_jsonl(baseline)
-        obs_b = Observatory.from_jsonl(candidate)
-        a = summarize_observatory(obs_a)
-        b = summarize_observatory(obs_b)
-    deltas = regression_diff(a, b, rtol=rtol, tolerances=tolerances)
+    obs_a = Observatory.from_jsonl(baseline)
+    obs_b = Observatory.from_jsonl(candidate)
+    for path, obs in ((baseline, obs_a), (candidate, obs_b)):
+        if not _replayed_events(obs):
+            raise ValueError(f"{path} replays to zero events")
+    a = summarize_observatory(obs_a)
+    b = summarize_observatory(obs_b)
+    if a["ticks"] != b["ticks"]:
+        raise ValueError(
+            f"the traces cover different runs: {baseline} has "
+            f"{a['ticks']:.0f} ticks, {candidate} has {b['ticks']:.0f}")
+    deltas = regression_diff(a, b, rtol=rtol)
     ignored = set(ignore)
     shown = [d for d in deltas
              if show_unchanged or d.verdict != "unchanged"]
@@ -110,10 +85,9 @@ def render_comparison(baseline: str | Path, candidate: str | Path, *,
             title=f"metric deltas (rtol={rtol:g}; !! = regression)"))
     else:
         lines.append(f"no metric moved beyond rtol={rtol:g}")
-    if not perf_mode:
-        lines.append("")
-        lines.extend(_alert_lines("baseline alerts", obs_a))
-        lines.extend(_alert_lines("candidate alerts", obs_b))
+    lines.append("")
+    lines.extend(_alert_lines("baseline alerts", obs_a))
+    lines.extend(_alert_lines("candidate alerts", obs_b))
     regressed = any(d.verdict == "regression" and d.metric not in ignored
                     for d in deltas)
     lines.append("")
@@ -122,74 +96,21 @@ def render_comparison(baseline: str | Path, candidate: str | Path, *,
     return "\n".join(lines), regressed
 
 
-def render_budget_check(budget_path: str | Path,
-                        metrics_path: str | Path) -> tuple[str, bool]:
-    """Check one perf metrics file against committed budgets.
-
-    Returns ``(text, violated)``; rules that matched no metric are listed
-    too (a renamed metric must not silently disarm its gate) but only
-    budget violations fail the check.
-    """
-    from repro.observability.perf import PerfBudget
-
-    budget = PerfBudget.from_file(budget_path)
-    metrics = _load_perf_metrics(metrics_path)
-    violations, unmatched = budget.check(metrics)
-    lines = [f"budget   : {budget_path}", f"candidate: {metrics_path}", ""]
-    if violations:
-        rows = [[v.metric, v.value, v.rule.pattern, v.reason]
-                for v in violations]
-        lines.append(format_table(
-            ["metric", "value", "budget", "violation"], rows,
-            floatfmt=".4g", title="budget violations"))
-    else:
-        lines.append(f"all {len(budget.rules)} budget rule(s) satisfied")
-    for rule in unmatched:
-        lines.append(f"warning: budget pattern {rule.pattern!r} matched "
-                     "no metric")
-    lines.append("")
-    lines.append("verdict: "
-                 + ("BUDGET VIOLATION" if violations else "within budget"))
-    return "\n".join(lines), bool(violations)
-
-
-def run_compare(baseline: str | Path, candidate: str | Path | None = None, *,
+def run_compare(baseline: str | Path, candidate: str | Path, *,
                 rtol: float = 0.05, show_unchanged: bool = False,
-                ignore: tuple[str, ...] = (),
-                tolerances: Mapping[str, float] | None = None,
-                budget: str | Path | None = None, stream=None) -> int:
-    """CLI driver; exit code 1 on regression or budget violation.
-
-    With ``budget`` set, ``baseline`` is the (single) perf metrics file to
-    gate and ``candidate`` must be omitted.
-    """
+                ignore: tuple[str, ...] = (), stream=None) -> int:
+    """CLI entry point: exit 1 on regression, 2 on a pair it cannot diff."""
     stream = stream if stream is not None else sys.stdout
-    if budget is not None:
-        if candidate is not None:
-            print("error: --budget takes one metrics file, not a "
-                  "baseline/candidate pair", file=stream)
-            return 2
-        for path in (budget, baseline):
-            if not Path(path).exists():
-                print(f"error: no such file: {path}", file=stream)
-                return 2
-        try:
-            text, violated = render_budget_check(budget, baseline)
-        except ValueError as exc:
-            print(f"error: {exc}", file=stream)
-            return 2
-        print(text, file=stream)
-        return 1 if violated else 0
-    if candidate is None:
-        print("error: compare needs a baseline and a candidate "
-              "(or --budget)", file=stream)
-        return 2
     for path in (baseline, candidate):
         if not Path(path).exists():
             print(f"error: no such trace file: {path}", file=stream)
             return 2
-    text, regressed = render_comparison(
-        baseline, candidate, rtol=rtol, show_unchanged=show_unchanged,
-        ignore=ignore, tolerances=tolerances)
+    try:
+        text, regressed = render_comparison(
+            baseline, candidate, rtol=rtol, show_unchanged=show_unchanged,
+            ignore=ignore)
+    except ValueError as exc:
+        print(f"error: {exc}", file=stream)
+        return 2
     print(text, file=stream)
     return 1 if regressed else 0

@@ -22,7 +22,6 @@ burn (SLO demo); ``--inject-drift`` perturbs ``p_on`` mid-run (drift demo).
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -496,14 +495,11 @@ def run_dashboard(experiment: str, *, n_intervals: int = 240,
     live = follow or not once
     is_tty = bool(getattr(stream, "isatty", lambda: False)())
     n_vms = len(scenario.vms)
-    t0 = time.perf_counter()
 
     def perf_snapshot() -> PerfSnapshot | None:
         if tel.profiler.empty:
             return None
-        return PerfSnapshot.capture(
-            tel.profiler, n_vms=n_vms,
-            elapsed_seconds=time.perf_counter() - t0)
+        return PerfSnapshot.capture(tel.profiler, n_vms=n_vms)
 
     def on_tick(t: int) -> None:
         if inject_drift is not None and t == drift_at:

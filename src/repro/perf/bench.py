@@ -31,7 +31,6 @@ import fnmatch
 import hashlib
 import json
 import multiprocessing
-import os
 import time
 import zlib
 from dataclasses import asdict, dataclass
@@ -51,14 +50,7 @@ DEFAULT_RESULTS_DIR = Path("benchmarks") / "results"
 
 @dataclass(frozen=True)
 class BenchJobResult:
-    """Outcome of one benchmark job.
-
-    ``spans`` holds the job's own profiler tree
-    (:meth:`repro.telemetry.profiling.Profiler.to_dict`) when the run was
-    profiled (``REPRO_PROFILE_JOBS=1``); each job gets a *fresh* profiler
-    in its own (worker) process, so per-worker trees can never interleave
-    or double-count — the property the span-integrity tests pin down.
-    """
+    """Outcome of one benchmark job."""
 
     name: str
     seed: int | None
@@ -67,13 +59,11 @@ class BenchJobResult:
     error: str
     text: str
     rows_sha256: str
-    spans: dict | None = None
 
     def summary_dict(self) -> dict:
         """JSON-safe summary without the (possibly large) rendered table."""
         d = asdict(self)
         d.pop("text")
-        d.pop("spans")
         return d
 
 
@@ -112,29 +102,14 @@ def _execute_job(spec: tuple[str, int | None]) -> dict:
     from repro.analysis.report import render_result
     from repro.experiments.runner import EXPERIMENTS
 
-    profile = os.environ.get("REPRO_PROFILE_JOBS", "") not in ("", "0")
-    profiler = None
     t0 = time.perf_counter()
     try:
         seeded = _seeded_runners()
-
-        def execute():
-            if seed is not None and name in seeded:
-                return seeded[name](seed=seed)
-            fn, _ = EXPERIMENTS[name]
-            return fn()
-
-        if profile:
-            from repro.telemetry.profiling import Profiler
-
-            # One fresh profiler per job, activated only for this job's
-            # duration (reentrant: any outer profiler is restored), so a
-            # job's tree holds exactly its own spans.
-            profiler = Profiler()
-            with profiler:
-                result = execute()
+        if seed is not None and name in seeded:
+            result = seeded[name](seed=seed)
         else:
-            result = execute()
+            fn, _ = EXPERIMENTS[name]
+            result = fn()
         text = render_result(result)
         ok, error = True, ""
     except Exception as exc:  # worker crash must surface, not hang the pool
@@ -147,7 +122,6 @@ def _execute_job(spec: tuple[str, int | None]) -> dict:
         "error": error,
         "text": text,
         "rows_sha256": hashlib.sha256(text.encode()).hexdigest() if ok else "",
-        "spans": profiler.to_dict() if profiler is not None else None,
     }
 
 

@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+from repro.analysis.regression import regression_diff
 from repro.experiments.runner import main
 from repro.observability import Observatory, render_frame, render_html
 from repro.observability.dashboard import (
@@ -164,9 +165,21 @@ class TestCLI:
         assert "cvr_window" in out
 
     def test_compare_missing_file(self, tmp_path, capsys):
+        """A candidate that does not exist, recorded nothing or stopped
+        early cannot be compared: exit 2, never "no regressions"."""
         _, a = observed_run(tmp_path, name="a.jsonl")
-        rc = main(["compare", str(a), str(tmp_path / "nope.jsonl")])
-        assert rc == 2
+        lines = a.read_text().splitlines(keepends=True)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        shorter = tmp_path / "shorter.jsonl"
+        shorter.write_text("".join(lines[:len(lines) // 3]))
+        for candidate, error in (
+                (tmp_path / "nope.jsonl", "no such trace file"),
+                (empty, f"{empty} replays to zero events"),
+                (shorter, f"{a} has 60 ticks")):
+            rc = main(["compare", str(a), str(candidate)])
+            assert rc == 2, candidate
+            assert error in capsys.readouterr().out
 
     def test_dashboard_follow_renders_frames(self, tmp_path):
         from repro.observability.dashboard import run_dashboard
@@ -192,3 +205,15 @@ class TestCLI:
                    "--rules", str(path), "--overcommit", "1.6"])
         assert rc == 0
         assert "always_cvr" in capsys.readouterr().out
+
+
+class TestRegressionDiff:
+    @pytest.mark.parametrize("metric", [
+        "sla_violation_window", "loss_rate_window", "shed_rate_window",
+        "svc_wal_lag"])
+    def test_slo_metric_rise_is_a_regression(self, metric):
+        """The serving and service SLO rules burn on these keys."""
+        (rise,) = regression_diff({metric: 0.1}, {metric: 0.2})
+        assert rise.verdict == "regression"
+        (fall,) = regression_diff({metric: 0.2}, {metric: 0.1})
+        assert fall.verdict == "improvement"
