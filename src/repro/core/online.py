@@ -107,6 +107,10 @@ class OnlineConsolidator:
         except KeyError:
             raise KeyError(f"unknown VM id {vm_id}") from None
 
+    def hosts(self, vm_id: int) -> bool:
+        """Whether VM ``vm_id`` is hosted now."""
+        return vm_id in self._locations
+
     def state_of(self, pm_index: int) -> PMReservationState:
         """A snapshot of PM ``pm_index``'s reservation state."""
         if self._kernel is None:

@@ -84,7 +84,7 @@ def _drive_service(placer, *, elastic: bool, rate: float, n_pms: int,
             svc.submit(key, vm)
         svc.drain()
         for key in keys:
-            outcome = svc.results.get(key)
+            outcome = svc.outcome(key)
             if outcome and outcome["op"] == "admit":
                 life = int(rng.geometric(1.0 / mean_life))
                 deaths.setdefault(t + max(1, life), []).append(

@@ -2,11 +2,16 @@
 
 Runs a deterministic arrival/departure schedule (seeded Poisson arrivals,
 geometric lifetimes) through a durable :class:`PlacementService`.  The
-schedule is a pure function of the seed and is re-walked from tick 0 on
-every invocation: already-journaled decisions dedupe by idempotency key,
-so *re-running the same command after a crash resumes exactly where the
-journal ends*.  That is the whole recovery story — there is no separate
-"resume" flag.
+schedule is a pure function of the seed, and every key the driver journals
+names its tick (``a-{t}-{j}``, ``d-{t}-{vm_id}``, ``recal-{t}``).  So the
+journal is the resume cursor: *re-running the same command after a crash
+re-enters the schedule at the tick of the newest journaled key*, rebuilds
+the departures still due from the hosted VMs' admissions, and lets that
+tick's already-decided keys dedupe through the service's window.  That is
+the whole recovery story — there is no separate "resume" flag.  A run
+exits 2 rather than guess when the window no longer reaches back to that
+tick's first record, or when the newest key names no tick (a journal an
+older ``repro serve`` wrote).
 
 Chaos drills (``--chaos``):
 
@@ -34,6 +39,7 @@ the overload tests.
 from __future__ import annotations
 
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -117,6 +123,66 @@ def _build_schedule(args):
     return ticks
 
 
+_TICK_KEY = re.compile(r"(?:[ad]-(\d+)-\d+|recal-(\d+))\Z")
+
+
+def _key_tick(key: str) -> int | None:
+    """The schedule tick a driver key names (``None``: it names none)."""
+    m = _TICK_KEY.match(key)
+    return None if m is None else int(m.group(1) or m.group(2))
+
+
+class ResumeError(RuntimeError):
+    """The journal cannot place this run in its schedule."""
+
+
+def _resume_point(svc, schedule) -> tuple[int, dict[int, list[int]]]:
+    """The tick to re-enter the schedule at, and the deaths still due.
+
+    The tick is that of the newest journaled key.  The departures still
+    due come from the kept admissions of hosted VMs admitted before it
+    (the tick's own admissions are read again as it is re-walked).
+    Raises :class:`ResumeError` when that key names no tick, or when the
+    dedupe window does not reach back past the tick's first record.
+    """
+    if svc.wal.last_seq == 0:
+        return 0, {}
+    kept = {key: out for key in svc.results
+            if (out := svc.outcome(key)) is not None}
+    newest = max(kept, key=lambda key: kept[key]["seq"])
+    tick = _key_tick(newest)
+    if tick is None:
+        raise ResumeError(
+            f"the newest journaled key {newest!r} names no schedule tick; "
+            "this WAL was written by an older `repro serve`")
+    window = svc.dedupe_window
+    if window is not None and svc.wal.last_seq > window:
+        # Ticks never interleave in the journal, so the tick's first record
+        # is in the window iff the window's oldest record is from an
+        # earlier tick.  A gap at the window's start means the journal was
+        # trimmed under a narrower window than this run's.
+        floor = svc.wal.last_seq - window
+        first_seq, first_key = min((out["seq"], key)
+                                   for key, out in kept.items()
+                                   if out["seq"] > floor)
+        first_tick = _key_tick(first_key)
+        if first_seq != floor + 1 or first_tick is None \
+                or first_tick >= tick:
+            raise ResumeError(
+                f"the dedupe window ({window} records) no longer reaches "
+                f"back to the first record of tick {tick}, so its decided "
+                "keys would be decided again")
+    deaths: dict[int, list[int]] = {}
+    for key, out in kept.items():
+        if out["op"] == "admit" and key.startswith("a-") \
+                and svc.consolidator.hosts(out["vm_id"]):
+            t, j = (int(part) for part in key[2:].split("-"))
+            if t < tick:
+                deaths.setdefault(t + schedule[t][j], []).append(
+                    out["vm_id"])
+    return tick, deaths
+
+
 def run_serve(args) -> int:
     checkpoint = args.checkpoint
     if checkpoint is None:
@@ -158,27 +224,33 @@ def run_serve(args) -> int:
         pms, placer, wal_path=args.wal, checkpoint_path=checkpoint,
         inbox_capacity=args.inbox, checkpoint_every=args.checkpoint_every,
         pool=pool, telemetry=tel, chaos_hook=chaos_hook)
-    resumed = svc.wal.last_seq > 0
-    if resumed:
+    schedule = _build_schedule(args)
+    try:
+        start, deaths = _resume_point(svc, schedule)
+    except ResumeError as exc:
+        tel.close()
+        svc.wal.close()
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if svc.wal.last_seq > 0:
         print(f"[recover] WAL replay to seq {svc.wal.last_seq} "
               f"({svc.wal.truncated_tail} torn tail lines dropped), "
-              f"state {svc.consolidator.state_fingerprint()}")
+              f"state {svc.consolidator.state_fingerprint()}; "
+              f"resuming at tick {start}")
 
-    schedule = _build_schedule(args)
-    deaths: dict[int, list[int]] = {}
     try:
-        for t, lives in enumerate(schedule):
+        for t in range(start, len(schedule)):
             if args.chaos == "stall":
                 stall_state["armed"] = svc.wal.last_seq >= args.chaos_at
             for vm_id in sorted(deaths.pop(t, [])):
-                svc.depart(f"d-{vm_id}", vm_id)
+                svc.depart(f"d-{t}-{vm_id}", vm_id)
             vm = VMSpec(p_on=0.1, p_off=0.5, r_base=2.0, r_extra=3.0)
-            keys = [(f"a-{t}-{j}", life) for j, life in enumerate(lives)]
+            keys = [(f"a-{t}-{j}", life) for j, life in enumerate(schedule[t])]
             for key, _ in keys:
                 svc.submit(key, vm)
             svc.drain()
             for key, life in keys:
-                outcome = svc.results.get(key)
+                outcome = svc.outcome(key)
                 if outcome and outcome["op"] == "admit":
                     deaths.setdefault(t + life, []).append(outcome["vm_id"])
             if args.recalibrate_every and t and \

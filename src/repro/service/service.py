@@ -29,8 +29,12 @@ replayable.
 
 A request is durable once *decided* (journaled), not once submitted: a
 crash can lose requests still parked in the inbox, and the driving loop
-re-submits them by idempotency key — already-decided keys return their
-recorded outcome without re-journaling.
+re-submits them by idempotency key — a key the service still keeps
+returns its recorded outcome without re-journaling.  It keeps a hosted
+VM's admission for as long as the VM is hosted, and every other outcome
+for the last :attr:`PlacementService.dedupe_window` journal records; each
+checkpoint forgets the rest, so checkpoints, recovery and memory grow with
+the live fleet, not with the service's age.
 """
 
 from __future__ import annotations
@@ -102,6 +106,8 @@ class PlacementService:
     checkpoint_every:
         Journal records between automatic checkpoint+compaction cycles
         (0 disables; :meth:`checkpoint` can always be called manually).
+        It also sets the dedupe window, ``4 * checkpoint_every`` records
+        (:attr:`dedupe_window`).
     pool:
         An :class:`ElasticPMPool`; ``None`` keeps the whole fleet active
         forever (no autoscaling, nothing extra journaled).
@@ -129,7 +135,8 @@ class PlacementService:
         self.breaker = breaker if breaker is not None else SolverCircuitBreaker()
         self.telemetry = telemetry
         self.chaos_hook = chaos_hook
-        #: idempotency map: request key -> recorded outcome dict
+        #: idempotency map: request key -> recorded outcome dict; read it
+        #: through :meth:`outcome`, which applies the dedupe window
         self.results: dict[str, dict] = {}
         self.counters = {"requests": 0, "admitted": 0, "shed": 0,
                          "departed": 0, "recalibrations": 0}
@@ -145,6 +152,42 @@ class PlacementService:
         tel = resolve(self.telemetry)
         if tel is not None and tel.events.enabled:
             tel.emit(event)
+
+    @property
+    def dedupe_window(self) -> int | None:
+        """Journal records a non-admission outcome is kept for.
+
+        ``4 * checkpoint_every`` while automatic checkpoints compact the
+        WAL; ``None`` (keep every outcome) when they are off, since the WAL
+        then keeps all history too.
+        """
+        if not self.checkpoint_path or self.checkpoint_every <= 0:
+            return None
+        return 4 * self.checkpoint_every
+
+    def _keeps(self, outcome: dict, floor: int) -> bool:
+        """Whether an outcome is still kept: journaled after ``floor``, or
+        the admission of a hosted VM (VM ids are never reused)."""
+        return outcome["seq"] > floor or (
+            outcome["op"] == "admit"
+            and self.consolidator.hosts(outcome["vm_id"]))
+
+    def _floor(self) -> int:
+        """Outcomes journaled at or below this seq are out of the window."""
+        window = self.dedupe_window
+        return -1 if window is None else self.wal.last_seq - window
+
+    def outcome(self, key: str) -> dict | None:
+        """The recorded outcome of ``key``, or ``None`` if it is not kept.
+
+        A pure function of the journal: a recovered service answers every
+        key as the uninterrupted one does at the same seq.  A key that is
+        no longer kept is decided again when resubmitted.
+        """
+        out = self.results.get(key)
+        if out is None or not self._keeps(out, self._floor()):
+            return None
+        return out
 
     def _empty_pms(self) -> set[int]:
         kernel = self.consolidator.kernel
@@ -184,14 +227,15 @@ class PlacementService:
                vm_class: str = "standard") -> dict | None:
         """Queue one admission request; returns its outcome if already known.
 
-        Idempotent: a key that was already decided (this run or any
-        journaled predecessor) returns the recorded outcome immediately.
+        Idempotent: a key whose outcome is still kept (:meth:`outcome`),
+        from this run or any journaled predecessor, returns it immediately.
         If the inbox sheds — the arrival or a lower-class victim — the
         shed is journaled and its outcome recorded before this returns.
         Otherwise the request waits for :meth:`process_next`.
         """
-        if key in self.results:
-            return self.results[key]
+        known = self.outcome(key)
+        if known is not None:
+            return known
         # "requests" is counted at *decision* time (in _decide_admit /
         # _decide_shed), not here: a checkpoint taken while requests sit
         # undecided in the inbox must not bake in counts that replay will
@@ -200,7 +244,7 @@ class PlacementService:
         if shed is not None:
             self._decide_shed(shed.request, shed.reason)
             if shed.request.key == key:
-                return self.results[key]
+                return self.outcome(key)
         return None
 
     def process_next(self) -> dict | None:
@@ -208,8 +252,9 @@ class PlacementService:
         req = self.inbox.pop()
         if req is None:
             return None
-        if req.key in self.results:  # duplicate that slipped into the queue
-            return self.results[req.key]
+        known = self.outcome(req.key)
+        if known is not None:  # duplicate that slipped into the queue
+            return known
         return self._decide_admit(req)
 
     def drain(self) -> int:
@@ -284,8 +329,9 @@ class PlacementService:
 
     def depart(self, key: str, vm_id: int) -> dict:
         """Journal and apply one departure (idempotent by ``key``)."""
-        if key in self.results:
-            return self.results[key]
+        known = self.outcome(key)
+        if known is not None:
+            return known
         pm = self.consolidator.pm_of(vm_id)
         becomes_empty = self.consolidator.kernel.counts[pm] == 1
         empty_after = self._empty_pms() | ({pm} if becomes_empty else set())
@@ -311,8 +357,9 @@ class PlacementService:
         The MapCal solve runs behind the breaker — a degraded solve keeps
         the current (stale) mapping and emits ``solver_degraded``.
         """
-        if key in self.results:
-            return self.results[key]["op"] == "recalibrate"
+        known = self.outcome(key)
+        if known is not None:
+            return known["op"] == "recalibrate"
         hosted = self.consolidator.hosted_vms()
         if not hosted or self.consolidator._mapping is None:
             return self._decide_recalibrate_noop(key)
@@ -368,11 +415,17 @@ class PlacementService:
     # checkpoint / compaction
     # ------------------------------------------------------------------ #
     def capture_state(self) -> dict:
-        """The full durable service state, JSON-safe and canonical."""
+        """The full durable service state, JSON-safe and canonical.
+
+        ``results`` holds the kept outcomes only, so the state is a pure
+        function of the journal, however long ago the map was trimmed.
+        """
+        floor = self._floor()
         return {
             "consolidator": self.consolidator.capture_state(),
             "pool": self.pool.capture_state() if self.pool else None,
-            "results": {k: self.results[k] for k in sorted(self.results)},
+            "results": {k: out for k, out in sorted(self.results.items())
+                        if self._keeps(out, floor)},
             "counters": dict(sorted(self.counters.items())),
         }
 
@@ -390,7 +443,8 @@ class PlacementService:
             self.checkpoint()
 
     def checkpoint(self) -> None:
-        """Snapshot state at the current WAL position, then compact.
+        """Forget the outcomes no longer kept, snapshot state at the current
+        WAL position, then compact.
 
         Two independently-atomic steps; a crash between them leaves a
         checkpoint newer than the WAL base, which recovery handles by
@@ -399,8 +453,9 @@ class PlacementService:
         if not self.checkpoint_path:
             raise WALError("service has no checkpoint_path configured")
         seq, chain = self.wal.last_seq, self.wal.last_chain
-        save_service_checkpoint(self.checkpoint_path,
-                                state=self.capture_state(),
+        state = self.capture_state()
+        self.results = dict(state["results"])
+        save_service_checkpoint(self.checkpoint_path, state=state,
                                 wal_seq=seq, wal_chain=chain)
         self._chaos("checkpointed", seq)
         dropped = self.wal.compact(base_seq=seq, base_chain=chain)
@@ -418,7 +473,11 @@ class PlacementService:
         Loads the newest usable checkpoint (a missing file means replay
         from genesis), verifies the WAL chain, truncates a torn tail,
         replays every record past the checkpoint, and emits one
-        ``wal_replayed`` event summarizing what recovery did.
+        ``wal_replayed`` event summarizing what recovery did.  It ends with
+        the checkpoint the uninterrupted service would have taken at this
+        seq — the crash may have landed on the record that triggers one,
+        or between a checkpoint and its compaction — so both keep one
+        cadence and write the same files.
         """
         svc = cls(pms, placer, wal_path=wal_path,
                   checkpoint_path=checkpoint_path, **kwargs)
@@ -449,6 +508,7 @@ class PlacementService:
             "recovered: checkpoint seq %d + %d WAL records (%d torn tail "
             "lines dropped), state %s", start_seq, len(records),
             svc.wal.truncated_tail, svc.consolidator.state_fingerprint())
+        svc._maybe_checkpoint()
         return svc
 
     def _replay(self, rec: WALRecord) -> None:

@@ -5,7 +5,9 @@ through :class:`OnlineConsolidator` (directly and through the durable
 service), asserting at every step that reservation state stays coherent,
 and at the end that the online packing is within the expected
 online-vs-batch gap of a fresh ``admit_batch`` re-pack of the surviving
-population (first-fit without departures-driven fragmentation).
+population (first-fit without departures-driven fragmentation).  The
+service's dedupe window is checked after every decision, live and
+recovered.
 """
 
 import json
@@ -138,3 +140,73 @@ def test_interleaving_through_the_service_matches_bare_consolidator(
         wal_path=tmp_path / "wal.jsonl")
     assert json.dumps(recovered.capture_state(), sort_keys=True) \
         == json.dumps(svc.capture_state(), sort_keys=True)
+
+
+def test_dedupe_window_live_and_recovered(tmp_path):
+    """A hosted VM's admission key dedupes for as long as the VM is hosted;
+    every other key — a shed, a departure, a recalibration, the admission
+    of a VM that left — dedupes for W = 4 x checkpoint_every records and
+    is decided again after that.  A service recovered from its checkpoint
+    plus WAL at any seq answers every key as the live one does."""
+    import shutil
+
+    every, window = 2, 8
+    pms, placer = [PMSpec(CAPACITY)] * N_PMS, QueuingFFD(rho=0.01, d=D)
+    huge = VMSpec(0.1, 0.5, CAPACITY + 1, 3.0)  # fits no PM: always shed
+
+    def service(where, *, recover=False):
+        make = PlacementService.recover if recover else PlacementService
+        return make(pms, placer, wal_path=where / "wal.jsonl",
+                    checkpoint_path=where / "ckpt.json",
+                    checkpoint_every=every)
+
+    live = service(tmp_path / "live")
+    assert live.dedupe_window == window
+    seq_of, vm_of = {}, {}  # key -> newest decision's seq / admitted VM
+
+    def decided(key, out):
+        seq_of[key] = out["seq"]
+        if out["op"] == "admit":
+            vm_of[key] = out["vm_id"]
+        check(f"{key}@{out['seq']}")
+        return out
+
+    def admit(key, spec=SPECS[0]):
+        return decided(key, live.submit(key, spec) or live.process_next())
+
+    def check(step):
+        floor = live.wal.last_seq - window
+        for key, seq in seq_of.items():
+            hosted = key in vm_of and live.consolidator.hosts(vm_of[key])
+            assert (live.outcome(key) is not None) == (
+                seq > floor or hosted), (step, key)
+        where = tmp_path / f"copy-{step}"
+        shutil.copytree(tmp_path / "live", where)
+        back = service(where, recover=True)
+        assert back.wal.last_seq == live.wal.last_seq
+        for key in seq_of:
+            assert back.outcome(key) == live.outcome(key), (step, key)
+        assert back.capture_state() == live.capture_state()
+        back.wal.close()
+
+    admit("stay")
+    gone = admit("gone")["vm_id"]
+    assert admit("huge", huge)["op"] == "shed"
+    decided("d-gone", live.depart("d-gone", gone))
+    live.recalibrate("r0")
+    decided("r0", live.outcome("r0"))
+    for i in range(3 * window):  # filler traffic, far past the window
+        vm_id = admit(f"f{i}")["vm_id"]
+        decided(f"df{i}", live.depart(f"df{i}", vm_id))
+
+    # Past the window only the hosted VM's admission still dedupes.
+    last = live.wal.last_seq
+    assert live.submit("stay", SPECS[0])["seq"] == seq_of["stay"]
+    assert live.wal.last_seq == last
+    for key in ("gone", "huge", "d-gone", "r0"):
+        assert live.outcome(key) is None
+    assert admit("huge", huge)["seq"] == last + 1
+    assert admit("gone")["vm_id"] != gone
+    live.recalibrate("r0")
+    assert decided("r0", live.outcome("r0"))["seq"] == last + 3
+    live.wal.close()

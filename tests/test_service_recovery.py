@@ -5,17 +5,23 @@ stands in for ``kill -9``; the on-disk artifacts are identical) at
 *every* journal-then-apply phase of *every* decision in a scripted
 workload — admissions, sheds, departures, recalibrations, autoscale,
 checkpoint compaction — then recovers from disk, finishes the workload,
-and asserts the final state is byte-identical to an uninterrupted run.
+and asserts the final state, journal and checkpoint are byte-identical to
+an uninterrupted run's.
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.types import PMSpec, VMSpec
 from repro.service.pool import ElasticPMPool
 from repro.service.service import PlacementService
-from repro.service.wal import WALError, WriteAheadLog
+from repro.service.wal import (
+    WALError,
+    WriteAheadLog,
+    load_service_checkpoint,
+)
 from repro.telemetry import RingBufferSink, Telemetry, WALReplayed
 
 # Calm and bursty populations: departing the calm one and recalibrating
@@ -108,6 +114,13 @@ def test_kill_at_every_phase_recovers_byte_identical(tmp_path, elastic):
         drive(recovered)  # resume by idempotency key
         assert canonical(recovered) == want, \
             f"divergence after kill at {phase} seq {seq}"
+        # ... on the uninterrupted checkpoint cadence: a kill at the record
+        # that triggers a checkpoint, or between a checkpoint and its
+        # compaction, still leaves the same journal and checkpoint bytes
+        for name in ("wal.jsonl", "ckpt.json"):
+            assert (workdir / name).read_bytes() \
+                == (reference_dir / name).read_bytes(), \
+                f"{name} differs after kill at {phase} seq {seq}"
 
 
 def test_crash_between_refit_and_first_postrefit_admit(tmp_path):
@@ -280,3 +293,48 @@ def test_recovered_service_decides_like_the_uninterrupted_one(tmp_path):
     assert outcomes[0] == outcomes[1]
     assert (recovered.consolidator.state_fingerprint()
             == live.consolidator.state_fingerprint())
+
+
+def test_durable_state_stays_bounded_in_a_long_run(tmp_path):
+    """3,000 decisions around 20 hosted VMs: every checkpoint keeps at most
+    the hosted VMs' admissions plus the window's outcomes, and the last
+    checkpoint is no larger than the one at the midpoint (within 20%)."""
+    from repro.core.queuing_ffd import QueuingFFD
+
+    every, n_decisions = 16, 3000
+    window = 4 * every
+    sizes = {}
+
+    def at_checkpoint(phase, seq):
+        if phase != "checkpointed":
+            return
+        state = load_service_checkpoint(tmp_path / "ckpt.json")["state"]
+        hosted = svc.consolidator.n_vms
+        assert len(state["results"]) <= hosted + window, (seq, hosted)
+        assert svc.results == state["results"]  # memory is trimmed too
+        sizes[seq] = (tmp_path / "ckpt.json").stat().st_size
+
+    svc = PlacementService(
+        [PMSpec(20.0)] * 8, QueuingFFD(rho=0.01, d=8),
+        wal_path=tmp_path / "wal.jsonl",
+        checkpoint_path=tmp_path / "ckpt.json",
+        checkpoint_every=every, chaos_hook=at_checkpoint)
+    assert svc.dedupe_window == window
+    rng = np.random.RandomState(5)
+    live = []
+    for i in range(n_decisions):
+        # departing with probability hosted/40 holds about 20 VMs hosted
+        if live and rng.rand() < len(live) / 40:
+            vm_id = live.pop(rng.randint(len(live)))
+            svc.depart(f"d{i}", vm_id)
+        else:
+            svc.submit(f"a{i}", CALM)
+            out = svc.process_next()
+            if out["op"] == "admit":
+                live.append(out["vm_id"])
+    svc.wal.close()
+    assert svc.wal.last_seq == n_decisions
+    assert len(sizes) == n_decisions // every
+    seqs = sorted(sizes)
+    mid = seqs[len(seqs) // 2]
+    assert sizes[seqs[-1]] <= 1.2 * sizes[mid], (sizes[mid], sizes[seqs[-1]])
