@@ -1,4 +1,4 @@
-"""Speedup check: vectorized tick vs the scalar reference at fleet scale.
+"""Fastpath floors: ratios of two code paths timed in one process.
 
 The vectorized :class:`~repro.simulation.datacenter.Datacenter` tick must
 be (a) bit-identical to :class:`~repro.perf.reference.ScalarReferenceDatacenter`
@@ -7,6 +7,10 @@ failures, flaky migrations and energy accounting).  The identity is
 asserted exactly; the speedup floor is set below the typically measured
 3-4x so CI noise does not flake the build while a real regression (losing
 the vectorization) still fails loudly.
+
+Explaining a placement (one ``PlacementDecided`` per VM, top-K candidate
+rows) must cost at most 10x the unexplained placement of 3,200 VMs on
+3,200 PMs; a per-PM Python loop in any explained path costs 40-120x.
 """
 
 from __future__ import annotations
@@ -17,9 +21,12 @@ import numpy as np
 
 from repro.core.queuing_ffd import QueuingFFD
 from repro.perf.cache import cache_stats
+from repro.placement.ffd import ffd_by_peak
+from repro.placement.sbp import StochasticBinPacker
 from repro.simulation.costmodel import MigrationCostModel
 from repro.simulation.energy import EnergyModel
 from repro.simulation.scenario import Scenario
+from repro.telemetry import RingBufferSink, Telemetry
 from repro.workload.patterns import generate_pattern_instance
 
 N_VMS = 200
@@ -114,3 +121,34 @@ def test_fastpath_identical_and_faster(benchmark, save_result):
         ]),
         name="perf_fastpath",
     )
+
+
+EXPLAIN_FLEET = 3200
+EXPLAIN_CEILING = 10.0
+
+
+def _min_cpu(n_runs: int, fn):
+    """Minimum process CPU time over ``n_runs`` calls, and the last result."""
+    best, out = float("inf"), None
+    for _ in range(n_runs):
+        t0 = time.process_time()
+        out = fn()
+        best = min(best, time.process_time() - t0)
+    return best, out
+
+
+def test_explained_placement_within_ceiling():
+    vms, pms = generate_pattern_instance("large", EXPLAIN_FLEET, seed=SEED)
+    ratios = {}
+    for placer in (QueuingFFD(rho=0.01, d=16), ffd_by_peak(),
+                   StochasticBinPacker()):
+        placer.place(vms, pms)  # warm the MapCal cache
+        t_plain, plain = _min_cpu(3, lambda: placer.place(vms, pms))
+        t_explained, explained = _min_cpu(3, lambda: placer.place_and_report(
+            vms, pms, telemetry=Telemetry(RingBufferSink(capacity=64))))
+        np.testing.assert_array_equal(plain.assignment, explained.assignment)
+        ratios[placer.name] = t_explained / max(t_plain, 1e-9)
+    assert max(ratios.values()) <= EXPLAIN_CEILING, (
+        f"explained placement of {EXPLAIN_FLEET} VMs costs more than "
+        f"{EXPLAIN_CEILING:g}x the unexplained one: "
+        + ", ".join(f"{name} {r:.1f}x" for name, r in ratios.items()))

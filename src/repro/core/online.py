@@ -26,7 +26,10 @@ from repro.core.reservation import PMReservationState, ReservationKernel
 from repro.core.types import PMSpec, VMSpec
 from repro.durable import canonical
 from repro.placement.base import (
+    REASON_CVR_THRESHOLD,
+    REASON_DRAINING,
     REASON_FLEET_FULL,
+    REASON_VM_CAP,
     AdmissionRejectedError,
     InsufficientCapacityError,
     PlacementExplainer,
@@ -195,9 +198,12 @@ class OnlineConsolidator:
             p_on=self._mapping.p_on, p_off=self._mapping.p_off,
             table_fingerprint=table_fingerprint(self._mapping),
             score_kind="reservation_headroom")
-        explainer.record(decision.vm_id, decision.pm, *self._kernel.verdicts(
-            decision.need, decision.count_ok, decision.pm,
-            eligible=decision.eligible), time=time)
+        eligible = decision.eligible
+        explainer.record(decision.vm_id, decision.pm, [
+            (REASON_DRAINING, None if eligible is None else ~eligible),
+            (REASON_VM_CAP, ~decision.count_ok),
+            (REASON_CVR_THRESHOLD, ~self._kernel.within(decision.need)),
+        ], self._kernel.caps - decision.need, time=time)
 
     def fleet_headroom(self, vm: VMSpec | None = None, *,
                        eligible: Iterable[int] | None = None) -> dict:

@@ -26,7 +26,13 @@ from repro.core.reservation import PMReservationState, ReservationKernel
 from repro.core.rounding import RoundingRule, round_switch_probabilities
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.markov.chain import StationaryMethod
-from repro.placement.base import InsufficientCapacityError, Placer
+from repro.placement.base import (
+    REASON_CVR_THRESHOLD,
+    REASON_SPREAD,
+    REASON_VM_CAP,
+    InsufficientCapacityError,
+    Placer,
+)
 from repro.placement.spread import DomainSpreadConstraint
 from repro.telemetry import timed
 from repro.utils.validation import check_integer, check_probability
@@ -171,8 +177,11 @@ class QueuingFFD(Placer):
             pm_idx = self._select(kernel, vm, vm_idx, spread_ok)
             if explainer is not None:
                 need, count_ok = kernel.need(vm)
-                explainer.record(vm_idx, pm_idx, *kernel.verdicts(
-                    need, count_ok, pm_idx, spread_ok=spread_ok))
+                explainer.record(vm_idx, pm_idx, [
+                    (REASON_VM_CAP, ~count_ok),
+                    (REASON_CVR_THRESHOLD, ~kernel.within(need)),
+                    (REASON_SPREAD, None if spread_ok is None else ~spread_ok),
+                ], kernel.caps - need)
             if pm_idx < 0:
                 raise InsufficientCapacityError(vm_idx)
             kernel.add(pm_idx, vm_idx, vm)

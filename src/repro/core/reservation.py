@@ -104,30 +104,6 @@ class ReservationKernel:
                 return lo + int(hit[0])
         return -1
 
-    def verdicts(self, need: np.ndarray, count_ok: np.ndarray, chosen: int,
-                 *, eligible: np.ndarray | None = None,
-                 spread_ok: np.ndarray | None = None
-                 ) -> tuple[list[str], list[float]]:
-        """Typed per-PM verdicts and ``C - need`` scores for a full-fleet
-        :meth:`need`, as ``PlacementDecided`` records them.  Precedence:
-        chosen, ineligible (draining), ``d`` cap, Eq. (17), spread veto."""
-        # imported here: repro.placement imports this module as it loads
-        from repro.placement import base as reasons
-
-        verdict = np.where(
-            count_ok,
-            np.where(self.within(need), reasons.REASON_FEASIBLE,
-                     reasons.REASON_CVR_THRESHOLD),
-            reasons.REASON_VM_CAP).astype(object)
-        if spread_ok is not None:
-            verdict[(verdict == reasons.REASON_FEASIBLE)
-                    & ~spread_ok] = reasons.REASON_SPREAD
-        if eligible is not None:
-            verdict[~eligible] = reasons.REASON_DRAINING
-        if chosen >= 0:
-            verdict[chosen] = reasons.REASON_CHOSEN
-        return verdict.tolist(), (self.caps - need).tolist()
-
     # ------------------------------------------------------------------ #
     # state changes
     # ------------------------------------------------------------------ #

@@ -25,7 +25,7 @@ from repro.placement.base import (
     InsufficientCapacityError,
     Placer,
     PlacementExplainer,
-    truncate_candidates,
+    candidate_rows,
 )
 from repro.placement.grand import GreedyRandomPlacer, hash_pick
 from repro.placement.ffd import (
@@ -59,7 +59,7 @@ __all__ = [
     "hash_pick",
     "Placer",
     "PlacementExplainer",
-    "truncate_candidates",
+    "candidate_rows",
     "BestFitDecreasing",
     "FirstFitDecreasing",
     "NextFit",

@@ -6,6 +6,8 @@ import logging
 from abc import ABC, abstractmethod
 from typing import Sequence
 
+import numpy as np
+
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.telemetry import (
     PRE_RUN,
@@ -52,22 +54,47 @@ SHED_REASONS = frozenset({
 })
 
 
-def truncate_candidates(verdicts: Sequence[str], chosen: int,
-                        top_k: int = 8) -> tuple[list[int], int]:
-    """Pick the ``top_k`` candidate rows worth keeping in a decision event.
+def candidate_rows(chosen: int,
+                   vetoes: Sequence[tuple[str, np.ndarray | None]],
+                   scores: np.ndarray, top_k: int = 8) -> dict:
+    """The candidate rows a decision event keeps, built from veto masks.
 
-    Deterministic: the winner first, then feasible PMs, then the rest, ties
-    broken by PM index; the kept set is returned sorted by PM index along
-    with how many rows were dropped (the event records the drop count, so
-    truncation is never silent).
+    ``vetoes`` lists ``(reason, mask)`` pairs in precedence order: a PM's
+    verdict is the reason of the first mask true at it (a ``None`` mask
+    vetoes nothing), ``feasible`` if none is, and ``chosen`` for the winner
+    (-1 for an infeasible decision).  At most ``top_k`` rows are kept: the
+    winner, then the lowest-indexed feasible PMs, then the lowest-indexed
+    rest, listed by PM index.  Verdicts and ``scores`` are read for those
+    rows only.  Returns the ``cand_*``, ``dropped_candidates`` and
+    ``total_pms`` fields of a decision event; the drop count makes
+    truncation visible.
     """
-    total = len(verdicts)
-    order = sorted(range(total), key=lambda i: (
-        0 if i == chosen else
-        1 if verdicts[i] == REASON_FEASIBLE else 2,
-        i))
-    keep = sorted(order[:top_k])
-    return keep, total - len(keep)
+    total = len(scores)
+    vetoed = np.zeros(total, dtype=bool)
+    for _, mask in vetoes:
+        if mask is not None:
+            vetoed |= mask
+    feasible = ~vetoed
+    winner = []
+    if chosen >= 0:
+        feasible[chosen] = vetoed[chosen] = False
+        winner = [chosen]
+    keep = sorted((winner + np.flatnonzero(feasible)[:top_k].tolist()
+                   + np.flatnonzero(vetoed)[:top_k].tolist())[:top_k])
+
+    def verdict(pm: int) -> str:
+        if pm == chosen:
+            return REASON_CHOSEN
+        for reason, mask in vetoes:
+            if mask is not None and mask[pm]:
+                return reason
+        return REASON_FEASIBLE
+
+    return {"cand_pms": tuple(keep),
+            "cand_scores": tuple(round(float(scores[pm]), 6) for pm in keep),
+            "cand_verdicts": tuple(verdict(pm) for pm in keep),
+            "dropped_candidates": total - len(keep),
+            "total_pms": total}
 
 
 class PlacementExplainer:
@@ -76,11 +103,10 @@ class PlacementExplainer:
     :meth:`Placer.place_and_report` attaches one of these to the placer for
     the duration of the pass (only when an event-enabled telemetry context
     is resolved, so the zero-telemetry hot path never pays for it).
-    Concrete placers call :meth:`record` once per VM with the full per-PM
-    verdict/score arrays; the explainer truncates the candidate list to
-    ``top_k`` entries (the winner and feasible PMs are kept preferentially,
-    ties broken by PM index), counts what it dropped — truncation is never
-    silent — and emits one :class:`~repro.telemetry.PlacementDecided`.
+    Concrete placers call :meth:`record` once per VM with their veto masks
+    and scores over every PM; the explainer keeps the ``top_k`` rows
+    :func:`candidate_rows` picks, counts what it dropped — truncation is
+    never silent — and emits one :class:`~repro.telemetry.PlacementDecided`.
     """
 
     def __init__(self, telemetry: Telemetry, placer_name: str, *,
@@ -115,22 +141,24 @@ class PlacementExplainer:
             self.score_kind = score_kind
 
     def record(self, vm_id: int, chosen_pm: int,
-               verdicts: Sequence[str], scores: Sequence[float], *,
-               time: int = PRE_RUN, p_on: float | None = None,
+               vetoes: Sequence[tuple[str, np.ndarray | None]],
+               scores: np.ndarray, *, time: int = PRE_RUN,
+               p_on: float | None = None,
                p_off: float | None = None) -> None:
         """Emit the decision event for one VM.
 
-        ``verdicts``/``scores`` are parallel per-PM arrays covering *all*
-        PMs; ``chosen_pm`` is -1 for an infeasible decision (recorded just
-        before :class:`InsufficientCapacityError` is raised, so the trace
-        explains failures too).
+        ``vetoes`` and ``scores`` cover *all* PMs, as
+        :func:`candidate_rows` takes them; ``chosen_pm`` is -1 for an
+        infeasible decision (recorded just before
+        :class:`InsufficientCapacityError` is raised, so the trace explains
+        failures too).
         """
-        keep, dropped = truncate_candidates(verdicts, chosen_pm, self.top_k)
-        if dropped:
+        rows = candidate_rows(chosen_pm, vetoes, scores, self.top_k)
+        if rows["dropped_candidates"]:
             self.telemetry.metrics.counter(
                 "decisions_dropped_total",
                 "candidate rows truncated from decision events",
-            ).inc(dropped)
+            ).inc(rows["dropped_candidates"])
         self.telemetry.emit(PlacementDecided(
             time=time,
             decision_id=self.telemetry.next_decision_id(),
@@ -143,11 +171,7 @@ class PlacementExplainer:
             table_fingerprint=self.table_fingerprint,
             cache_hit=self.cache_hit,
             score_kind=self.score_kind,
-            cand_pms=tuple(int(i) for i in keep),
-            cand_scores=tuple(round(float(scores[i]), 6) for i in keep),
-            cand_verdicts=tuple(str(verdicts[i]) for i in keep),
-            dropped_candidates=int(dropped),
-            total_pms=len(verdicts),
+            **rows,
         ))
 
 

@@ -24,8 +24,6 @@ import numpy as np
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.placement.base import (
     REASON_CAPACITY,
-    REASON_CHOSEN,
-    REASON_FEASIBLE,
     REASON_SPREAD,
     REASON_VM_CAP,
     InsufficientCapacityError,
@@ -88,10 +86,12 @@ class _GreedyPlacer(Placer):
             size = sizes[vm_idx]
             pm = self._pick_pm(size, free, counts)
             if self.explainer is not None:
-                verdicts, scores = self._explain_row(
-                    size, free, counts, -1 if pm is None else pm)
-                self.explainer.record(vm_idx, -1 if pm is None else pm,
-                                      verdicts, scores)
+                self.explainer.record(vm_idx, -1 if pm is None else pm, [
+                    (REASON_CAPACITY, ~(free + _EPS >= size)),
+                    (REASON_VM_CAP, counts >= self.max_vms_per_pm),
+                    (REASON_SPREAD, None if self.spread is None else
+                     ~self.spread.allowed_pms(self._domain_counts)),
+                ], free - size)
             if pm is None:
                 raise InsufficientCapacityError(vm_idx)
             placement.place(vm_idx, pm)
@@ -109,29 +109,6 @@ class _GreedyPlacer(Placer):
 
     def _pick_pm(self, size: float, free: np.ndarray, counts: np.ndarray) -> int | None:
         raise NotImplementedError
-
-    def _explain_row(self, size: float, free: np.ndarray, counts: np.ndarray,
-                     chosen: int) -> tuple[list[str], list[float]]:
-        """Per-PM verdicts/scores for one VM (capacity > vm_cap > spread)."""
-        cap_ok = free + _EPS >= size
-        cnt_ok = counts < self.max_vms_per_pm
-        if self.spread is not None:
-            spread_ok = self.spread.allowed_pms(self._domain_counts)
-        else:
-            spread_ok = np.ones(free.size, dtype=bool)
-        verdicts = []
-        for j in range(free.size):
-            if j == chosen:
-                verdicts.append(REASON_CHOSEN)
-            elif not cap_ok[j]:
-                verdicts.append(REASON_CAPACITY)
-            elif not cnt_ok[j]:
-                verdicts.append(REASON_VM_CAP)
-            elif not spread_ok[j]:
-                verdicts.append(REASON_SPREAD)
-            else:
-                verdicts.append(REASON_FEASIBLE)
-        return verdicts, (free - size).tolist()
 
 
 class FirstFitDecreasing(_GreedyPlacer):

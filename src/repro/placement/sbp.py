@@ -26,14 +26,13 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.placement.base import (
     REASON_CAPACITY,
-    REASON_CHOSEN,
     REASON_CVR_THRESHOLD,
-    REASON_FEASIBLE,
     REASON_VM_CAP,
     InsufficientCapacityError,
     Placer,
@@ -103,9 +102,10 @@ class StochasticBinPacker(Placer):
             if explainer is not None:
                 explainer.record(
                     vm_idx, pm,
-                    self._verdicts(pm, adm_ok, cnt_ok, peak_ok),
+                    [(REASON_CAPACITY, ~peak_ok), (REASON_VM_CAP, ~cnt_ok),
+                     (REASON_CVR_THRESHOLD, ~adm_ok)],
                     self._overflow_probability(mean_sum + mu, var_sum + var,
-                                               caps).tolist(),
+                                               caps),
                     p_on=vms[vm_idx].p_on, p_off=vms[vm_idx].p_off)
             if pm < 0:
                 raise InsufficientCapacityError(vm_idx)
@@ -120,24 +120,8 @@ class StochasticBinPacker(Placer):
                               caps: np.ndarray) -> np.ndarray:
         """P(aggregate demand > capacity) per PM if the VM were admitted."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            prob = norm.sf((caps - mean_tot) / np.sqrt(var_tot))
+            # norm.sf(x) is ndtr(-x), without its per-call argument checks
+            prob = ndtr(-(caps - mean_tot) / np.sqrt(var_tot))
         # var 0 collapses the normal to a point mass at the mean
         return np.where(var_tot > 0.0, prob,
                         np.where(mean_tot <= caps + _EPS, 0.0, 1.0))
-
-    @staticmethod
-    def _verdicts(chosen: int, adm_ok: np.ndarray, cnt_ok: np.ndarray,
-                  peak_ok: np.ndarray) -> list[str]:
-        verdicts = []
-        for j in range(adm_ok.size):
-            if j == chosen:
-                verdicts.append(REASON_CHOSEN)
-            elif not peak_ok[j]:
-                verdicts.append(REASON_CAPACITY)
-            elif not cnt_ok[j]:
-                verdicts.append(REASON_VM_CAP)
-            elif not adm_ok[j]:
-                verdicts.append(REASON_CVR_THRESHOLD)
-            else:
-                verdicts.append(REASON_FEASIBLE)
-        return verdicts

@@ -43,7 +43,7 @@ from repro.placement.base import (
     REASON_BLACKLISTED,
     REASON_CAPACITY,
     REASON_CRASHED,
-    REASON_FEASIBLE,
+    REASON_CVR_THRESHOLD,
     REASON_SOURCE,
 )
 from repro.simulation.datacenter import Datacenter
@@ -68,6 +68,10 @@ logger = logging.getLogger(__name__)
 
 _EPS = 1e-9
 
+#: capacity share :func:`select_target_reservation_aware` keeps clear of
+#: aggregate base load by default
+HEADROOM_FRACTION = 0.3
+
 
 @dataclass(frozen=True)
 class MigrationEvent:
@@ -86,6 +90,11 @@ class MigrationPolicy(Protocol):
 
     def pick_target(self, dc: Datacenter, vm_id: int, source_pm: int,
                     excluded: Optional[np.ndarray] = None) -> Optional[int]: ...
+
+    def target_vetoes(self, dc: Datacenter, vm_id: int, source_pm: int,
+                      crashed: Optional[np.ndarray] = None,
+                      blacklisted: Optional[np.ndarray] = None,
+                      ) -> list[tuple[str, Optional[np.ndarray]]]: ...
 
 
 # --------------------------------------------------------------------- #
@@ -141,36 +150,6 @@ def _feasible_mask(dc: Datacenter, vm_id: int, source_pm: int,
     return ok
 
 
-def explain_targets(dc: Datacenter, vm_id: int, source_pm: int, *,
-                    crashed: Optional[np.ndarray] = None,
-                    blacklisted: Optional[np.ndarray] = None,
-                    ) -> tuple[list[str], list[float]]:
-    """Per-PM verdicts/scores for one migration target decision.
-
-    Mirrors :func:`_feasible_mask` but keeps the *reason* each PM was
-    vetoed (source > crashed > blacklisted > capacity); the score is the
-    residual capacity the PM would retain after hosting the VM.  Feeds
-    ``MigrationDecided`` provenance events.
-    """
-    loads = dc.pm_loads()
-    caps = dc.pm_capacities()
-    demand = dc.vm_demands()[vm_id]
-    residual = caps - loads - demand
-    verdicts: list[str] = []
-    for j in range(caps.size):
-        if j == source_pm:
-            verdicts.append(REASON_SOURCE)
-        elif crashed is not None and crashed[j]:
-            verdicts.append(REASON_CRASHED)
-        elif blacklisted is not None and blacklisted[j]:
-            verdicts.append(REASON_BLACKLISTED)
-        elif residual[j] < -_EPS:
-            verdicts.append(REASON_CAPACITY)
-        else:
-            verdicts.append(REASON_FEASIBLE)
-    return verdicts, residual.tolist()
-
-
 def select_target_least_loaded(dc: Datacenter, vm_id: int,
                                source_pm: int,
                                excluded: Optional[np.ndarray] = None,
@@ -215,7 +194,7 @@ def select_target_most_free(dc: Datacenter, vm_id: int,
 def select_target_reservation_aware(
     dc: Datacenter, vm_id: int, source_pm: int,
     excluded: Optional[np.ndarray] = None, *,
-    headroom_fraction: float = 0.3,
+    headroom_fraction: float = HEADROOM_FRACTION,
 ) -> Optional[int]:
     """Burstiness-aware target choice for the scheduler-awareness ablation.
 
@@ -269,6 +248,32 @@ class StandardPolicy:
         if excluded is None:
             return self.pick_target_fn(dc, vm_id, source_pm)
         return self.pick_target_fn(dc, vm_id, source_pm, excluded)
+
+    def target_vetoes(self, dc: Datacenter, vm_id: int, source_pm: int,
+                      crashed: Optional[np.ndarray] = None,
+                      blacklisted: Optional[np.ndarray] = None,
+                      ) -> list[tuple[str, Optional[np.ndarray]]]:
+        """The vetoes :meth:`pick_target` applies, as the ``(reason, veto
+        mask)`` pairs of :func:`~repro.placement.base.candidate_rows`.
+
+        Precedence: the source PM, crashed and blacklisted PMs (the
+        ``excluded`` mask, split), capacity, then the base-headroom rule of
+        :func:`select_target_reservation_aware` when that is the selector.
+        """
+        source = np.zeros(dc.n_pms, dtype=bool)
+        source[source_pm] = True
+        caps = dc.pm_capacities()
+        vetoes = [
+            (REASON_SOURCE, source), (REASON_CRASHED, crashed),
+            (REASON_BLACKLISTED, blacklisted),
+            (REASON_CAPACITY,
+             ~(dc.pm_loads() + dc.vm_demands()[vm_id] <= caps + _EPS)),
+        ]
+        if self.pick_target_fn is select_target_reservation_aware:
+            vetoes.append((REASON_CVR_THRESHOLD, ~(
+                dc.pm_base_loads() + dc.vm_specs[vm_id].r_base
+                <= caps * (1.0 - HEADROOM_FRACTION) + _EPS)))
+        return vetoes
 
 
 # --------------------------------------------------------------------- #

@@ -21,14 +21,13 @@ import numpy as np
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.simulation.datacenter import Datacenter
 from repro.simulation.engine import SimulationEngine
-from repro.placement.base import REASON_CHOSEN, truncate_candidates
+from repro.placement.base import candidate_rows
 from repro.simulation.migration import (
     MigrationEvent,
     MigrationExecutor,
     MigrationPolicy,
     RetryPolicy,
     StandardPolicy,
-    explain_targets,
 )
 from repro.simulation.monitor import Monitor, RunRecord
 from repro.simulation.triggers import MigrationTrigger, OverflowTrigger
@@ -190,19 +189,20 @@ class DynamicScheduler:
         zero-telemetry scheduler loop never builds the candidate arrays.
         """
         tel = self.telemetry
+        dc = self.dc
         crashed = (np.asarray(self.excluded_pms_fn(), dtype=bool)
                    if self.excluded_pms_fn is not None else None)
-        verdicts, scores = explain_targets(
-            self.dc, vm_id, source_pm, crashed=crashed,
+        vetoes = self.policy.target_vetoes(
+            dc, vm_id, source_pm, crashed=crashed,
             blacklisted=self.executor.blacklisted_mask(time))
+        residual = dc.pm_capacities() - dc.pm_loads() - dc.vm_demands()[vm_id]
         chosen = -1 if target is None else int(target)
-        if chosen >= 0:
-            verdicts[chosen] = REASON_CHOSEN
-        keep, dropped = truncate_candidates(verdicts, chosen)
-        if dropped:
+        rows = candidate_rows(chosen, vetoes, residual)
+        if rows["dropped_candidates"]:
             tel.metrics.counter(
                 "decisions_dropped_total",
-                "candidate rows truncated from decision events").inc(dropped)
+                "candidate rows truncated from decision events",
+            ).inc(rows["dropped_candidates"])
         tel.emit(MigrationDecided(
             time=time,
             decision_id=decision_id,
@@ -210,11 +210,7 @@ class DynamicScheduler:
             source_pm=int(source_pm),
             chosen_pm=chosen,
             policy=getattr(self.policy, "name", type(self.policy).__name__),
-            cand_pms=tuple(keep),
-            cand_scores=tuple(round(float(scores[i]), 6) for i in keep),
-            cand_verdicts=tuple(verdicts[i] for i in keep),
-            dropped_candidates=int(dropped),
-            total_pms=len(verdicts),
+            **rows,
         ))
 
     # ------------------------------------------------------------------ #

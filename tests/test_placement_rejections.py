@@ -9,6 +9,8 @@ strings and recorded traces must stay readable).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.online import OnlineConsolidator
 from repro.core.queuing_ffd import QueuingFFD
@@ -25,7 +27,7 @@ from repro.placement.base import (
     REASON_SPREAD,
     REASON_VM_CAP,
     InsufficientCapacityError,
-    truncate_candidates,
+    candidate_rows,
 )
 from repro.placement.ffd import (
     BestFitDecreasing,
@@ -42,9 +44,18 @@ from repro.placement.rbex import RBExPlacer
 from repro.placement.sbp import StochasticBinPacker
 from repro.placement.spread import DomainSpreadConstraint
 from repro.simulation.datacenter import Datacenter
-from repro.simulation.migration import explain_targets
+from repro.simulation.migration import (
+    StandardPolicy,
+    select_target_reservation_aware,
+)
+from repro.simulation.scheduler import DynamicScheduler
 from repro.simulation.topology import Topology
-from repro.telemetry import PlacementDecided, RingBufferSink, Telemetry
+from repro.telemetry import (
+    MigrationDecided,
+    PlacementDecided,
+    RingBufferSink,
+    Telemetry,
+)
 
 P_ON, P_OFF = 0.01, 0.09
 
@@ -240,51 +251,141 @@ class TestOnlineRejections:
         assert e.cand_verdicts[0] == REASON_CVR_THRESHOLD
 
 
-class TestMigrationRejections:
-    def _dc(self):
-        vms = [vm(10, 0), vm(10, 0), vm(10, 0)]
-        pm_list = pms(100, 100, 100, 12)
-        placement = Placement(len(vms), len(pm_list),
-                              assignment=np.array([0, 0, 1]))
-        return Datacenter(vms, pm_list, placement, seed=0)
+def migration_decisions(dc, *, policy=None, crashed=None, blacklist=()):
+    """Resolve one interval's overloads traced; return its MigrationDecided
+    events.  ``crashed`` is the scheduler's excluded mask, ``blacklist``
+    the targets the executor vetoes at that interval."""
+    sink = RingBufferSink()
+    scheduler = DynamicScheduler(
+        dc, policy, telemetry=Telemetry(sink),
+        excluded_pms_fn=None if crashed is None else lambda: crashed)
+    state = scheduler.executor.capture_state()
+    state["blacklist_until"] = {str(pm): 10 for pm in blacklist}
+    scheduler.executor.restore_state(state)
+    scheduler.resolve_overloads(0)
+    return [e for e in sink.events if isinstance(e, MigrationDecided)]
 
+
+def rows(event):
+    return list(zip(event.cand_pms, event.cand_verdicts, event.cand_scores))
+
+
+class TestMigrationRejections:
     def test_source_crashed_blacklisted_capacity(self):
-        dc = self._dc()
-        crashed = np.array([False, True, False, False])
-        blacklisted = np.array([False, False, True, False])
-        verdicts, scores = explain_targets(dc, 0, 0, crashed=crashed,
-                                           blacklisted=blacklisted)
-        assert verdicts[0] == REASON_SOURCE
-        assert verdicts[1] == REASON_CRASHED
-        assert verdicts[2] == REASON_BLACKLISTED
-        assert verdicts[3] == REASON_FEASIBLE  # 12 >= 10 demand
-        assert len(scores) == 4
+        # PM0 (cap 15) is overloaded by its two VMs and also crashed; PM1
+        # is crashed and blacklisted, PM2 blacklisted and too small, PM3
+        # too small only.  PM4 takes VM0.
+        vms = [vm(10, 0), vm(10, 0), vm(10, 0)]
+        dc = Datacenter(vms, pms(15, 100, 5, 5, 100),
+                        Placement(3, 5, assignment=np.array([0, 0, 1])),
+                        seed=0)
+        (e,) = migration_decisions(
+            dc, crashed=np.array([True, True, False, False, False]),
+            blacklist=(1, 2))
+        assert (e.vm_id, e.source_pm, e.chosen_pm) == (0, 0, 4)
+        assert e.cand_verdicts == (REASON_SOURCE, REASON_CRASHED,
+                                   REASON_BLACKLISTED, REASON_CAPACITY,
+                                   REASON_CHOSEN)
+        assert e.total_pms == 5 and e.dropped_candidates == 0
 
     def test_capacity_veto(self):
-        dc = self._dc()
-        big = [vm(50, 0), vm(10, 0), vm(10, 0)]
-        pm_list = pms(100, 100, 100, 12)
-        placement = Placement(3, 4, assignment=np.array([0, 0, 1]))
-        dc = Datacenter(big, pm_list, placement, seed=0)
-        verdicts, scores = explain_targets(dc, 0, 0)
-        assert verdicts[3] == REASON_CAPACITY  # 50 > 12
-        assert scores[3] < 0
+        # VM0 (60) leaves the overloaded PM0 and fits on no other PM: the
+        # overload is tolerated, and PM3's row carries the negative residual.
+        big = [vm(60, 0), vm(50, 0), vm(10, 0)]
+        dc = Datacenter(big, pms(100, 40, 40, 12),
+                        Placement(3, 4, assignment=np.array([0, 0, 1])),
+                        seed=0)
+        (e,) = migration_decisions(dc)
+        assert (e.vm_id, e.chosen_pm) == (0, -1)
+        assert rows(e)[3] == (3, REASON_CAPACITY, -48.0)  # 12 - 60
+        assert e.cand_verdicts[1:] == (REASON_CAPACITY,) * 3
+
+    def test_reservation_aware_headroom_veto(self):
+        # VM1 (R_b 70) leaves PM0; PM1 has room for its demand (20 + 70 <=
+        # 100) but not under the selector's 30% base headroom (90 > 70).
+        vms = [vm(40, 0), vm(70, 0), vm(20, 0)]
+        dc = Datacenter(vms, pms(100, 100),
+                        Placement(3, 2, assignment=np.array([0, 0, 1])),
+                        seed=0)
+        policy = StandardPolicy(
+            pick_target_fn=select_target_reservation_aware)
+        (e,) = migration_decisions(dc, policy=policy)
+        assert (e.vm_id, e.chosen_pm) == (1, -1)
+        assert rows(e) == [(0, REASON_SOURCE, -80.0),
+                           (1, REASON_CVR_THRESHOLD, 10.0)]
+
+
+def sorted_rule(verdicts, chosen, top_k):
+    """The row rule as first written: a Python sort over every PM (winner,
+    then feasible PMs, then the rest, by index), kept rows in PM order."""
+    order = sorted(range(len(verdicts)), key=lambda i: (
+        0 if i == chosen else 1 if verdicts[i] == REASON_FEASIBLE else 2, i))
+    keep = sorted(order[:top_k])
+    return keep, len(verdicts) - len(keep)
+
+
+def first_match(vetoes, chosen, n):
+    """Every PM's verdict, one PM at a time."""
+    out = []
+    for j in range(n):
+        reasons = [r for r, mask in vetoes if mask is not None and mask[j]]
+        out.append(REASON_CHOSEN if j == chosen
+                   else reasons[0] if reasons else REASON_FEASIBLE)
+    return out
+
+
+@st.composite
+def row_cases(draw):
+    n = draw(st.integers(0, 24))
+    top_k = draw(st.integers(0, 12))
+    chosen = draw(st.integers(-1, n - 1))
+    shape = draw(st.sampled_from(["random", "none_feasible",
+                                  "all_feasible"]))
+    bits = st.lists(st.booleans(), min_size=n, max_size=n).map(
+        lambda b: np.array(b, dtype=bool))
+    masks = [draw(st.none() | bits) for _ in range(draw(st.integers(0, 3)))]
+    if shape == "none_feasible":
+        masks.append(np.ones(n, dtype=bool))
+    elif shape == "all_feasible":
+        masks = [None if m is None else np.zeros(n, dtype=bool)
+                 for m in masks]
+    reasons = [REASON_CAPACITY, REASON_VM_CAP, REASON_CVR_THRESHOLD,
+               REASON_SPREAD]
+    vetoes = list(zip(reasons, masks))
+    scores = np.array(draw(st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False), min_size=n, max_size=n)))
+    return n, top_k, chosen, vetoes, scores
 
 
 class TestCandidateTruncation:
+    @given(row_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_the_sorted_rule(self, case):
+        n, top_k, chosen, vetoes, scores = case
+        verdicts = first_match(vetoes, chosen, n)
+        keep, dropped = sorted_rule(verdicts, chosen, top_k)
+        assert candidate_rows(chosen, vetoes, scores, top_k) == {
+            "cand_pms": tuple(keep),
+            "cand_scores": tuple(round(float(scores[i]), 6) for i in keep),
+            "cand_verdicts": tuple(verdicts[i] for i in keep),
+            "dropped_candidates": dropped,
+            "total_pms": n,
+        }
+
     def test_winner_and_feasible_kept_first(self):
-        verdicts = (["capacity"] * 5 + ["feasible"] * 5 + ["chosen"]
-                    + ["capacity"] * 5)
-        keep, dropped = truncate_candidates(verdicts, chosen=10, top_k=8)
-        assert dropped == 8
-        assert 10 in keep                      # the winner survives
-        assert set(keep) >= set(range(5, 10))  # all feasible survive
-        assert keep == sorted(keep)            # rendered in PM order
+        capacity = np.array([True] * 5 + [False] * 6 + [True] * 5)
+        out = candidate_rows(10, [(REASON_CAPACITY, capacity)],
+                             np.zeros(16), top_k=8)
+        assert out["dropped_candidates"] == 8
+        assert out["cand_pms"] == (0, 1, 5, 6, 7, 8, 9, 10)
+        assert out["cand_verdicts"][-1] == REASON_CHOSEN
+        assert out["cand_verdicts"][2:7] == (REASON_FEASIBLE,) * 5
 
     def test_no_truncation_when_small(self):
-        keep, dropped = truncate_candidates(["chosen", "feasible"], 0)
-        assert keep == [0, 1]
-        assert dropped == 0
+        out = candidate_rows(0, [], np.zeros(2))
+        assert out["cand_pms"] == (0, 1)
+        assert out["cand_verdicts"] == (REASON_CHOSEN, REASON_FEASIBLE)
+        assert out["dropped_candidates"] == 0
 
     def test_truncation_is_counted_in_events(self):
         events = decisions_for(FirstFitDecreasing(size_by_base),
