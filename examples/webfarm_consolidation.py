@@ -10,8 +10,6 @@ watt-level energy estimate from the linear power model.
 Run:  python examples/webfarm_consolidation.py
 """
 
-import numpy as np
-
 from repro import QueuingFFD, RBExPlacer, ffd_by_base
 from repro.markov.onoff import OnOffChain
 from repro.simulation.energy import EnergyModel

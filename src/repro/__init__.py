@@ -27,14 +27,7 @@ from repro.core.types import Placement, PMSpec, VMSpec
 from repro.markov.chain import DiscreteMarkovChain
 from repro.markov.onoff import OnOffChain
 from repro.placement.base import InsufficientCapacityError, Placer
-from repro.placement.ffd import (
-    BestFitDecreasing,
-    FirstFitDecreasing,
-    NextFit,
-    WorstFitDecreasing,
-    ffd_by_base,
-    ffd_by_peak,
-)
+from repro.placement.ffd import FirstFitDecreasing, ffd_by_base, ffd_by_peak
 from repro.placement.rbex import RBExPlacer
 from repro.placement.sbp import StochasticBinPacker
 from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK
@@ -79,10 +72,7 @@ __all__ = [
     "OnOffChain",
     "InsufficientCapacityError",
     "Placer",
-    "BestFitDecreasing",
     "FirstFitDecreasing",
-    "NextFit",
-    "WorstFitDecreasing",
     "ffd_by_base",
     "ffd_by_peak",
     "RBExPlacer",

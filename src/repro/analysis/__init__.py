@@ -3,7 +3,7 @@
 - :mod:`repro.analysis.cvr` — empirical capacity-violation ratios from
   demand traces (the paper's Eq. 4 measured on simulation output).
 - :mod:`repro.analysis.consolidation` — packing-quality metrics
-  (PMs used, consolidation-ratio improvements the abstract quotes).
+  (PMs used, the PM reductions the abstract quotes).
 - :mod:`repro.analysis.report` — experiment result containers and text
   rendering shared by the benchmark harness.
 - :mod:`repro.analysis.availability` — per-VM availability ("nines"),
@@ -18,11 +18,7 @@ from repro.analysis.availability import (
     mean_time_to_repair,
     nines,
 )
-from repro.analysis.consolidation import (
-    consolidation_ratio,
-    pm_reduction_percent,
-    pms_used,
-)
+from repro.analysis.consolidation import pm_reduction_percent, pms_used
 from repro.analysis.cvr import cvr_from_loads, cvr_per_pm, evaluate_placement_cvr
 from repro.analysis.fairness import (
     fairness_report,
@@ -33,16 +29,9 @@ from repro.analysis.fairness import (
 from repro.analysis.regression import (
     MetricDelta,
     regression_diff,
-    run_summary,
     summarize_observatory,
 )
 from repro.analysis.report import ExperimentResult, render_result
-from repro.analysis.stats import (
-    BatchMeansResult,
-    batch_means,
-    required_runs,
-    warmup_cutoff,
-)
 
 __all__ = [
     "availability_report",
@@ -53,11 +42,6 @@ __all__ = [
     "gini_coefficient",
     "jains_index",
     "max_share",
-    "BatchMeansResult",
-    "batch_means",
-    "required_runs",
-    "warmup_cutoff",
-    "consolidation_ratio",
     "pm_reduction_percent",
     "pms_used",
     "cvr_from_loads",
@@ -67,6 +51,5 @@ __all__ = [
     "render_result",
     "MetricDelta",
     "regression_diff",
-    "run_summary",
     "summarize_observatory",
 ]

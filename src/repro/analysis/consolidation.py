@@ -16,14 +16,6 @@ def pms_used(placement: Placement) -> int:
     return placement.n_used_pms
 
 
-def consolidation_ratio(placement: Placement) -> float:
-    """VMs per used PM (higher = denser packing)."""
-    used = placement.n_used_pms
-    if used == 0:
-        return 0.0
-    return placement.n_vms / used
-
-
 def pm_reduction_percent(candidate: Placement, baseline: Placement) -> float:
     """Percent fewer PMs the candidate uses vs the baseline.
 

@@ -13,11 +13,9 @@ Pure data layer: rendering lives in :mod:`repro.observability.compare`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 __all__ = [
     "MetricDelta",
-    "run_summary",
     "summarize_observatory",
     "regression_diff",
 ]
@@ -45,14 +43,6 @@ class MetricDelta:
     relative: float
     #: "regression", "improvement", "changed" or "unchanged"
     verdict: str
-
-
-def run_summary(path: str | Path, **observatory_kwargs) -> dict[str, float]:
-    """Flat metric dict for one recorded JSONL trace (no simulator run)."""
-    from repro.observability.observatory import Observatory
-
-    return summarize_observatory(Observatory.from_jsonl(
-        path, **observatory_kwargs))
 
 
 def summarize_observatory(obs) -> dict[str, float]:

@@ -14,6 +14,11 @@
   Section IV-E (per-dimension reservation with First Fit).
 """
 
+# The placement package first: its GRAND placer subclasses QueuingFFD, and
+# repro.core.queuing_ffd imports repro.placement.base, so a core module that
+# imports queuing_ffd before repro.placement is initialized would find
+# QueuingFFD half-defined.
+import repro.placement  # noqa: F401
 from repro.core.heterogeneous import (
     HeterogeneousQueuingFFD,
     heterogeneous_blocks,

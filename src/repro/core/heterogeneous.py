@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cluster.binning import equal_width_bins
+from repro.core.queuing_ffd import algorithm2_order
 from repro.core.reservation import ReservationKernel
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.perf.cache import get_cache
@@ -163,14 +163,6 @@ class HeterogeneousQueuingFFD(Placer):
         self.d = check_integer(d, "d", minimum=1)
         self.n_clusters = check_integer(n_clusters, "n_clusters", minimum=1)
 
-    def order_vms(self, vms: Sequence[VMSpec]) -> np.ndarray:
-        """Algorithm 2's ordering: R_e clusters desc, then R_b desc."""
-        r_extra = np.array([v.r_extra for v in vms])
-        r_base = np.array([v.r_base for v in vms])
-        labels = (equal_width_bins(r_extra, self.n_clusters)
-                  if len(vms) > 1 else np.zeros(len(vms), dtype=np.int64))
-        return np.lexsort((-r_extra, -r_base, -labels))
-
     def place(self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]) -> Placement:
         placement, _ = self.place_with_states(vms, pms)
         return placement
@@ -190,7 +182,7 @@ class HeterogeneousQueuingFFD(Placer):
         pmfs = np.zeros((len(pms), self.d + 1))
         pmfs[:, 0] = 1.0
         threshold = 1.0 - self.rho - 1e-15
-        for vm_idx in self.order_vms(vms):
+        for vm_idx in algorithm2_order(vms, self.n_clusters):
             vm_idx = int(vm_idx)
             vm = vms[vm_idx]
             q = vm.p_on / (vm.p_on + vm.p_off)

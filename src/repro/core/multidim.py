@@ -5,8 +5,8 @@ prescribes: run the queueing reservation *per dimension* and place with a
 simpler First Fit heuristic, requiring the performance constraint on every
 dimension.  For perfectly correlated dimensions one maps them to a single
 dimension and reuses the one-dimensional algorithm — that path is just
-:class:`repro.core.queuing_ffd.QueuingFFD` on the mapped scalars, so this
-module implements the uncorrelated case.
+:class:`repro.core.queuing_ffd.QueuingFFD` on a weighted sum of the
+dimensions, so this module implements the uncorrelated case.
 
 Each VM carries per-dimension ``(R_b, R_e)`` vectors but a single
 ``(p_on, p_off)`` pair: a spike raises demand in all dimensions at once
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from repro.core.mapcal import BlockMapping, mapcal_table
 from repro.core.reservation import ReservationKernel
@@ -86,52 +84,6 @@ class MultiDimPMSpec:
     def n_dims(self) -> int:
         """Number of resource dimensions."""
         return len(self.capacity)
-
-
-def map_correlated_to_scalar(
-    vms: Sequence[MultiDimVMSpec],
-    pms: Sequence[MultiDimPMSpec],
-    *,
-    weights: Sequence[float] | None = None,
-) -> tuple[list[VMSpec], list[float]]:
-    """Collapse correlated dimensions to one scalar (the paper's first path).
-
-    Section IV-E: "if each dimension of resources is correlated we can map
-    them to one dimension and apply the original algorithms."  Each VM's
-    vector demands are combined as a weighted sum (default: weights that
-    normalize each dimension by the mean PM capacity, so dimensions are
-    commensurable); PM capacities collapse with the same weights.
-
-    Returns ``(scalar_vms, scalar_capacities)`` ready for
-    :class:`~repro.core.queuing_ffd.QueuingFFD`.  Note the mapping is exact
-    only under perfect correlation; for independent dimensions use
-    :class:`MultiDimFirstFit` instead.
-    """
-    if not vms or not pms:
-        raise ValueError("need at least one VM and one PM")
-    n_dims = vms[0].n_dims
-    if any(v.n_dims != n_dims for v in vms) or any(p.n_dims != n_dims
-                                                   for p in pms):
-        raise ValueError("all VMs and PMs must share the same dimensionality")
-    if weights is None:
-        mean_caps = np.mean([p.capacity for p in pms], axis=0)
-        w = 1.0 / mean_caps
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n_dims,) or np.any(w < 0) or not np.any(w > 0):
-            raise ValueError(
-                f"weights must be {n_dims} non-negative values, not all zero"
-            )
-    scalar_vms = [
-        VMSpec(
-            v.p_on, v.p_off,
-            float(np.asarray(v.r_base) @ w),
-            float(np.asarray(v.r_extra) @ w),
-        )
-        for v in vms
-    ]
-    scalar_caps = [float(np.asarray(p.capacity) @ w) for p in pms]
-    return scalar_vms, scalar_caps
 
 
 class MultiDimFirstFit:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cluster.binning import equal_width_bins
+from repro.core.queuing_ffd import algorithm2_order
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.placement.base import InsufficientCapacityError, Placer
 from repro.utils.validation import check_integer, check_positive, check_probability
@@ -120,21 +120,13 @@ class QuantileFFD(Placer):
         self.resolution = check_positive(resolution, "resolution")
         self.n_clusters = check_integer(n_clusters, "n_clusters", minimum=1)
 
-    def order_vms(self, vms: Sequence[VMSpec]) -> np.ndarray:
-        """Algorithm 2's ordering (shared heuristic)."""
-        r_extra = np.array([v.r_extra for v in vms])
-        r_base = np.array([v.r_base for v in vms])
-        labels = (equal_width_bins(r_extra, self.n_clusters)
-                  if len(vms) > 1 else np.zeros(len(vms), dtype=np.int64))
-        return np.lexsort((-r_extra, -r_base, -labels))
-
     def place(self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]) -> Placement:
         placement = Placement(len(vms), len(pms))
         if not vms:
             return placement
         hosted: list[list[int]] = [[] for _ in pms]
         base_sum = np.zeros(len(pms))
-        for vm_idx in self.order_vms(vms):
+        for vm_idx in algorithm2_order(vms, self.n_clusters):
             vm_idx = int(vm_idx)
             vm = vms[vm_idx]
             placed = False

@@ -40,6 +40,29 @@ from repro.utils.validation import check_integer, check_probability
 ClusterMethod = Literal["binning", "kmeans", "none"]
 
 
+def algorithm2_order(vms: Sequence[VMSpec], n_clusters: int,
+                     cluster_method: ClusterMethod = "binning") -> np.ndarray:
+    """Algorithm 2's placement order: ``R_e`` clusters desc, then ``R_b`` desc.
+
+    Returns VM indices in the order lines 7-9 prescribe, as one
+    lexicographic sort, so the cost stays ``O(n log n)``.
+    ``cluster_method`` is ``"binning"`` (the paper's equal-width ``R_e``
+    bins), ``"kmeans"`` or ``"none"`` (one cluster).
+    """
+    r_extra = np.array([v.r_extra for v in vms])
+    r_base = np.array([v.r_base for v in vms])
+    if cluster_method == "none" or len(vms) <= 1:
+        labels = np.zeros(len(vms), dtype=np.int64)
+    elif cluster_method == "binning":
+        labels = equal_width_bins(r_extra, n_clusters)
+    else:
+        labels = kmeans_1d(r_extra, n_clusters, seed=0)
+    # np.lexsort sorts ascending by last key first; negate for descending.
+    # Tie-break deliberately on r_extra desc inside a cluster-and-base tie
+    # so ordering is fully deterministic.
+    return np.lexsort((-r_extra, -r_base, -labels))
+
+
 class QueuingFFD(Placer):
     """Burstiness-aware consolidation with queueing-derived reservations.
 
@@ -101,24 +124,8 @@ class QueuingFFD(Placer):
         )
 
     def order_vms(self, vms: Sequence[VMSpec]) -> np.ndarray:
-        """Placement order: clusters by ``R_e`` desc, then ``R_b`` desc.
-
-        Returns VM indices in the order Algorithm 2 lines 7-9 prescribe.
-        Implemented as one lexicographic sort, so the cost stays
-        ``O(n log n)``.
-        """
-        r_extra = np.array([v.r_extra for v in vms])
-        r_base = np.array([v.r_base for v in vms])
-        if self.cluster_method == "none" or len(vms) <= 1:
-            labels = np.zeros(len(vms), dtype=np.int64)
-        elif self.cluster_method == "binning":
-            labels = equal_width_bins(r_extra, self.n_clusters)
-        else:
-            labels = kmeans_1d(r_extra, self.n_clusters, seed=0)
-        # np.lexsort sorts ascending by last key first; negate for descending.
-        # Tie-break deliberately on r_extra desc inside a cluster-and-base tie
-        # so ordering is fully deterministic.
-        return np.lexsort((-r_extra, -r_base, -labels))
+        """Placement order (:func:`algorithm2_order`); GRAND overrides it."""
+        return algorithm2_order(vms, self.n_clusters, self.cluster_method)
 
     # ------------------------------------------------------------------ #
     # Placer interface

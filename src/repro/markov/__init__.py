@@ -12,41 +12,19 @@ MapCal algorithm:
   workload model (Fig. 2 of the paper), with closed-form burst statistics.
 """
 
-from repro.markov.binomial import (
-    binomial_pmf_table,
-    busy_block_kernel,
-    busy_block_kernel_bruteforce,
-)
+from repro.markov.binomial import binomial_pmf_table, busy_block_kernel
 from repro.markov.chain import DiscreteMarkovChain
 from repro.markov.hmm import HMMFitDiagnostics, fit_hmm_onoff
-from repro.markov.multilevel import (
-    MultiLevelChain,
-    birth_death_levels,
-    spiky_levels,
-)
+from repro.markov.multilevel import MultiLevelChain, spiky_levels
 from repro.markov.onoff import OnOffChain
-from repro.markov.spectral import (
-    cvr_estimation_plan,
-    effective_sample_size,
-    integrated_autocorrelation_time,
-    relaxation_time,
-    slem,
-)
 
 __all__ = [
-    "cvr_estimation_plan",
-    "effective_sample_size",
-    "integrated_autocorrelation_time",
-    "relaxation_time",
-    "slem",
     "binomial_pmf_table",
     "busy_block_kernel",
-    "busy_block_kernel_bruteforce",
     "DiscreteMarkovChain",
     "HMMFitDiagnostics",
     "fit_hmm_onoff",
     "MultiLevelChain",
-    "birth_death_levels",
     "spiky_levels",
     "OnOffChain",
 ]

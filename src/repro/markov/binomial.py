@@ -19,8 +19,7 @@ This module builds the full ``(k+1) x (k+1)`` kernel.  :func:`busy_block_kernel`
 is the production implementation: it computes the two binomial PMF families as
 dense tables and contracts them with a vectorized diagonal-sum, costing
 ``O(k^3)`` flops (matching the paper's stated complexity) but with NumPy
-constant factors.  :func:`busy_block_kernel_bruteforce` is a slow, obviously
-correct reference used by the test suite.
+constant factors.
 """
 
 from __future__ import annotations
@@ -101,25 +100,4 @@ def busy_block_kernel(k: int, p_on: float, p_off: float) -> np.ndarray:
         # row[j] = sum_r o[r] * a[j - i + r]  -> cross-correlation of a with o
         row = np.convolve(o[::-1], a)
         P[i, :] = row  # length (i+1) + (k-i+1) - 1 == k + 1; columns 0..k
-    return P
-
-
-def busy_block_kernel_bruteforce(k: int, p_on: float, p_off: float) -> np.ndarray:
-    """Reference implementation of :func:`busy_block_kernel` by direct summation.
-
-    Evaluates the paper's Eq. 12 term-by-term with scipy binomial PMFs.  Used
-    only for cross-validation in tests; ``O(k^3)`` scalar operations.
-    """
-    k = check_integer(k, "k", minimum=0)
-    p_on = check_probability(p_on, "p_on")
-    p_off = check_probability(p_off, "p_off")
-    P = np.zeros((k + 1, k + 1))
-    for i in range(k + 1):
-        for j in range(k + 1):
-            total = 0.0
-            for r in range(i + 1):
-                s = j - i + r
-                if 0 <= s <= k - i:
-                    total += binom.pmf(r, i, p_off) * binom.pmf(s, k - i, p_on)
-            P[i, j] = total
     return P

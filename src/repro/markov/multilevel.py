@@ -7,12 +7,9 @@ workloads from a richer chain, fit the paper's two-level model to them, and
 measure how much of the CVR guarantee survives.
 
 A :class:`MultiLevelChain` pairs a finite DTMC over abstract levels with a
-demand value per level.  Helper constructors:
-
-- :func:`birth_death_levels` — demands ramp up/down one level at a time
-  (typical load ramps);
-- :func:`spiky_levels` — an OFF level plus several spike magnitudes reached
-  directly from OFF (multi-magnitude flash crowds).
+demand value per level.  :func:`spiky_levels` builds the one the study
+uses: an OFF level plus several spike magnitudes reached directly from OFF
+(multi-magnitude flash crowds).
 """
 
 from __future__ import annotations
@@ -84,34 +81,6 @@ class MultiLevelChain:
         return np.stack([
             self.simulate_demand(n_steps, seed=rng) for _ in range(n_vms)
         ]) if n_vms else np.empty((0, n_steps + 1))
-
-
-def birth_death_levels(demands: Sequence[float], p_up: float,
-                       p_down: float) -> MultiLevelChain:
-    """Ramping chain: from level i, go up/down one level or stay.
-
-    Boundary levels reflect (the blocked move's probability folds into
-    staying).  With two levels this reduces to ON-OFF with
-    ``p_on = p_up``, ``p_off = p_down``.
-    """
-    p_up = check_probability(p_up, "p_up")
-    p_down = check_probability(p_down, "p_down")
-    if p_up + p_down > 1.0:
-        raise ValueError(
-            f"p_up + p_down must be <= 1, got {p_up} + {p_down}"
-        )
-    n = len(demands)
-    check_integer(n, "len(demands)", minimum=2)
-    P = np.zeros((n, n))
-    for i in range(n):
-        up = p_up if i < n - 1 else 0.0
-        down = p_down if i > 0 else 0.0
-        if i < n - 1:
-            P[i, i + 1] = up
-        if i > 0:
-            P[i, i - 1] = down
-        P[i, i] = 1.0 - up - down
-    return MultiLevelChain(P, demands)
 
 
 def spiky_levels(base_demand: float, spike_demands: Sequence[float],

@@ -50,7 +50,6 @@ from repro.observability.slo import (
     SLORule,
     default_rules,
     default_service_rules,
-    default_serving_rules,
     load_rules,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "AlertSpan",
     "default_rules",
     "default_service_rules",
-    "default_serving_rules",
     "load_rules",
     "DriftDetector",
     "PMDriftState",

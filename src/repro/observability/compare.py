@@ -2,7 +2,7 @@
 
 Replays two recorded traces through the observatory (no simulator
 execution), reduces each to the flat summary of
-:func:`repro.analysis.regression.run_summary`, and renders the
+:func:`repro.analysis.regression.summarize_observatory`, and renders the
 :func:`~repro.analysis.regression.regression_diff` as an aligned table
 plus the two alert timelines side by side.  Exit code 1 when any metric
 regressed — so CI can gate on it — and 2 when the pair cannot be

@@ -158,10 +158,6 @@ class Observatory:
         """Whether any SLO rule is currently firing."""
         return self.slo.has_active_alerts()
 
-    def alert_active(self) -> bool:
-        """Bound-method form for trigger wiring (AlertReactiveTrigger)."""
-        return self.slo.has_active_alerts()
-
     def summary(self) -> dict:
         """One flat dict of headline state (dashboard / tests / compare)."""
         out = dict(self.recorder.fleet_summary())

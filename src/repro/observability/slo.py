@@ -15,8 +15,7 @@ when the fast window drops back below its factor.  The engine emits typed
 :class:`~repro.telemetry.events.AlertFired` /
 :class:`~repro.telemetry.events.AlertResolved` events through the
 telemetry bus, so alerts land in JSONL traces next to the intervals that
-caused them and can drive scheduler escalation via
-:class:`~repro.simulation.triggers.AlertReactiveTrigger`.
+caused them.
 
 Rules are plain data: build them in code, from dicts, or load a YAML/JSON
 rule file with :func:`load_rules`::
@@ -47,7 +46,6 @@ __all__ = [
     "ActiveAlert",
     "AlertSpan",
     "default_rules",
-    "default_serving_rules",
     "default_service_rules",
     "load_rules",
 ]
@@ -140,36 +138,6 @@ def default_rules(rho: float = 0.01) -> list[SLORule]:
             fast=BurnWindow(10, 10.0),
             slow=BurnWindow(60, 2.0),
             severity="ticket",
-        ),
-    ]
-
-
-def default_serving_rules(tail_budget: float = 0.01,
-                          loss_budget: float = 0.01) -> list[SLORule]:
-    """Request-level rules for scenarios with the serving plane enabled.
-
-    ``p99_latency`` alerts on the empirical tail ``P(T_S > t)`` exceeding
-    ``tail_budget`` — with the default 1% budget this *is* the p99 rule:
-    "p99 latency stays at or below the SLA threshold t" is exactly
-    "at most 1% of completions are slower than t".  ``request_loss``
-    guards the loss budget (queue blocking + tier back-pressure + DLQ).
-    """
-    return [
-        SLORule(
-            name="p99_latency",
-            metric="latency_sla",
-            budget=tail_budget,
-            fast=BurnWindow(5, 10.0),
-            slow=BurnWindow(60, 2.0),
-            severity="page",
-        ),
-        SLORule(
-            name="request_loss",
-            metric="request_loss",
-            budget=loss_budget,
-            fast=BurnWindow(5, 10.0),
-            slow=BurnWindow(60, 2.0),
-            severity="page",
         ),
     ]
 

@@ -20,7 +20,6 @@ which itself depends on the core modules that import the cache.
 from repro.perf.cache import (
     MapCalCache,
     cache_stats,
-    configure_cache,
     fresh_cache,
     get_cache,
 )
@@ -28,7 +27,6 @@ from repro.perf.cache import (
 __all__ = [
     "MapCalCache",
     "cache_stats",
-    "configure_cache",
     "fresh_cache",
     "get_cache",
     "ScalarReferenceDatacenter",

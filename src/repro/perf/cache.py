@@ -28,9 +28,9 @@ telemetry metrics registry (:func:`repro.telemetry.resolve`) under
 The module-level default cache is what :func:`repro.core.mapcal.mapcal`,
 :func:`repro.core.mapcal.mapcal_table` and
 :func:`repro.core.heterogeneous.heterogeneous_blocks` consult.  Configure it
-with :func:`configure_cache` or the ``REPRO_CACHE_DIR`` environment variable
-(set it to a directory to enable the disk store; the conventional location
-is ``.repro-cache/`` in the working tree).
+with the ``REPRO_CACHE_DIR`` environment variable (set it to a directory to
+enable the disk store; the conventional location is ``.repro-cache/`` in the
+working tree); :func:`fresh_cache` swaps in a cold one for a block.
 """
 
 from __future__ import annotations
@@ -271,14 +271,6 @@ def get_cache() -> MapCalCache:
     global _default_cache
     if _default_cache is None:
         _default_cache = MapCalCache(disk_dir=_disk_dir_from_env())
-    return _default_cache
-
-
-def configure_cache(*, maxsize: int = 4096,
-                    disk_dir: str | os.PathLike | None = None) -> MapCalCache:
-    """Replace the default cache (returns the new instance)."""
-    global _default_cache
-    _default_cache = MapCalCache(maxsize=maxsize, disk_dir=disk_dir)
     return _default_cache
 
 

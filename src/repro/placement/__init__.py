@@ -1,9 +1,8 @@
 """Placement strategies: the paper's baselines plus related-work comparators.
 
 - :mod:`repro.placement.base` — the :class:`Placer` interface and errors.
-- :mod:`repro.placement.ffd` — classic bin-packing placers: FFD by ``R_p``
-  (the paper's RP baseline), FFD by ``R_b`` (RB), and generic
-  first/best/worst/next-fit variants for ablations.
+- :mod:`repro.placement.ffd` — First Fit Decreasing on a scalar size:
+  by ``R_p`` (the paper's RP baseline) and by ``R_b`` (RB).
 - :mod:`repro.placement.grand` — GRAND (Stolyar): uniform-random choice
   among Eq. (17)-feasible PMs, with stateless replayable randomness; the
   placement service's alternative to QueuingFFD's first-fit.
@@ -14,8 +13,6 @@
   [Wang et al. INFOCOM'11] style used for the ablation comparison.
 - :mod:`repro.placement.spread` — fault-domain spread constraint capping
   VMs per rack/power domain (blast-radius control).
-- :mod:`repro.placement.validation` — placement validity checks shared by
-  tests and the simulator.
 """
 
 from repro.placement.base import (
@@ -28,14 +25,7 @@ from repro.placement.base import (
     candidate_rows,
 )
 from repro.placement.grand import GreedyRandomPlacer, hash_pick
-from repro.placement.ffd import (
-    BestFitDecreasing,
-    FirstFitDecreasing,
-    NextFit,
-    WorstFitDecreasing,
-    ffd_by_base,
-    ffd_by_peak,
-)
+from repro.placement.ffd import FirstFitDecreasing, ffd_by_base, ffd_by_peak
 from repro.placement.optimal import (
     BranchAndBoundPacker,
     lower_bound_l1,
@@ -44,11 +34,6 @@ from repro.placement.optimal import (
 from repro.placement.rbex import RBExPlacer
 from repro.placement.sbp import StochasticBinPacker
 from repro.placement.spread import DomainSpreadConstraint
-from repro.placement.validation import (
-    check_capacity_at_base,
-    check_capacity_at_peak,
-    check_placement_complete,
-)
 
 __all__ = [
     "AdmissionRejectedError",
@@ -60,10 +45,7 @@ __all__ = [
     "Placer",
     "PlacementExplainer",
     "candidate_rows",
-    "BestFitDecreasing",
     "FirstFitDecreasing",
-    "NextFit",
-    "WorstFitDecreasing",
     "ffd_by_base",
     "ffd_by_peak",
     "BranchAndBoundPacker",
@@ -72,7 +54,4 @@ __all__ = [
     "RBExPlacer",
     "StochasticBinPacker",
     "DomainSpreadConstraint",
-    "check_capacity_at_base",
-    "check_capacity_at_peak",
-    "check_placement_complete",
 ]

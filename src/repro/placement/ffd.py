@@ -8,11 +8,11 @@ scalar size:
 - **RB** — size each VM by its normal demand ``R_b`` (provisioning for
   normal workload; densest packing but spikes collide).
 
-Best-fit, worst-fit and next-fit variants are included for the packing
-ablation benchmarks.  All placers cap the number of VMs per PM at ``d`` to
-match Algorithm 2's assumption and keep comparisons fair.  An optional
-:class:`~repro.placement.spread.DomainSpreadConstraint` additionally caps
-VMs per fault domain (blast-radius control).
+RB-EX (:mod:`repro.placement.rbex`) runs the same FFD by ``R_b`` on
+shrunk capacities.  Every placer here caps the number of VMs per PM at
+``d`` to match Algorithm 2's assumption and keep comparisons fair.  An
+optional :class:`~repro.placement.spread.DomainSpreadConstraint`
+additionally caps VMs per fault domain (blast-radius control).
 """
 
 from __future__ import annotations
@@ -48,129 +48,64 @@ def size_by_base(vm: VMSpec) -> float:
     return vm.r_base
 
 
-class _GreedyPlacer(Placer):
-    """Shared machinery for greedy size-based packers.
+class FirstFitDecreasing(Placer):
+    """First Fit Decreasing on a scalar size.
 
-    Subclasses define :meth:`_pick_pm` (which open PM receives the next VM).
-    VMs are processed in decreasing size order when ``decreasing`` is true.
+    VMs go in decreasing size order (stable, so equal sizes keep input
+    order), each to the lowest-indexed PM with room: ``free + 1e-9 >=
+    size``, fewer than ``max_vms_per_pm`` VMs and, when ``spread`` is set,
+    an open fault domain.
     """
 
+    name = "FFD"
+
     def __init__(self, size_fn: SizeFn = size_by_peak, *, max_vms_per_pm: int = 10**9,
-                 decreasing: bool = True, name: str | None = None,
+                 name: str | None = None,
                  spread: DomainSpreadConstraint | None = None):
         self.size_fn = size_fn
         self.max_vms_per_pm = check_integer(max_vms_per_pm, "max_vms_per_pm", minimum=1)
-        self.decreasing = decreasing
         self.spread = spread
-        self._domain_counts: np.ndarray | None = None
         if name is not None:
             self.name = name
 
     def place(self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]) -> Placement:
         with timed(f"greedy_pack.{self.name}"):
-            return self._place(vms, pms)
-
-    def _place(self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]) -> Placement:
-        placement = Placement(len(vms), len(pms))
-        sizes = np.array([self.size_fn(v) for v in vms], dtype=float)
-        if np.any(sizes < 0):
-            raise ValueError("VM sizes must be non-negative")
-        if self.spread is not None:
-            self.spread.check_n_pms(len(pms))
-            self._domain_counts = self.spread.new_counts()
-        order = np.argsort(-sizes, kind="stable") if self.decreasing else np.arange(len(vms))
-        free = np.array([p.capacity for p in pms], dtype=float)
-        counts = np.zeros(len(pms), dtype=np.int64)
-        for vm_idx in order:
-            vm_idx = int(vm_idx)
-            size = sizes[vm_idx]
-            pm = self._pick_pm(size, free, counts)
-            if self.explainer is not None:
-                self.explainer.record(vm_idx, -1 if pm is None else pm, [
-                    (REASON_CAPACITY, ~(free + _EPS >= size)),
-                    (REASON_VM_CAP, counts >= self.max_vms_per_pm),
-                    (REASON_SPREAD, None if self.spread is None else
-                     ~self.spread.allowed_pms(self._domain_counts)),
-                ], free - size)
-            if pm is None:
-                raise InsufficientCapacityError(vm_idx)
-            placement.place(vm_idx, pm)
-            free[pm] -= size
-            counts[pm] += 1
+            placement = Placement(len(vms), len(pms))
+            sizes = np.array([self.size_fn(v) for v in vms], dtype=float)
+            if np.any(sizes < 0):
+                raise ValueError("VM sizes must be non-negative")
+            domain_counts = None
             if self.spread is not None:
-                self.spread.admit(pm, self._domain_counts)
-        return placement
-
-    def _candidates(self, size: float, free: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        ok = (free + _EPS >= size) & (counts < self.max_vms_per_pm)
-        if self.spread is not None:
-            ok &= self.spread.allowed_pms(self._domain_counts)
-        return np.flatnonzero(ok)
-
-    def _pick_pm(self, size: float, free: np.ndarray, counts: np.ndarray) -> int | None:
-        raise NotImplementedError
-
-
-class FirstFitDecreasing(_GreedyPlacer):
-    """First Fit Decreasing: lowest-indexed PM with room wins."""
-
-    name = "FFD"
-
-    def _pick_pm(self, size: float, free: np.ndarray, counts: np.ndarray) -> int | None:
-        c = self._candidates(size, free, counts)
-        return int(c[0]) if c.size else None
-
-
-class BestFitDecreasing(_GreedyPlacer):
-    """Best Fit Decreasing: feasible PM with least leftover room wins."""
-
-    name = "BFD"
-
-    def _pick_pm(self, size: float, free: np.ndarray, counts: np.ndarray) -> int | None:
-        c = self._candidates(size, free, counts)
-        if not c.size:
-            return None
-        return int(c[np.argmin(free[c])])
-
-
-class WorstFitDecreasing(_GreedyPlacer):
-    """Worst Fit Decreasing: feasible PM with most leftover room wins."""
-
-    name = "WFD"
-
-    def _pick_pm(self, size: float, free: np.ndarray, counts: np.ndarray) -> int | None:
-        c = self._candidates(size, free, counts)
-        if not c.size:
-            return None
-        return int(c[np.argmax(free[c])])
-
-
-class NextFit(_GreedyPlacer):
-    """Next Fit: keep one PM open; move on when the next VM does not fit."""
-
-    name = "NF"
-
-    def __init__(self, size_fn: SizeFn = size_by_peak, *, max_vms_per_pm: int = 10**9,
-                 name: str | None = None,
-                 spread: DomainSpreadConstraint | None = None):
-        super().__init__(size_fn, max_vms_per_pm=max_vms_per_pm, decreasing=False,
-                         name=name, spread=spread)
-        self._open = 0
-
-    def place(self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]) -> Placement:
-        self._open = 0
-        return super().place(vms, pms)
-
-    def _pick_pm(self, size: float, free: np.ndarray, counts: np.ndarray) -> int | None:
-        while self._open < free.size:
-            fits = (free[self._open] + _EPS >= size
-                    and counts[self._open] < self.max_vms_per_pm
-                    and (self.spread is None
-                         or self.spread.allowed_pms(self._domain_counts)[self._open]))
-            if fits:
-                return self._open
-            self._open += 1
-        return None
+                self.spread.check_n_pms(len(pms))
+                domain_counts = self.spread.new_counts()
+            free = np.array([p.capacity for p in pms], dtype=float)
+            counts = np.zeros(len(pms), dtype=np.int64)
+            for vm_idx in np.argsort(-sizes, kind="stable"):
+                vm_idx = int(vm_idx)
+                size = sizes[vm_idx]
+                fits = free + _EPS >= size
+                room = counts < self.max_vms_per_pm
+                ok = fits & room
+                spread_ok = None
+                if self.spread is not None:
+                    spread_ok = self.spread.allowed_pms(domain_counts)
+                    ok &= spread_ok
+                hit = np.flatnonzero(ok)
+                pm = int(hit[0]) if hit.size else -1
+                if self.explainer is not None:
+                    self.explainer.record(vm_idx, pm, [
+                        (REASON_CAPACITY, ~fits),
+                        (REASON_VM_CAP, ~room),
+                        (REASON_SPREAD, None if spread_ok is None else ~spread_ok),
+                    ], free - size)
+                if pm < 0:
+                    raise InsufficientCapacityError(vm_idx)
+                placement.place(vm_idx, pm)
+                free[pm] -= size
+                counts[pm] += 1
+                if self.spread is not None:
+                    self.spread.admit(pm, domain_counts)
+            return placement
 
 
 def ffd_by_peak(*, max_vms_per_pm: int = 10**9,

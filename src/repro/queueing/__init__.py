@@ -7,55 +7,21 @@ room* (finite-source Geom/Geom/K/K).  This package implements:
 - :mod:`repro.queueing.geom_geom_k` — the discrete model: occupancy
   distribution, the overflow/CVR tail used by MapCal, and a true
   loss-system variant where excess spikes are clipped at K.
-- :mod:`repro.queueing.engset` — the continuous-time Engset loss system,
-  the classical limit of the discrete model as switch probabilities shrink;
-  used as an analytic cross-check in the test suite.
-- :mod:`repro.queueing.metrics` — occupancy/utilization/loss summary metrics.
-- :mod:`repro.queueing.sojourn` — sojourn-time distributions, the analytic
-  ``P(T_S > t)`` SLA tail, and Kingman's waiting-time approximation
-  backing the request-level serving plane (:mod:`repro.serving`).
+- :mod:`repro.queueing.transient` — the busy-block chain away from
+  stationarity: the warm-up of the violation probability, the time to the
+  first violation and the length of a violation episode.
 """
 
-from repro.queueing.delay import (
-    degradation_profile,
-    expected_backlog,
-    mean_wait_littles_law,
-    spike_arrival_rate,
-    waiting_probability,
-)
-from repro.queueing.engset import engset_blocking_probability, engset_distribution
 from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK
-from repro.queueing.metrics import QueueMetrics, summarize_occupancy
-from repro.queueing.sojourn import (
-    kingman_waiting_time,
-    mean_sojourn,
-    sojourn_distribution,
-    sojourn_tail,
-)
 from repro.queueing.transient import (
     expected_time_to_violation,
     expected_violation_episode_length,
-    occupancy_at,
     violation_probability_curve,
 )
 
 __all__ = [
-    "degradation_profile",
-    "expected_backlog",
-    "mean_wait_littles_law",
-    "spike_arrival_rate",
-    "waiting_probability",
     "FiniteSourceGeomGeomK",
-    "engset_blocking_probability",
-    "engset_distribution",
-    "QueueMetrics",
-    "summarize_occupancy",
-    "sojourn_distribution",
-    "sojourn_tail",
-    "mean_sojourn",
-    "kingman_waiting_time",
     "expected_time_to_violation",
     "expected_violation_episode_length",
-    "occupancy_at",
     "violation_probability_curve",
 ]

@@ -13,8 +13,8 @@ Two occupancy processes matter:
   with ``q = p_on / (p_on + p_off)`` because sources are independent.
 - the **clipped loss process** — a genuine loss system where a source that
   finds all K windows busy is turned away and resumes thinking.  This is the
-  classical discrete Engset analogue, provided for completeness and used to
-  cross-check against :mod:`repro.queueing.engset` in tests.
+  classical discrete Engset analogue; the tests check it against the
+  continuous-time Engset law it converges to.
 """
 
 from __future__ import annotations

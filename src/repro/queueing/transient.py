@@ -6,8 +6,6 @@ the violation probability ramp up?  How long until the first violation?
 How long does a violation episode last once it starts?  These quantities
 come from the same (k+1)-state chain:
 
-- :func:`occupancy_at` — the distribution of ``theta(t)`` after ``t`` steps
-  (the paper's ``Pi_0 P^t``, Eq. 13, before the limit).
 - :func:`violation_probability_curve` — ``P[theta(t) > K]`` over time; shows
   the warm-up the paper sidesteps by quoting the stationary value.
 - :func:`expected_time_to_violation` — mean hitting time of the violation
@@ -31,27 +29,6 @@ def _kernel(k: int, p_on: float, p_off: float) -> np.ndarray:
     check_probability(p_on, "p_on", allow_zero=False)
     check_probability(p_off, "p_off", allow_zero=False)
     return busy_block_kernel(k, p_on, p_off)
-
-
-def occupancy_at(k: int, p_on: float, p_off: float, t: int,
-                 *, initial_state: int = 0) -> np.ndarray:
-    """Distribution of the busy-block count after ``t`` steps.
-
-    Starts from a point mass at ``initial_state`` (the paper's ``Pi_0`` is
-    state 0 — all VMs OFF right after consolidation).
-    """
-    t = check_integer(t, "t", minimum=0)
-    P = _kernel(k, p_on, p_off)
-    check_integer(initial_state, "initial_state", minimum=0, maximum=k)
-    pi = np.zeros(k + 1)
-    pi[initial_state] = 1.0
-    # Repeated squaring for large t, plain multiplication for small t.
-    if t > 64:
-        Pt = np.linalg.matrix_power(P, t)
-        return pi @ Pt
-    for _ in range(t):
-        pi = pi @ P
-    return pi
 
 
 def violation_probability_curve(k: int, p_on: float, p_off: float,

@@ -18,7 +18,7 @@ Within a class the inbox is FIFO, so admission order stays deterministic
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.types import VMSpec
 from repro.placement.base import REASON_SHED_INBOX, REASON_SHED_PRIORITY

@@ -24,10 +24,8 @@ from repro.simulation.migration import (
     RetryPolicy,
     StandardPolicy,
     select_target_least_loaded,
-    select_target_most_free,
     select_target_reservation_aware,
     select_vm_largest_demand,
-    select_vm_min_sufficient,
 )
 from repro.simulation.monitor import Monitor, RunRecord
 from repro.simulation.scheduler import DynamicScheduler, SimulationResult, run_simulation
@@ -89,10 +87,8 @@ __all__ = [
     "RetryPolicy",
     "StandardPolicy",
     "select_target_least_loaded",
-    "select_target_most_free",
     "select_target_reservation_aware",
     "select_vm_largest_demand",
-    "select_vm_min_sufficient",
     "Monitor",
     "RunRecord",
     "DynamicScheduler",

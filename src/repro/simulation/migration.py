@@ -12,7 +12,6 @@ The policies here make that explicit:
   observed load that can currently fit the VM; power on an idle PM only as a
   last resort (to save energy).  Under dense RB packing this falls for idle
   deception and produces cycle migration.
-- :func:`select_target_most_free` — same but ranked by absolute free room.
 - :func:`select_target_reservation_aware` — a burstiness-aware variant that
   admits by base demand plus the target's reservation commitment (Eq. 17
   style); included for the ablation on scheduler awareness.
@@ -113,23 +112,6 @@ def select_vm_largest_demand(dc: Datacenter, pm_id: int) -> int:
     return int(vm_ids[np.argmax(dc.vm_demands()[vm_ids])])
 
 
-def select_vm_min_sufficient(dc: Datacenter, pm_id: int) -> int:
-    """Evict the smallest VM whose departure clears the overflow.
-
-    Minimizes moved bytes; falls back to the largest-demand VM when no
-    single migration can clear the overflow.  Ties go to the lowest id.
-    """
-    vm_ids = dc.placement.vms_on(pm_id)
-    if not vm_ids.size:
-        raise ValueError(f"PM {pm_id} hosts no VMs")
-    demands = dc.vm_demands()[vm_ids]
-    excess = dc.pm_loads()[pm_id] - dc.pm_capacities()[pm_id]
-    sufficient = np.flatnonzero(demands >= excess - _EPS)
-    if not sufficient.size:
-        return select_vm_largest_demand(dc, pm_id)
-    return int(vm_ids[sufficient[np.argmin(demands[sufficient])]])
-
-
 # --------------------------------------------------------------------- #
 # target selection
 # --------------------------------------------------------------------- #
@@ -166,25 +148,6 @@ def select_target_least_loaded(dc: Datacenter, vm_id: int,
     used_candidates = np.flatnonzero(ok & used)
     if used_candidates.size:
         return int(used_candidates[np.argmin(loads[used_candidates])])
-    idle_candidates = np.flatnonzero(ok & ~used)
-    if idle_candidates.size:
-        return int(idle_candidates[0])
-    return None
-
-
-def select_target_most_free(dc: Datacenter, vm_id: int,
-                            source_pm: int,
-                            excluded: Optional[np.ndarray] = None,
-                            ) -> Optional[int]:
-    """Variant ranking used PMs by absolute free room instead of load."""
-    ok = _feasible_mask(dc, vm_id, source_pm, excluded)
-    loads = dc.pm_loads()
-    caps = dc.pm_capacities()
-    used = dc.pm_used_mask()
-    used_candidates = np.flatnonzero(ok & used)
-    if used_candidates.size:
-        free = caps[used_candidates] - loads[used_candidates]
-        return int(used_candidates[np.argmax(free)])
     idle_candidates = np.flatnonzero(ok & ~used)
     if idle_candidates.size:
         return int(idle_candidates[0])

@@ -15,7 +15,7 @@ then :meth:`MigrationTrigger.should_migrate` per overloaded PM.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -125,55 +125,3 @@ class SlidingWindowCVRTrigger:
         self._flags = flags
         self._cursor = int(state["cursor"])
         self._filled = int(state["filled"])
-
-
-class AlertReactiveTrigger:
-    """Escalate to act-on-every-overflow while an SLO alert is firing.
-
-    Closes the loop between the run observatory and the scheduler: in
-    steady state the wrapped ``base`` trigger's tolerant semantics apply
-    (e.g. the paper's rho-windowed trigger), but while ``alert_active``
-    reports True — typically bound to
-    :attr:`repro.observability.Observatory.has_active_alerts` — every
-    overflow is acted on immediately, the same escalation an auto-scaler
-    performs when its error-budget burn alarm fires.
-
-    Parameters
-    ----------
-    base:
-        The trigger consulted when no alert is active.
-    alert_active:
-        Zero-argument callable; True means "burning too fast, stop
-        tolerating violations".
-    """
-
-    def __init__(self, base: MigrationTrigger,
-                 alert_active: Callable[[], bool]):
-        self.base = base
-        self._alert_active = alert_active
-        #: overflow decisions escalated by an active alert (introspection)
-        self.escalations = 0
-
-    def observe(self, dc: Datacenter, time: int) -> None:
-        """Forward the fleet observation to the wrapped trigger."""
-        self.base.observe(dc, time)
-
-    def should_migrate(self, pm_id: int) -> bool:
-        """Every overflow during an alert; the base's answer otherwise."""
-        if self._alert_active():
-            if not self.base.should_migrate(pm_id):
-                self.escalations += 1
-            return True
-        return self.base.should_migrate(pm_id)
-
-    def capture_state(self) -> dict:
-        """Snapshot the escalation count plus the wrapped trigger's state."""
-        base = (self.base.capture_state()
-                if hasattr(self.base, "capture_state") else None)
-        return {"escalations": self.escalations, "base": base}
-
-    def restore_state(self, state: dict) -> None:
-        """Restore the escalation count and the wrapped trigger's state."""
-        self.escalations = int(state["escalations"])
-        if state["base"] is not None and hasattr(self.base, "restore_state"):
-            self.base.restore_state(state["base"])

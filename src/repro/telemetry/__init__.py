@@ -22,13 +22,7 @@ Quickstart::
 """
 
 from repro.telemetry.bus import EventBus
-from repro.telemetry.context import (
-    Telemetry,
-    get_telemetry,
-    resolve,
-    set_telemetry,
-    tracing,
-)
+from repro.telemetry.context import Telemetry, resolve, set_telemetry, tracing
 from repro.telemetry.events import (
     EVENT_TYPES,
     PRE_RUN,
@@ -85,22 +79,18 @@ from repro.telemetry.metrics import (
     escape_label_value,
     series_key,
 )
-from repro.telemetry.profiling import Profiler, Span, active_profiler, timed
-from repro.telemetry.replay import count_by_kind, replay_summary
+from repro.telemetry.profiling import Profiler, Span, timed
 from repro.telemetry.sinks import (
     JSONLSink,
     NullSink,
     RingBufferSink,
     Sink,
-    iter_events,
-    read_events,
     read_events_tolerant,
 )
 
 __all__ = [
     "EventBus",
     "Telemetry",
-    "get_telemetry",
     "resolve",
     "set_telemetry",
     "tracing",
@@ -158,15 +148,10 @@ __all__ = [
     "series_key",
     "Profiler",
     "Span",
-    "active_profiler",
     "timed",
-    "count_by_kind",
-    "replay_summary",
     "JSONLSink",
     "NullSink",
     "RingBufferSink",
     "Sink",
-    "iter_events",
-    "read_events",
     "read_events_tolerant",
 ]

@@ -93,11 +93,6 @@ class Telemetry:
 _default: Telemetry | None = None
 
 
-def get_telemetry() -> Telemetry | None:
-    """The ambient default telemetry, if one is installed."""
-    return _default
-
-
 def set_telemetry(telemetry: Telemetry | None) -> Telemetry | None:
     """Install ``telemetry`` as the ambient default; returns the previous."""
     global _default

@@ -10,7 +10,7 @@ twice with the same seed yields byte-identical streams.
 Serialization is symmetric: ``event.to_dict()`` produces a flat JSON-safe
 dict tagged with the event's ``kind``, and :func:`event_from_dict` inverts
 it via the :data:`EVENT_TYPES` registry, which is what makes JSONL event
-logs replayable (see :mod:`repro.telemetry.replay`).
+logs replayable (see :func:`repro.telemetry.sinks.read_events_tolerant`).
 """
 
 from __future__ import annotations

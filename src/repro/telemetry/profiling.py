@@ -170,11 +170,6 @@ def _fmt_seconds(s: float) -> str:
 _active: Profiler | None = None
 
 
-def active_profiler() -> Profiler | None:
-    """The profiler `timed` spans currently report to, if any."""
-    return _active
-
-
 class timed:
     """Time a region under the active profiler; near-free when none is active.
 

@@ -8,7 +8,7 @@ Three sinks cover the spectrum the tracing workflows need:
 - :class:`RingBufferSink` — in-memory buffer (optionally bounded) for tests
   and interactive inspection;
 - :class:`JSONLSink` — one JSON object per line, replayable afterwards with
-  :func:`read_events`.
+  :func:`read_events_tolerant`.
 
 Sinks are intentionally dumb: ordering, filtering and fan-out live in
 :class:`repro.telemetry.bus.EventBus`.
@@ -20,7 +20,7 @@ import json
 import logging
 from collections import deque
 from pathlib import Path
-from typing import IO, Iterable, Protocol, runtime_checkable
+from typing import IO, Protocol, runtime_checkable
 
 from repro.telemetry.events import TelemetryEvent, event_from_dict
 
@@ -116,25 +116,6 @@ class JSONLSink:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def read_events(path: str | Path) -> list[TelemetryEvent]:
-    """Replay a JSONL event log back into typed event objects."""
-    events: list[TelemetryEvent] = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                events.append(event_from_dict(json.loads(line)))
-    return events
-
-
-def iter_events(lines: Iterable[str]) -> Iterable[TelemetryEvent]:
-    """Stream-parse JSONL lines into events (for large logs)."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield event_from_dict(json.loads(line))
 
 
 def read_events_tolerant(path: str | Path) -> tuple[list[TelemetryEvent], int]:

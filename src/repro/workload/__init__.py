@@ -8,7 +8,7 @@
 - :mod:`repro.workload.webserver` — request-level user/think-time workload
   (Fig. 8 / Section V-D), the paper's XCP web-server programs in simulation.
 - :mod:`repro.workload.stats` — burstiness statistics (index of dispersion,
-  autocorrelation, burst-length histograms).
+  peak-to-mean ratio, burst lengths).
 """
 
 from repro.workload.onoff_generator import (
@@ -27,17 +27,13 @@ from repro.workload.patterns import (
 from repro.workload.webserver import WebServerWorkload, UserPool
 from repro.workload.stats import (
     burst_lengths,
-    empirical_autocorrelation,
     index_of_dispersion,
     peak_to_mean_ratio,
 )
 from repro.workload.estimation import (
-    Z99,
-    LatencyPercentileFit,
     OnOffFit,
     classify_states,
     estimate_switch_probabilities,
-    fit_cs2_from_percentiles,
     fit_fleet,
     fit_onoff,
     two_means_split,
@@ -51,7 +47,6 @@ from repro.workload.diurnal import (
 )
 from repro.workload.io import (
     load_instance,
-    load_placement,
     load_traces,
     save_instance,
     save_placement,
@@ -71,13 +66,9 @@ __all__ = [
     "WebServerWorkload",
     "UserPool",
     "burst_lengths",
-    "empirical_autocorrelation",
     "index_of_dispersion",
     "peak_to_mean_ratio",
-    "Z99",
-    "LatencyPercentileFit",
     "OnOffFit",
-    "fit_cs2_from_percentiles",
     "classify_states",
     "estimate_switch_probabilities",
     "fit_fleet",
@@ -89,7 +80,6 @@ __all__ = [
     "ensemble_states_diurnal",
     "phase_cvr",
     "load_instance",
-    "load_placement",
     "load_traces",
     "save_instance",
     "save_placement",

@@ -19,12 +19,6 @@ consolidation pipeline can run end-to-end from raw demand traces:
 :func:`fit_onoff` bundles the three steps; :func:`fit_fleet` maps it across
 a fleet of traces and returns ready-to-place :class:`~repro.core.types.VMSpec`
 objects.
-
-The request-level serving plane adds a fourth estimator:
-:func:`fit_cs2_from_percentiles` recovers a service-time squared
-coefficient of variation ``Cs²`` from two observed latency percentiles
-under a lognormal assumption, feeding Kingman's waiting-time formula
-(:func:`repro.queueing.sojourn.kingman_waiting_time`).
 """
 
 from __future__ import annotations
@@ -210,55 +204,3 @@ def fit_fleet(traces: np.ndarray, **kwargs) -> list[OnOffFit]:
     if m.ndim != 2:
         raise ValueError(f"traces must be 2-D (n_vms, T), got shape {m.shape}")
     return [fit_onoff(m[i], **kwargs) for i in range(m.shape[0])]
-
-
-#: standard normal quantile at 0.99 (``z`` such that ``Phi(z) = 0.99``)
-Z99 = 2.3263478740408408
-
-
-@dataclass(frozen=True)
-class LatencyPercentileFit:
-    """A lognormal latency fit recovered from two observed percentiles.
-
-    Attributes
-    ----------
-    mu, sigma:
-        Parameters of the fitted lognormal (``ln T ~ N(mu, sigma^2)``).
-    mean:
-        Implied mean latency ``exp(mu + sigma^2 / 2)``.
-    cs2:
-        Implied squared coefficient of variation
-        ``exp(sigma^2) - 1`` — the ``Cs²`` Kingman's formula needs.
-    """
-
-    mu: float
-    sigma: float
-    mean: float
-    cs2: float
-
-
-def fit_cs2_from_percentiles(p50: float, p99: float, *,
-                             z99: float = Z99) -> LatencyPercentileFit:
-    """Estimate latency variability from observed p50/p99 percentiles.
-
-    Under a lognormal latency model the median pins ``mu = ln p50`` and
-    the 99th percentile pins ``sigma = (ln p99 - ln p50) / z99``; the
-    squared coefficient of variation is then ``Cs² = exp(sigma²) - 1``.
-    This turns the serving plane's observed percentiles
-    (:class:`repro.serving.layer.ServingReport`) into the ``cs2`` input of
-    :func:`repro.queueing.sojourn.kingman_waiting_time`.
-    """
-    if not p50 > 0:
-        raise ValueError(f"p50 must be > 0, got {p50}")
-    if p99 < p50:
-        raise ValueError(f"p99 ({p99}) must be >= p50 ({p50})")
-    if z99 <= 0:
-        raise ValueError(f"z99 must be > 0, got {z99}")
-    mu = float(np.log(p50))
-    sigma = float((np.log(p99) - np.log(p50)) / z99)
-    return LatencyPercentileFit(
-        mu=mu,
-        sigma=sigma,
-        mean=float(np.exp(mu + sigma * sigma / 2.0)),
-        cs2=float(np.expm1(sigma * sigma)),
-    )

@@ -8,8 +8,9 @@ Experiments become shareable when their inputs are files:
   (:func:`save_traces` / :func:`load_traces`), one row per VM — the format
   monitoring exporters typically emit, and what
   :func:`repro.workload.estimation.fit_fleet` consumes;
-- **placements** round-trip through JSON including the instance dimensions
-  so a loaded placement can be validated against its instance.
+- **placements** are written as JSON including the instance dimensions
+  (:func:`save_placement`), so a placement can be checked against its
+  instance.
 """
 
 from __future__ import annotations
@@ -102,15 +103,3 @@ def save_placement(path: str | Path, placement: Placement) -> None:
         "assignment": placement.assignment.tolist(),
     }
     Path(path).write_text(json.dumps(payload))
-
-
-def load_placement(path: str | Path) -> Placement:
-    """Read a placement written by :func:`save_placement` (validated)."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format_version") != _FORMAT_VERSION:
-        raise ValueError(f"unsupported placement format in {path}")
-    return Placement(
-        n_vms=payload["n_vms"],
-        n_pms=payload["n_pms"],
-        assignment=np.array(payload["assignment"], dtype=np.int64),
-    )

@@ -2,8 +2,7 @@
 
 Used to characterize generated traces (Fig. 8) and to verify that the ON-OFF
 generators actually produce the burstiness the paper's model promises
-(spike frequency ``p_on``, duration ``1/p_off``, lag-h autocorrelation
-``(1 - p_on - p_off)^h``).
+(spike frequency ``p_on``, duration ``1/p_off``).
 """
 
 from __future__ import annotations
@@ -34,31 +33,6 @@ def peak_to_mean_ratio(trace: np.ndarray) -> float:
     if mean == 0:
         return 0.0
     return float(t.max() / mean)
-
-
-def empirical_autocorrelation(trace: np.ndarray, max_lag: int) -> np.ndarray:
-    """Sample autocorrelation at lags ``0..max_lag``.
-
-    Returns an array of length ``max_lag + 1`` with entry 0 equal to 1.  A
-    constant trace has undefined autocorrelation; zeros are returned beyond
-    lag 0 in that case.
-    """
-    t = _as_1d(trace)
-    if max_lag < 0:
-        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-    if max_lag >= t.size:
-        raise ValueError(
-            f"max_lag ({max_lag}) must be smaller than the trace length ({t.size})"
-        )
-    t = t - t.mean()
-    denom = float(t @ t)
-    out = np.zeros(max_lag + 1)
-    out[0] = 1.0
-    if denom == 0.0:
-        return out
-    for lag in range(1, max_lag + 1):
-        out[lag] = float(t[:-lag] @ t[lag:]) / denom
-    return out
 
 
 def burst_lengths(states: np.ndarray) -> np.ndarray:

@@ -42,10 +42,7 @@ from repro.core.types import PMSpec, VMSpec
 from repro.perf.cache import fresh_cache
 from repro.placement.base import InsufficientCapacityError
 from repro.placement.ffd import (
-    BestFitDecreasing,
     FirstFitDecreasing,
-    NextFit,
-    WorstFitDecreasing,
     ffd_by_base,
     ffd_by_peak,
     size_by_peak,
@@ -71,20 +68,12 @@ SPREAD = DomainSpreadConstraint(Topology(np.arange(N_PMS) // 4),
                                 max_vms_per_domain=7)
 
 
-def _greedy(cls):
-    return lambda cap, spread: cls(size_by_peak, max_vms_per_pm=cap,
-                                   spread=spread)
-
-
 #: placer id -> factory(max VMs per PM, spread cap or None); the ids are
 #: those of ``ALL_PLACERS``, and a factory without a spread cap is
 #: called with ``spread=None`` only
 PLACERS = {
-    "FFD": _greedy(FirstFitDecreasing),
-    "BFD": _greedy(BestFitDecreasing),
-    "WFD": _greedy(WorstFitDecreasing),
-    "NF": lambda cap, spread: NextFit(size_by_peak, max_vms_per_pm=cap,
-                                      spread=spread),
+    "FFD": lambda cap, spread: FirstFitDecreasing(
+        size_by_peak, max_vms_per_pm=cap, spread=spread),
     "RP": lambda cap, spread: ffd_by_peak(max_vms_per_pm=cap, spread=spread),
     "RB": lambda cap, spread: ffd_by_base(max_vms_per_pm=cap, spread=spread),
     "SBP": lambda cap, spread: StochasticBinPacker(max_vms_per_pm=cap),
@@ -94,7 +83,7 @@ PLACERS = {
     "GRAND": lambda cap, spread: GreedyRandomPlacer(
         rho=0.01, d=min(cap, 16), seed=3, spread=spread),
 }
-TAKES_SPREAD = ("FFD", "BFD", "WFD", "NF", "RP", "RB", "QUEUE", "GRAND")
+TAKES_SPREAD = ("FFD", "RP", "RB", "QUEUE", "GRAND")
 UNCAPPED = 10**9
 
 

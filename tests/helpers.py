@@ -1,0 +1,292 @@
+"""Reference implementations and checkers the tests use on ``repro`` code.
+
+No entry point of the package calls these; each is here because a test
+checks other, production code with it:
+
+- placement validity checks (capacity at ``R_b`` and ``R_p``, completeness,
+  the per-PM VM cap);
+- the Engset loss system, the continuous-time limit of the discrete
+  Geom/Geom/K/K model;
+- the busy-block kernel (the paper's Eq. 12) by direct summation;
+- the transient occupancy ``Pi_0 P^t`` of the busy-block chain;
+- reading back a placement that ``repro consolidate`` wrote;
+- recounting a run's headline counters from its event stream;
+- the ambient telemetry and the active profiler, so tests can see that
+  ``tracing``/``Profiler`` blocks restore them.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter as TallyCounter
+from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
+from scipy.special import gammaln
+from scipy.stats import binom
+
+from repro.core.types import Placement, PMSpec, VMSpec
+from repro.queueing.transient import _kernel
+from repro.telemetry import context, profiling
+from repro.telemetry.events import TelemetryEvent
+from repro.telemetry.sinks import read_events_tolerant
+from repro.utils.validation import check_integer, check_positive, check_probability
+from repro.workload.io import _FORMAT_VERSION
+
+_EPS = 1e-9
+
+
+# --------------------------------------------------------------------- #
+# placement validity
+# --------------------------------------------------------------------- #
+def check_placement_complete(placement: Placement) -> None:
+    """Raise if any VM is unplaced."""
+    if not placement.all_placed:
+        missing = np.flatnonzero(placement.assignment == -1)
+        raise AssertionError(f"placement leaves VMs unplaced: {missing[:10].tolist()}")
+
+
+def _aggregate(placement: Placement, sizes: np.ndarray) -> np.ndarray:
+    totals = np.zeros(placement.n_pms)
+    placed = placement.assignment != -1
+    np.add.at(totals, placement.assignment[placed], sizes[placed])
+    return totals
+
+
+def check_capacity_at_base(placement: Placement, vms: Sequence[VMSpec],
+                           pms: Sequence[PMSpec]) -> None:
+    """Raise unless every PM's aggregate ``R_b`` fits its capacity.
+
+    This is the paper's Eq. (3) at ``t = 0`` with all VMs OFF — the weakest
+    physical-feasibility requirement every strategy must satisfy.
+    """
+    sizes = np.array([v.r_base for v in vms])
+    caps = np.array([p.capacity for p in pms])
+    totals = _aggregate(placement, sizes)
+    bad = np.flatnonzero(totals > caps + _EPS)
+    if bad.size:
+        raise AssertionError(
+            f"base demand exceeds capacity on PMs {bad[:10].tolist()} "
+            f"(e.g. {totals[bad[0]]:.3f} > {caps[bad[0]]:.3f})"
+        )
+
+
+def check_capacity_at_peak(placement: Placement, vms: Sequence[VMSpec],
+                           pms: Sequence[PMSpec]) -> None:
+    """Raise unless every PM fits the aggregate *peak* demand ``R_p``.
+
+    Only peak-provisioned placements (the RP baseline) are expected to pass;
+    for QUEUE placements this holds only when MapCal returned ``K = k``
+    everywhere.
+    """
+    sizes = np.array([v.r_peak for v in vms])
+    caps = np.array([p.capacity for p in pms])
+    totals = _aggregate(placement, sizes)
+    bad = np.flatnonzero(totals > caps + _EPS)
+    if bad.size:
+        raise AssertionError(
+            f"peak demand exceeds capacity on PMs {bad[:10].tolist()} "
+            f"(e.g. {totals[bad[0]]:.3f} > {caps[bad[0]]:.3f})"
+        )
+
+
+def max_vms_on_any_pm(placement: Placement) -> int:
+    """Largest number of VMs collocated on one PM (0 if nothing placed)."""
+    placed = placement.assignment[placement.assignment != -1]
+    if placed.size == 0:
+        return 0
+    return int(np.bincount(placed).max())
+
+
+# --------------------------------------------------------------------- #
+# the Engset loss system
+# --------------------------------------------------------------------- #
+# The discrete Geom/Geom/K/K model converges to the Engset system when the
+# per-interval switch probabilities shrink with their ratio fixed (geometric
+# sojourns -> exponential sojourns).  The classical closed forms are an
+# independent analytic check of the matrix machinery:
+#
+#     pi_j  proportional to  C(k, j) * alpha^j,     alpha = lambda / mu
+#
+# where ``k`` sources think for Exp(lambda) and hold a server for Exp(mu).
+# For the discrete chain, ``alpha = p_on / p_off``.
+def engset_distribution(k: int, n_servers: int, alpha: float) -> np.ndarray:
+    """Stationary occupancy law of the Engset loss system.
+
+    Parameters
+    ----------
+    k:
+        Number of sources.
+    n_servers:
+        Number of servers ``K`` (occupancy states are ``0..K``).
+    alpha:
+        Offered load per free source, ``lambda / mu``.
+
+    Returns
+    -------
+    numpy.ndarray
+        Probabilities ``pi_0 .. pi_K``.  Computed in log-space so large ``k``
+        does not overflow the binomial coefficients.
+    """
+    k = check_integer(k, "k", minimum=1)
+    K = check_integer(n_servers, "n_servers", minimum=0, maximum=k)
+    alpha = check_positive(alpha, "alpha")
+    j = np.arange(K + 1)
+    log_terms = (
+        gammaln(k + 1) - gammaln(j + 1) - gammaln(k - j + 1) + j * np.log(alpha)
+    )
+    log_terms -= log_terms.max()
+    terms = np.exp(log_terms)
+    return terms / terms.sum()
+
+
+def engset_blocking_probability(k: int, n_servers: int, alpha: float) -> float:
+    """Time-blocking probability of the Engset system (all servers busy).
+
+    Note this is *time* blocking (the fraction of time the system is full),
+    matching :meth:`FiniteSourceGeomGeomK.time_blocking_probability`; call
+    blocking seen by arrivals would use ``k - 1`` sources (the Engset
+    arrival theorem).
+    """
+    return float(engset_distribution(k, n_servers, alpha)[-1])
+
+
+# --------------------------------------------------------------------- #
+# busy-block process references
+# --------------------------------------------------------------------- #
+def busy_block_kernel_bruteforce(k: int, p_on: float, p_off: float) -> np.ndarray:
+    """Reference implementation of :func:`busy_block_kernel` by direct summation.
+
+    Evaluates the paper's Eq. 12 term-by-term with scipy binomial PMFs.  Used
+    only for cross-validation in tests; ``O(k^3)`` scalar operations.
+    """
+    k = check_integer(k, "k", minimum=0)
+    p_on = check_probability(p_on, "p_on")
+    p_off = check_probability(p_off, "p_off")
+    P = np.zeros((k + 1, k + 1))
+    for i in range(k + 1):
+        for j in range(k + 1):
+            total = 0.0
+            for r in range(i + 1):
+                s = j - i + r
+                if 0 <= s <= k - i:
+                    total += binom.pmf(r, i, p_off) * binom.pmf(s, k - i, p_on)
+            P[i, j] = total
+    return P
+
+
+def occupancy_at(k: int, p_on: float, p_off: float, t: int,
+                 *, initial_state: int = 0) -> np.ndarray:
+    """Distribution of the busy-block count after ``t`` steps.
+
+    Starts from a point mass at ``initial_state`` (the paper's ``Pi_0`` is
+    state 0 — all VMs OFF right after consolidation).
+    """
+    t = check_integer(t, "t", minimum=0)
+    P = _kernel(k, p_on, p_off)
+    check_integer(initial_state, "initial_state", minimum=0, maximum=k)
+    pi = np.zeros(k + 1)
+    pi[initial_state] = 1.0
+    # Repeated squaring for large t, plain multiplication for small t.
+    if t > 64:
+        Pt = np.linalg.matrix_power(P, t)
+        return pi @ Pt
+    for _ in range(t):
+        pi = pi @ P
+    return pi
+
+
+# --------------------------------------------------------------------- #
+# files and event streams
+# --------------------------------------------------------------------- #
+def load_placement(path: str | Path) -> Placement:
+    """Read a placement written by :func:`save_placement` (validated)."""
+    payload = json.loads(Path(path).read_text())
+    if payload.get("format_version") != _FORMAT_VERSION:
+        raise ValueError(f"unsupported placement format in {path}")
+    return Placement(
+        n_vms=payload["n_vms"],
+        n_pms=payload["n_pms"],
+        assignment=np.array(payload["assignment"], dtype=np.int64),
+    )
+
+
+def count_by_kind(events: Iterable[TelemetryEvent]) -> dict[str, int]:
+    """Number of events of each ``kind``."""
+    return dict(TallyCounter(e.kind for e in events))
+
+
+def replay_summary(
+    events: Iterable[TelemetryEvent] | str | Path,
+) -> dict[str, int]:
+    """Recompute the run's headline counters from its event stream.
+
+    The event stream must be *sufficient*: the headline counters a
+    :class:`~repro.simulation.scenario.ScenarioReport` prints (migrations,
+    crashes, capacity violations, ...) must be exactly recomputable from
+    the events alone, and the tests assert the two bookkeeping paths agree.
+
+    ``events`` is either an iterable of typed events or a path to a JSONL
+    event log.  Paths are parsed tolerantly: truncated or corrupt lines are
+    skipped with a counted warning (see
+    :func:`~repro.telemetry.sinks.read_events_tolerant`) rather than
+    aborting the whole replay — a crashed writer must not take its
+    post-mortem down with it.
+
+    Returns a dict with the counters a scenario report also tracks:
+    ``migrations`` (completed), ``failed_migrations``, ``crashes``,
+    ``repairs``, ``capacity_violations``, ``degradations``,
+    ``strandings``, ``restorations``, ``blacklistings``,
+    ``reconsolidations``, ``vms_placed``, the observability-plane counts
+    (``snapshots``, ``alerts_fired``, ``alerts_resolved``,
+    ``drift_detections``), the decision-provenance counts
+    (``placement_decisions``, ``migration_decisions``,
+    ``reconsolidation_decisions``, ``replan_decisions``, plus
+    ``decisions_dropped_total`` — candidate/move rows truncated out of
+    decision events) and ``skipped_lines`` (0 when typed events were
+    passed directly).
+    """
+    skipped = 0
+    if isinstance(events, (str, Path)):
+        events, skipped = read_events_tolerant(events)
+    events = list(events)
+    kinds = count_by_kind(events)
+    dropped = sum(getattr(e, "dropped_candidates", 0)
+                  + getattr(e, "dropped_moves", 0) for e in events)
+    return {
+        "skipped_lines": skipped,
+        "snapshots": kinds.get("interval_snapshot", 0),
+        "alerts_fired": kinds.get("alert_fired", 0),
+        "alerts_resolved": kinds.get("alert_resolved", 0),
+        "drift_detections": kinds.get("drift_detected", 0),
+        "vms_placed": kinds.get("vm_placed", 0),
+        "migrations": kinds.get("migration_completed", 0),
+        "failed_migrations": kinds.get("migration_failed", 0),
+        "crashes": kinds.get("pm_crashed", 0),
+        "repairs": kinds.get("pm_repaired", 0),
+        "capacity_violations": kinds.get("capacity_violation", 0),
+        "degradations": kinds.get("degradation_applied", 0),
+        "strandings": kinds.get("vm_stranded", 0),
+        "restorations": kinds.get("service_restored", 0),
+        "blacklistings": kinds.get("target_blacklisted", 0),
+        "reconsolidations": kinds.get("reconsolidation_triggered", 0),
+        "placement_decisions": kinds.get("placement_decided", 0),
+        "migration_decisions": kinds.get("migration_decided", 0),
+        "reconsolidation_decisions": kinds.get("reconsolidation_decided", 0),
+        "replan_decisions": kinds.get("replan_decided", 0),
+        "decisions_dropped_total": dropped,
+    }
+
+
+# --------------------------------------------------------------------- #
+# ambient telemetry state
+# --------------------------------------------------------------------- #
+def get_telemetry():
+    """The ambient default telemetry, if one is installed."""
+    return context._default
+
+
+def active_profiler():
+    """The profiler `timed` spans currently report to, if any."""
+    return profiling._active

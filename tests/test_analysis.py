@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.consolidation import (
-    consolidation_ratio,
-    pm_reduction_percent,
-    pms_used,
-)
+from repro.analysis.consolidation import pm_reduction_percent, pms_used
 from repro.analysis.cvr import cvr_from_loads, cvr_per_pm, evaluate_placement_cvr
 from repro.analysis.report import ExperimentResult, render_result
 from repro.core.queuing_ffd import QueuingFFD
@@ -67,12 +63,6 @@ class TestConsolidationMetrics:
 
     def test_pms_used(self):
         assert pms_used(self._placement([0, 0, 1], 4)) == 2
-
-    def test_consolidation_ratio(self):
-        assert consolidation_ratio(self._placement([0, 0, 1, 1], 4)) == 2.0
-
-    def test_consolidation_ratio_empty(self):
-        assert consolidation_ratio(Placement(0, 3)) == 0.0
 
     def test_pm_reduction_percent(self):
         candidate = self._placement([0, 0, 0], 4)

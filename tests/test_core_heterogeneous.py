@@ -13,7 +13,7 @@ from repro.core.heterogeneous import (
 from repro.core.mapcal import mapcal
 from repro.core.types import PMSpec, VMSpec
 from repro.placement.base import InsufficientCapacityError
-from repro.placement.validation import check_capacity_at_base, check_placement_complete
+from tests.helpers import check_capacity_at_base, check_placement_complete
 
 
 def vm(p_on, p_off, base=10.0, extra=10.0):

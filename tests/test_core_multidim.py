@@ -8,7 +8,6 @@ from repro.core.multidim import (
     MultiDimFirstFit,
     MultiDimPMSpec,
     MultiDimVMSpec,
-    map_correlated_to_scalar,
 )
 from repro.core.queuing_ffd import QueuingFFD
 from repro.core.types import PMSpec, VMSpec
@@ -95,27 +94,11 @@ class TestPlacement:
         placement = MultiDimFirstFit().place([], [])
         assert placement.n_vms == 0
 
-    def test_map_correlated_default_weights(self):
-        vms = [mdvm([10.0, 20.0], [5.0, 10.0])]
-        pms = [MultiDimPMSpec((100.0, 200.0))]
-        scalar_vms, scalar_caps = map_correlated_to_scalar(vms, pms)
-        # weights 1/100, 1/200: base = 0.1 + 0.1 = 0.2; extra = 0.05 + 0.05
-        assert scalar_vms[0].r_base == pytest.approx(0.2)
-        assert scalar_vms[0].r_extra == pytest.approx(0.1)
-        assert scalar_caps[0] == pytest.approx(2.0)
-        # switch probabilities carried through
-        assert scalar_vms[0].p_on == P_ON
-
-    def test_map_correlated_custom_weights(self):
-        vms = [mdvm([10.0, 20.0], [0.0, 0.0])]
-        pms = [MultiDimPMSpec((100.0, 200.0))]
-        scalar_vms, _ = map_correlated_to_scalar(vms, pms, weights=[1.0, 0.0])
-        assert scalar_vms[0].r_base == 10.0
-
     def test_map_correlated_feasibility_preserved(self):
-        """Under perfect correlation, the scalar encoding's Eq. (17)
-        admission decisions match the multi-dim test exactly — verified by
-        running the same input-order first fit on both encodings."""
+        """Under perfect correlation (dimension 1 is exactly twice dimension
+        0), mapping to one scalar dimension keeps the multi-dim Eq. (17)
+        admission decisions exactly — verified by running the same
+        input-order first fit on dimension 0 alone."""
         from repro.core.reservation import fits_with_reservation
         from repro.core.mapcal import mapcal_table
 
@@ -124,7 +107,8 @@ class TestPlacement:
         extras = rng.uniform(5, 15, 30)
         vms_md = [mdvm([b, 2 * b], [e, 2 * e]) for b, e in zip(bases, extras)]
         pms_md = [MultiDimPMSpec((100.0, 200.0))] * 30
-        scalar_vms, scalar_caps = map_correlated_to_scalar(vms_md, pms_md)
+        scalar_vms = [vm.projected(0) for vm in vms_md]
+        scalar_caps = [pm.capacity[0] for pm in pms_md]
         md = MultiDimFirstFit(rho=0.01, d=16).place(vms_md, pms_md)
 
         # input-order scalar first fit with the identical admission rule
@@ -147,18 +131,6 @@ class TestPlacement:
                     break
         # Same order + same admission semantics -> identical assignment.
         np.testing.assert_array_equal(assignment, md.assignment)
-
-    def test_map_correlated_validation(self):
-        with pytest.raises(ValueError):
-            map_correlated_to_scalar([], [])
-        vms = [mdvm([1.0], [1.0])]
-        pms = [MultiDimPMSpec((10.0, 10.0))]
-        with pytest.raises(ValueError, match="dimensionality"):
-            map_correlated_to_scalar(vms, pms)
-        with pytest.raises(ValueError, match="weights"):
-            map_correlated_to_scalar(
-                [mdvm([1.0, 1.0], [1.0, 1.0])], pms, weights=[0.0, 0.0]
-            )
 
     def test_correlated_dims_equiv_to_scalar_mapping(self):
         """The paper's correlated-dimension advice: mapping both dimensions

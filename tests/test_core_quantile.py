@@ -11,7 +11,7 @@ from repro.core.quantile import (
 )
 from repro.core.types import PMSpec, VMSpec
 from repro.placement.base import InsufficientCapacityError
-from repro.placement.validation import check_capacity_at_base, check_placement_complete
+from tests.helpers import check_capacity_at_base, check_placement_complete
 
 
 def vm(p_on, p_off, base=10.0, extra=10.0):

@@ -17,14 +17,10 @@ from repro.placement.base import (
 )
 from repro.placement.ffd import ffd_by_peak
 from repro.placement.grand import GreedyRandomPlacer
-from repro.placement.validation import (
-    check_capacity_at_base,
-    check_placement_complete,
-    max_vms_on_any_pm,
-)
 from repro.service.service import PlacementService
 from repro.telemetry import RingBufferSink, Telemetry
 from repro.workload.patterns import generate_pattern_instance
+from tests.helpers import check_capacity_at_base, check_placement_complete, max_vms_on_any_pm
 
 P_ON, P_OFF = 0.01, 0.09
 

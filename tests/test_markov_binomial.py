@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from repro.markov.binomial import (
-    binomial_pmf_table,
-    busy_block_kernel,
-    busy_block_kernel_bruteforce,
-)
+from repro.markov.binomial import binomial_pmf_table, busy_block_kernel
+from tests.helpers import busy_block_kernel_bruteforce
 
 
 class TestBinomialPmfTable:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.markov.multilevel import MultiLevelChain, birth_death_levels, spiky_levels
+from repro.markov.multilevel import MultiLevelChain, spiky_levels
 from repro.markov.onoff import OnOffChain
 
 
@@ -47,38 +47,6 @@ class TestMultiLevelChain:
         P = np.array([[1.0]])
         chain = MultiLevelChain(P, [1.0])
         assert chain.simulate_ensemble_demand(0, 10).shape == (0, 11)
-
-
-class TestBirthDeath:
-    def test_two_levels_is_onoff(self):
-        chain = birth_death_levels([10.0, 20.0], p_up=0.01, p_down=0.09)
-        onoff = OnOffChain(0.01, 0.09)
-        np.testing.assert_allclose(chain.chain.transition_matrix,
-                                   onoff.transition_matrix())
-
-    def test_ramp_structure(self):
-        chain = birth_death_levels([0.0, 1.0, 2.0, 3.0], p_up=0.2, p_down=0.3)
-        P = chain.chain.transition_matrix
-        assert P[1, 2] == pytest.approx(0.2)
-        assert P[1, 0] == pytest.approx(0.3)
-        assert P[1, 1] == pytest.approx(0.5)
-        assert P[1, 3] == 0.0  # no level skipping
-        # reflecting boundaries
-        assert P[0, 0] == pytest.approx(0.8)
-        assert P[3, 3] == pytest.approx(0.7)
-
-    def test_stationary_is_geometric_in_ratio(self):
-        # Birth-death detailed balance: pi_{i+1} / pi_i = p_up / p_down.
-        chain = birth_death_levels([0, 1, 2], p_up=0.1, p_down=0.2)
-        pi = chain.chain.stationary_distribution()
-        assert pi[1] / pi[0] == pytest.approx(0.5)
-        assert pi[2] / pi[1] == pytest.approx(0.5)
-
-    def test_invalid_probabilities(self):
-        with pytest.raises(ValueError):
-            birth_death_levels([0, 1], p_up=0.7, p_down=0.7)
-        with pytest.raises(ValueError):
-            birth_death_levels([0.0], p_up=0.1, p_down=0.1)
 
 
 class TestSpikyLevels:

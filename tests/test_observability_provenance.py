@@ -20,8 +20,8 @@ from repro.telemetry import (
     ReplanDecided,
     ReplanRolledBack,
     ReplanStarted,
-    replay_summary,
 )
+from tests.helpers import replay_summary
 
 
 def placement(vm_id=3, chosen=1, decision_id=0):

@@ -11,8 +11,6 @@ from repro.core.mapcal import mapcal, mapcal_table
 from repro.perf.cache import (
     CACHE_VERSION,
     MapCalCache,
-    cache_stats,
-    configure_cache,
     fresh_cache,
     get_cache,
     key_digest,
@@ -177,12 +175,6 @@ class TestDefaultCache:
             mapcal(8, 0.01, 0.09, 0.01)
             assert inner.misses >= 1
         assert get_cache() is outer
-
-    def test_configure_cache_replaces_default(self, tmp_path):
-        with fresh_cache():  # shield the process-wide default
-            replaced = configure_cache(maxsize=8, disk_dir=tmp_path)
-            assert get_cache() is replaced
-            assert cache_stats()["entries"] == 0
 
     def test_env_var_enables_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -1,20 +1,16 @@
-"""Tests for repro.placement.ffd — classic bin-packing placers."""
+"""Tests for repro.placement.ffd — First Fit Decreasing and the RP/RB baselines."""
 
 import pytest
 
 from repro.core.types import PMSpec, VMSpec
 from repro.placement.base import InsufficientCapacityError
 from repro.placement.ffd import (
-    BestFitDecreasing,
     FirstFitDecreasing,
-    NextFit,
-    WorstFitDecreasing,
     ffd_by_base,
     ffd_by_peak,
     size_by_base,
-    size_by_peak,
 )
-from repro.placement.validation import (
+from tests.helpers import (
     check_capacity_at_base,
     check_capacity_at_peak,
     check_placement_complete,
@@ -86,60 +82,6 @@ class TestFirstFitDecreasing:
         rb = ffd_by_base(max_vms_per_pm=16).place(vms, pm_list)
         rp = ffd_by_peak(max_vms_per_pm=16).place(vms, pm_list)
         assert rb.n_used_pms <= rp.n_used_pms
-
-
-class TestBestFit:
-    def test_prefers_tightest_bin(self):
-        # After 8 and 6 are placed in separate bins, size-2 best-fits the 8-bin.
-        vms = [vm(8), vm(6), vm(2)]
-        placement = BestFitDecreasing(size_by_base).place(vms, pms(10, 10))
-        assert placement.pm_of(2) == placement.pm_of(0)
-
-    def test_valid(self, medium_instance):
-        vms, pm_list = medium_instance
-        placement = BestFitDecreasing(size_by_peak, max_vms_per_pm=16).place(
-            vms, pm_list
-        )
-        check_placement_complete(placement)
-        check_capacity_at_peak(placement, vms, pm_list)
-
-
-class TestWorstFit:
-    def test_prefers_emptiest_bin(self):
-        vms = [vm(8), vm(6), vm(2)]
-        placement = WorstFitDecreasing(size_by_base).place(vms, pms(10, 10))
-        assert placement.pm_of(2) == placement.pm_of(1)  # joins the 6
-
-    def test_valid(self, medium_instance):
-        vms, pm_list = medium_instance
-        placement = WorstFitDecreasing(size_by_peak, max_vms_per_pm=16).place(
-            vms, pm_list
-        )
-        check_capacity_at_peak(placement, vms, pm_list)
-
-
-class TestNextFit:
-    def test_never_looks_back(self):
-        # 6, 6, 3: next-fit closes PM0 after first 6; the 3 lands in PM1
-        # even though PM0 still has room.
-        vms = [vm(6), vm(6), vm(3)]
-        placement = NextFit(size_by_base).place(vms, pms(10, 10, 10))
-        assert placement.pm_of(0) == 0
-        assert placement.pm_of(1) == 1
-        assert placement.pm_of(2) == 1
-
-    def test_uses_at_least_as_many_pms_as_ffd(self, medium_instance):
-        vms, pm_list = medium_instance
-        nf = NextFit(size_by_peak, max_vms_per_pm=16).place(vms, pm_list)
-        ffd = ffd_by_peak(max_vms_per_pm=16).place(vms, pm_list)
-        assert nf.n_used_pms >= ffd.n_used_pms
-
-    def test_open_pointer_resets_between_calls(self):
-        placer = NextFit(size_by_base)
-        vms = [vm(6), vm(6)]
-        placer.place(vms, pms(10, 10))
-        placement = placer.place(vms, pms(10, 10))
-        assert placement.pm_of(0) == 0  # fresh run starts at PM 0
 
 
 class TestEdgeCases:

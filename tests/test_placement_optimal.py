@@ -11,7 +11,7 @@ from repro.placement.optimal import (
     lower_bound_l1,
     lower_bound_l2,
 )
-from repro.placement.validation import check_capacity_at_base
+from tests.helpers import check_capacity_at_base
 
 
 def vm(b):

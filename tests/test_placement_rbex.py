@@ -6,7 +6,7 @@ from repro.core.types import PMSpec, VMSpec
 from repro.placement.base import InsufficientCapacityError
 from repro.placement.ffd import ffd_by_base
 from repro.placement.rbex import RBExPlacer
-from repro.placement.validation import check_placement_complete
+from tests.helpers import check_placement_complete
 
 P_ON, P_OFF = 0.01, 0.09
 

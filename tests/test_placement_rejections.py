@@ -30,10 +30,7 @@ from repro.placement.base import (
     candidate_rows,
 )
 from repro.placement.ffd import (
-    BestFitDecreasing,
     FirstFitDecreasing,
-    NextFit,
-    WorstFitDecreasing,
     ffd_by_base,
     ffd_by_peak,
     size_by_base,
@@ -78,9 +75,6 @@ def decisions_for(placer, vms, pm_list):
 
 ALL_PLACERS = [
     pytest.param(lambda: FirstFitDecreasing(size_by_peak), id="FFD"),
-    pytest.param(lambda: BestFitDecreasing(size_by_peak), id="BFD"),
-    pytest.param(lambda: WorstFitDecreasing(size_by_peak), id="WFD"),
-    pytest.param(lambda: NextFit(size_by_peak), id="NF"),
     pytest.param(lambda: ffd_by_peak(), id="RP"),
     pytest.param(lambda: ffd_by_base(), id="RB"),
     pytest.param(lambda: StochasticBinPacker(), id="SBP"),

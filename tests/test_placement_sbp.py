@@ -8,7 +8,7 @@ from repro.core.types import PMSpec, VMSpec
 from repro.placement.base import InsufficientCapacityError
 from repro.placement.ffd import ffd_by_base, ffd_by_peak
 from repro.placement.sbp import StochasticBinPacker
-from repro.placement.validation import check_placement_complete
+from tests.helpers import check_placement_complete
 
 P_ON, P_OFF = 0.01, 0.09  # q = 0.1
 

@@ -6,7 +6,8 @@ import pytest
 from repro.core.queuing_ffd import QueuingFFD
 from repro.core.types import PMSpec, VMSpec
 from repro.placement.base import InsufficientCapacityError
-from repro.placement.ffd import NextFit, ffd_by_base, ffd_by_peak
+from repro.placement.ffd import ffd_by_base, ffd_by_peak
+from repro.placement.grand import GreedyRandomPlacer
 from repro.placement.spread import DomainSpreadConstraint
 from repro.simulation.topology import Topology
 from repro.workload.patterns import generate_pattern_instance
@@ -46,7 +47,7 @@ class TestWithPlacers:
     @pytest.mark.parametrize("make", [
         lambda s: ffd_by_peak(max_vms_per_pm=16, spread=s),
         lambda s: ffd_by_base(max_vms_per_pm=16, spread=s),
-        lambda s: NextFit(max_vms_per_pm=16, spread=s),
+        lambda s: GreedyRandomPlacer(rho=0.01, d=16, seed=0, spread=s),
         lambda s: QueuingFFD(rho=0.01, d=16, spread=s),
     ])
     def test_cap_respected(self, make):

@@ -1,10 +1,10 @@
-"""Tests for repro.placement.validation."""
+"""Tests for the placement checkers in tests/helpers.py."""
 
 import numpy as np
 import pytest
 
 from repro.core.types import Placement, PMSpec, VMSpec
-from repro.placement.validation import (
+from tests.helpers import (
     check_capacity_at_base,
     check_capacity_at_peak,
     check_placement_complete,

@@ -18,14 +18,10 @@ from repro.markov.binomial import busy_block_kernel
 from repro.markov.chain import DiscreteMarkovChain
 from repro.markov.onoff import OnOffChain
 from repro.placement.base import InsufficientCapacityError
-from repro.placement.ffd import BestFitDecreasing, FirstFitDecreasing, ffd_by_base
+from repro.placement.ffd import FirstFitDecreasing, ffd_by_base
 from repro.placement.rbex import RBExPlacer
-from repro.placement.validation import (
-    check_capacity_at_base,
-    check_placement_complete,
-    max_vms_on_any_pm,
-)
 from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK
+from tests.helpers import check_capacity_at_base, check_placement_complete, max_vms_on_any_pm
 
 probs = st.floats(min_value=0.001, max_value=0.999)
 small_k = st.integers(min_value=1, max_value=20)
@@ -155,7 +151,6 @@ class TestPlacerProperties:
     def test_greedy_placers_valid(self, inst):
         vms, pms = inst
         for placer in (FirstFitDecreasing(max_vms_per_pm=16),
-                       BestFitDecreasing(max_vms_per_pm=16),
                        ffd_by_base(max_vms_per_pm=16)):
             placement = placer.place(vms, pms)
             check_placement_complete(placement)

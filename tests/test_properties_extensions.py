@@ -18,12 +18,9 @@ from repro.core.heterogeneous import (
 from repro.core.mapcal import mapcal
 from repro.core.quantile import quantile_cvr, quantile_reservation
 from repro.core.types import VMSpec
-from repro.queueing.transient import (
-    expected_time_to_violation,
-    occupancy_at,
-    violation_probability_curve,
-)
+from repro.queueing.transient import expected_time_to_violation, violation_probability_curve
 from repro.workload.estimation import estimate_switch_probabilities, fit_onoff
+from tests.helpers import occupancy_at
 
 probs = st.floats(min_value=0.001, max_value=0.999)
 q_lists = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0,

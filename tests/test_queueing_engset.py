@@ -1,11 +1,11 @@
-"""Tests for repro.queueing.engset and its link to the discrete model."""
+"""Tests for the Engset helper (tests/helpers.py) and its link to the discrete model."""
 
 import numpy as np
 import pytest
 from scipy.special import comb
 
-from repro.queueing.engset import engset_blocking_probability, engset_distribution
 from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK
+from tests.helpers import engset_blocking_probability, engset_distribution
 
 
 class TestEngsetDistribution:

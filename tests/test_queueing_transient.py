@@ -8,9 +8,9 @@ from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK
 from repro.queueing.transient import (
     expected_time_to_violation,
     expected_violation_episode_length,
-    occupancy_at,
     violation_probability_curve,
 )
+from tests.helpers import occupancy_at
 
 K_VMS, P_ON, P_OFF = 8, 0.05, 0.2
 

@@ -6,8 +6,9 @@ import pytest
 
 from repro.core.types import VMSpec
 from repro.experiments.runner import main
-from repro.workload.io import load_instance, load_placement, save_traces
+from repro.workload.io import load_instance, save_traces
 from repro.workload.onoff_generator import demand_trace, ensemble_states
+from tests.helpers import load_placement
 
 
 @pytest.fixture

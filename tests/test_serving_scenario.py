@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import QueuingFFD
-from repro.observability import Observatory, default_serving_rules
+from repro.observability import BurnWindow, Observatory, SLORule
 from repro.placement.ffd import ffd_by_base
 from repro.serving import ServingLayer
 from repro.simulation.checkpoint import (
@@ -18,6 +18,24 @@ from repro.simulation.scenario import Scenario
 from repro.simulation.triggers import SlidingWindowCVRTrigger
 from repro.telemetry import RingBufferSink, Telemetry
 from repro.workload.patterns import generate_pattern_instance
+
+
+def serving_rules(tail_budget=0.01, loss_budget=0.01):
+    """Burn rules on the recorder's request-level metrics.
+
+    ``p99_latency`` alerts on the empirical tail ``P(T_S > t)`` exceeding
+    ``tail_budget`` (with the 1% default, "p99 latency stays at or below
+    the SLA threshold t"); ``request_loss`` guards the loss budget.  A
+    ``repro dashboard --rules`` file names the same metrics to alert on them.
+    """
+    return [
+        SLORule(name="p99_latency", metric="latency_sla", budget=tail_budget,
+                fast=BurnWindow(5, 10.0), slow=BurnWindow(60, 2.0),
+                severity="page"),
+        SLORule(name="request_loss", metric="request_loss", budget=loss_budget,
+                fast=BurnWindow(5, 10.0), slow=BurnWindow(60, 2.0),
+                severity="page"),
+    ]
 
 
 def small_instance(n_vms=24, seed=7):
@@ -276,7 +294,7 @@ class TestObservability:
         # tight SLA + tiny tail budget: the rule must page
         vms, pms = small_instance()
         tel = Telemetry(RingBufferSink())
-        rules = default_serving_rules(tail_budget=0.0001)
+        rules = serving_rules(tail_budget=0.0001)
         obs = Observatory(window=120, rules=rules)
         sc = make_scenario(vms, pms, serving={"sla_t": 1},
                            telemetry=tel, observatory=obs)
@@ -285,7 +303,7 @@ class TestObservability:
         assert fired, "p99_latency rule never fired under forced overload"
 
     def test_serving_rules_stay_quiet_without_serving(self):
-        _, obs = self.run_observed(rules=default_serving_rules(),
+        _, obs = self.run_observed(rules=serving_rules(),
                                    serving=False)
         assert not obs.recorder.serving_seen
         assert obs.slo.fired_total == 0

@@ -8,10 +8,8 @@ from repro.simulation.datacenter import Datacenter
 from repro.simulation.migration import (
     StandardPolicy,
     select_target_least_loaded,
-    select_target_most_free,
     select_target_reservation_aware,
     select_vm_largest_demand,
-    select_vm_min_sufficient,
 )
 
 P_ON, P_OFF = 0.01, 0.09
@@ -47,28 +45,10 @@ class TestVmSelection:
         )
         assert select_vm_largest_demand(dc, 0) == 0
 
-    def test_min_sufficient_picks_smallest_clearing_vm(self):
-        # load 60 on capacity 50: excess 10; VM demands 5, 15, 40.
-        dc = make_dc(
-            [vm(5, 0), vm(15, 0), vm(40, 0)],
-            [PMSpec(50.0)], [0, 0, 0],
-        )
-        assert select_vm_min_sufficient(dc, 0) == 1
-
-    def test_min_sufficient_falls_back_to_largest(self):
-        # No single VM clears the excess -> move the largest.
-        dc = make_dc(
-            [vm(30, 0), vm(30, 0), vm(30, 0)],
-            [PMSpec(25.0)], [0, 0, 0],
-        )
-        assert select_vm_min_sufficient(dc, 0) == 0  # all equal; ties -> lowest id
-
     def test_empty_pm_raises(self):
         dc = make_dc([vm(1, 0)], [PMSpec(10.0), PMSpec(10.0)], [0])
         with pytest.raises(ValueError, match="hosts no VMs"):
             select_vm_largest_demand(dc, 1)
-        with pytest.raises(ValueError, match="hosts no VMs"):
-            select_vm_min_sufficient(dc, 1)
 
 
 class TestTargetSelection:
@@ -156,15 +136,6 @@ class TestTargetSelection:
         target = select_target_reservation_aware(dc, 0, 0, headroom_fraction=0.3)
         assert target == 3
 
-    def test_most_free_ranks_by_absolute_room(self):
-        dc = make_dc(
-            [vm(10, 0), vm(30, 0), vm(20, 0)],
-            [PMSpec(100.0), PMSpec(50.0), PMSpec(100.0)],
-            [0, 1, 2],
-        )
-        # free: PM1 = 20, PM2 = 80 -> PM2 wins for VM 0
-        assert select_target_most_free(dc, 0, 0) == 2
-
 
 class TestStandardPolicy:
     def test_default_bundle(self):
@@ -178,11 +149,16 @@ class TestStandardPolicy:
         assert policy.pick_target(dc, 1, 0) == 1
 
     def test_custom_functions(self):
-        policy = StandardPolicy(pick_vm_fn=select_vm_min_sufficient,
-                                pick_target_fn=select_target_most_free)
+        def smallest(dc, pm_id):
+            vm_ids = dc.placement.vms_on(pm_id)
+            return int(vm_ids[np.argmin(dc.vm_demands()[vm_ids])])
+
+        policy = StandardPolicy(pick_vm_fn=smallest,
+                                pick_target_fn=select_target_reservation_aware)
         dc = make_dc(
             [vm(5, 0), vm(15, 0), vm(40, 0)],
             [PMSpec(50.0), PMSpec(100.0)],
             [0, 0, 0],
         )
-        assert policy.pick_vm(dc, 0) == 1
+        assert policy.pick_vm(dc, 0) == 0
+        assert policy.pick_target(dc, 0, 0) == 1

@@ -7,10 +7,7 @@ from repro.core.queuing_ffd import QueuingFFD
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.placement.ffd import ffd_by_base, ffd_by_peak
 from repro.simulation.datacenter import Datacenter
-from repro.simulation.migration import (
-    StandardPolicy,
-    select_vm_min_sufficient,
-)
+from repro.simulation.migration import StandardPolicy
 from repro.simulation.scheduler import DynamicScheduler, run_simulation
 from repro.workload.patterns import generate_pattern_instance
 
@@ -117,11 +114,6 @@ class TestRestoredDecisions:
         np.testing.assert_array_equal(live.placement.assignment,
                                       restored.placement.assignment)
 
-    def test_min_sufficient_at_a_float_boundary(self):
-        live, restored = boundary_fleet(55.982999999)
-        assert (select_vm_min_sufficient(live, 0)
-                == select_vm_min_sufficient(restored, 0))
-
 
 class TestRunSimulation:
     def test_record_lengths(self):
@@ -165,17 +157,11 @@ class TestRunSimulation:
         assert res_rb.total_migrations > res_q.total_migrations
 
     def test_custom_policy_accepted(self):
-        from repro.simulation.migration import (
-            select_target_reservation_aware,
-            select_vm_min_sufficient,
-        )
+        from repro.simulation.migration import select_target_reservation_aware
 
         vms, pms = generate_pattern_instance("equal", 40, seed=8)
         placement = ffd_by_base(max_vms_per_pm=16).place(vms, pms)
-        policy = StandardPolicy(
-            pick_vm_fn=select_vm_min_sufficient,
-            pick_target_fn=select_target_reservation_aware,
-        )
+        policy = StandardPolicy(pick_target_fn=select_target_reservation_aware)
         result = run_simulation(vms, pms, placement, n_intervals=50,
                                 policy=policy, seed=9)
         assert result.record.n_intervals == 50

@@ -131,47 +131,3 @@ class TestSchedulerIntegration:
         scheduler = DynamicScheduler(dc, trigger=Veto())
         assert scheduler.resolve_overloads(0) == []
         assert dc.overloaded_pms().size == 1  # violation tolerated
-
-
-class TestAlertReactiveTrigger:
-    def test_defers_to_base_when_no_alert(self):
-        from repro.simulation.triggers import AlertReactiveTrigger
-
-        class Veto:
-            observed = 0
-
-            def observe(self, dc, time):
-                self.observed += 1
-
-            def should_migrate(self, pm_id):
-                return False
-
-        base = Veto()
-        trigger = AlertReactiveTrigger(base, alert_active=lambda: False)
-        trigger.observe(overloadable_dc(), 0)
-        assert base.observed == 1
-        assert not trigger.should_migrate(0)
-        assert trigger.escalations == 0
-
-    def test_escalates_while_alert_fires(self):
-        from repro.simulation.triggers import AlertReactiveTrigger
-
-        firing = {"on": True}
-        base = SlidingWindowCVRTrigger(2, rho=0.99, window=50)  # near-veto
-        trigger = AlertReactiveTrigger(base, alert_active=lambda: firing["on"])
-        # no violation observed, so the tolerant base would veto migration
-        trigger.observe(overloadable_dc(), 0)
-        assert trigger.should_migrate(0)  # base would have said no
-        assert trigger.escalations == 1
-        firing["on"] = False
-        assert not trigger.should_migrate(0)
-
-    def test_bound_to_observatory(self):
-        from repro.observability import Observatory
-        from repro.simulation.triggers import AlertReactiveTrigger
-
-        obs = Observatory()
-        trigger = AlertReactiveTrigger(OverflowTrigger(),
-                                       alert_active=obs.alert_active)
-        assert trigger.should_migrate(0)  # base fires regardless
-        assert not obs.has_active_alerts

@@ -2,8 +2,7 @@
 
 The scheduler snapshots its trigger inside ``capture_state()``; a restored
 run must make byte-identical decisions, so each trigger's window/counter
-state has to roundtrip exactly — including an AlertReactiveTrigger frozen
-mid-alert with escalations on the books.
+state has to roundtrip exactly.
 """
 
 from __future__ import annotations
@@ -17,11 +16,7 @@ from repro.core.queuing_ffd import QueuingFFD
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.simulation import Scenario, canonical_state_bytes
 from repro.simulation.datacenter import Datacenter
-from repro.simulation.triggers import (
-    AlertReactiveTrigger,
-    OverflowTrigger,
-    SlidingWindowCVRTrigger,
-)
+from repro.simulation.triggers import OverflowTrigger, SlidingWindowCVRTrigger
 
 
 def _dc(seed=0):
@@ -85,50 +80,6 @@ class TestSlidingWindowParity:
         clone = SlidingWindowCVRTrigger(2, rho=0.5, window=10)
         clone.restore_state(state)
         assert clone._filled == 1 and clone._cursor == 1
-
-
-class TestAlertReactiveParity:
-    def test_mid_alert_escalations_and_base_roundtrip(self):
-        alert = {"on": True}
-        dc = _dc()
-        base = SlidingWindowCVRTrigger(2, rho=0.9, window=8)
-        trigger = AlertReactiveTrigger(base, lambda: alert["on"])
-        for t in range(3):
-            trigger.observe(dc, t)
-        _force_spike(dc, [0, 1])
-        trigger.observe(dc, 3)
-        # windowed CVR = 1/4 <= rho: the base tolerates, the alert escalates
-        assert not base.should_migrate(0)
-        assert trigger.should_migrate(0)
-        assert trigger.escalations == 1
-        state = _roundtrip(trigger.capture_state())
-        assert state["escalations"] == 1
-        assert state["base"] is not None
-
-        clone_alert = {"on": True}
-        clone = AlertReactiveTrigger(
-            SlidingWindowCVRTrigger(2, rho=0.9, window=8),
-            lambda: clone_alert["on"])
-        clone.restore_state(state)
-        assert clone.escalations == 1
-        assert clone.base.capture_state() == base.capture_state()
-        # after the alert clears, both defer to the (restored) base
-        alert["on"] = clone_alert["on"] = False
-        assert clone.should_migrate(0) == trigger.should_migrate(0)
-
-    def test_stateless_base_is_recorded_as_none(self):
-        class Bare:
-            def observe(self, dc, time):
-                pass
-
-            def should_migrate(self, pm_id):
-                return False
-
-        trigger = AlertReactiveTrigger(Bare(), lambda: False)
-        state = trigger.capture_state()
-        assert state["base"] is None
-        trigger.restore_state(_roundtrip(state))
-        assert trigger.escalations == 0
 
 
 class TestScenarioTriggerParity:

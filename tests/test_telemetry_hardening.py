@@ -16,10 +16,10 @@ from repro.telemetry import (
     escape_label_value,
     event_from_dict,
     read_events_tolerant,
-    replay_summary,
     series_key,
 )
 from repro.telemetry.events import CapacityViolation, MigrationCompleted
+from tests.helpers import replay_summary
 
 
 class TestLogRateLimiter:

@@ -14,12 +14,10 @@ from repro.telemetry import (
     NullSink,
     RingBufferSink,
     Telemetry,
-    count_by_kind,
-    get_telemetry,
-    read_events,
-    replay_summary,
+    read_events_tolerant,
     tracing,
 )
+from tests.helpers import count_by_kind, get_telemetry, replay_summary
 
 
 def _fleet(n_vms: int = 30, n_pms: int = 20, seed: int = 5):
@@ -82,7 +80,8 @@ class TestReplayConsistency:
         report = _run(tel)
         tel.close()
 
-        events = read_events(path)
+        events, skipped = read_events_tolerant(path)
+        assert skipped == 0
         assert len(events) == tel.events.emitted
         counts = replay_summary(events)
         assert counts["migrations"] == report.total_migrations
@@ -132,8 +131,9 @@ class TestTraceCLI:
         out = capsys.readouterr().out
         assert "telemetry:" in out
         assert "span" in out
-        events = read_events(jsonl)
+        events, skipped = read_events_tolerant(jsonl)
         assert events, "simulated experiment should emit events"
+        assert skipped == 0
         assert metrics.exists()
         # the stream is internally consistent: every completed migration
         # has a matching start

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.telemetry import Counter, Histogram, MetricsRegistry
+from repro.telemetry import Histogram, MetricsRegistry
 
 
 class TestCounterGauge:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.telemetry import Profiler, active_profiler, timed
+from repro.telemetry import Profiler, timed
+from tests.helpers import active_profiler
 
 
 class TestSpanTree:

@@ -8,13 +8,13 @@ import pytest
 from repro.core.types import Placement, VMSpec
 from repro.workload.io import (
     load_instance,
-    load_placement,
     load_traces,
     save_instance,
     save_placement,
     save_traces,
 )
 from repro.workload.patterns import generate_pattern_instance
+from tests.helpers import load_placement
 
 
 class TestInstanceRoundtrip:

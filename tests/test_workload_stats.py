@@ -6,7 +6,6 @@ import pytest
 from repro.markov.onoff import OnOffChain
 from repro.workload.stats import (
     burst_lengths,
-    empirical_autocorrelation,
     index_of_dispersion,
     mean_burst_length,
     peak_to_mean_ratio,
@@ -42,36 +41,6 @@ class TestPeakToMean:
 
     def test_all_zero(self):
         assert peak_to_mean_ratio(np.zeros(4)) == 0.0
-
-
-class TestAutocorrelation:
-    def test_lag_zero_is_one(self):
-        trace = np.random.default_rng(1).random(100)
-        acf = empirical_autocorrelation(trace, 5)
-        assert acf[0] == 1.0
-
-    def test_constant_trace_returns_zero_beyond_lag0(self):
-        acf = empirical_autocorrelation(np.full(50, 2.0), 3)
-        np.testing.assert_array_equal(acf[1:], 0.0)
-
-    def test_matches_theory_for_onoff(self):
-        chain = OnOffChain(0.05, 0.15)
-        traj = chain.simulate(500_000, seed=0)
-        acf = empirical_autocorrelation(traj.astype(float), 5)
-        lam = 1 - 0.05 - 0.15
-        for lag in range(1, 6):
-            assert acf[lag] == pytest.approx(lam**lag, abs=0.02)
-
-    def test_white_noise_decorrelated(self):
-        trace = np.random.default_rng(2).normal(size=100_000)
-        acf = empirical_autocorrelation(trace, 3)
-        assert abs(acf[1]) < 0.02
-
-    def test_max_lag_validation(self):
-        with pytest.raises(ValueError):
-            empirical_autocorrelation(np.ones(5), 5)
-        with pytest.raises(ValueError):
-            empirical_autocorrelation(np.ones(5), -1)
 
 
 class TestBurstLengths:
