@@ -1,9 +1,12 @@
 """Benchmark: placement cost of the extension reservations vs the paper's.
 
-The exact Poisson-binomial variant recomputes an O(k) convolution per
-admission test and the quantile variant a full O(k x grid) convolution, so
-both trade placement time for capacity.  This bench quantifies the cost at
-the paper's scale so the trade-off is a known number, not folklore.
+Both keep a distribution per PM and extend it by one convolution step per
+admission test: the exact Poisson-binomial variant an ON-count PMF row of
+``d + 1`` points, the quantile variant a spike-mass PMF row of up to
+``(d + 1) * max_steps + 1`` grid points, against a table lookup for
+QUEUE.  Both trade placement time for capacity.  This bench quantifies the
+cost at the paper's scale so the trade-off is a known number, not
+folklore.
 """
 
 import pytest

@@ -9,8 +9,9 @@ asserted exactly; the speedup floor is set below the typically measured
 the vectorization) still fails loudly.
 
 Explaining a placement (one ``PlacementDecided`` per VM, top-K candidate
-rows) must cost at most 10x the unexplained placement of 3,200 VMs on
-3,200 PMs; a per-PM Python loop in any explained path costs 40-120x.
+rows) must cost at most 10x the unexplained placement: QUEUE, RP and SBP
+on 3,200 VMs and 3,200 PMs, QUEUE-HET, QUEUE-MD and QUANTILE on 800; a
+per-PM Python loop in any explained path costs 40-120x.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ import time
 
 import numpy as np
 
+from repro.core.heterogeneous import HeterogeneousQueuingFFD
+from repro.core.multidim import MultiDimFirstFit, MultiDimPMSpec, MultiDimVMSpec
+from repro.core.quantile import QuantileFFD
 from repro.core.queuing_ffd import QueuingFFD
 from repro.perf.cache import cache_stats
 from repro.placement.ffd import ffd_by_peak
@@ -124,6 +128,8 @@ def test_fastpath_identical_and_faster(benchmark, save_result):
 
 
 EXPLAIN_FLEET = 3200
+#: the fleet of the placers whose plain pass costs more per VM
+EXTENSION_FLEET = 800
 EXPLAIN_CEILING = 10.0
 
 
@@ -139,9 +145,20 @@ def _min_cpu(n_runs: int, fn):
 
 def test_explained_placement_within_ceiling():
     vms, pms = generate_pattern_instance("large", EXPLAIN_FLEET, seed=SEED)
+    small_vms, small_pms = generate_pattern_instance("large", EXTENSION_FLEET,
+                                                     seed=SEED)
+    # QUEUE-MD's second dimension: half the spike as base, half the base
+    # as spike
+    md_vms = [MultiDimVMSpec(v.p_on, v.p_off, (v.r_base, 0.5 * v.r_extra),
+                             (v.r_extra, 0.5 * v.r_base)) for v in small_vms]
+    md_pms = [MultiDimPMSpec((p.capacity, p.capacity)) for p in small_pms]
+    cases = [(QueuingFFD(rho=0.01, d=16), vms, pms), (ffd_by_peak(), vms, pms),
+             (StochasticBinPacker(), vms, pms),
+             (HeterogeneousQueuingFFD(rho=0.01, d=16), small_vms, small_pms),
+             (MultiDimFirstFit(rho=0.01, d=16), md_vms, md_pms),
+             (QuantileFFD(rho=0.01, d=16), small_vms, small_pms)]
     ratios = {}
-    for placer in (QueuingFFD(rho=0.01, d=16), ffd_by_peak(),
-                   StochasticBinPacker()):
+    for placer, vms, pms in cases:
         placer.place(vms, pms)  # warm the MapCal cache
         t_plain, plain = _min_cpu(3, lambda: placer.place(vms, pms))
         t_explained, explained = _min_cpu(3, lambda: placer.place_and_report(
@@ -149,6 +166,6 @@ def test_explained_placement_within_ceiling():
         np.testing.assert_array_equal(plain.assignment, explained.assignment)
         ratios[placer.name] = t_explained / max(t_plain, 1e-9)
     assert max(ratios.values()) <= EXPLAIN_CEILING, (
-        f"explained placement of {EXPLAIN_FLEET} VMs costs more than "
+        "explained placement costs more than "
         f"{EXPLAIN_CEILING:g}x the unexplained one: "
         + ", ".join(f"{name} {r:.1f}x" for name, r in ratios.items()))

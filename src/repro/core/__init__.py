@@ -29,7 +29,6 @@ from repro.core.mapcal import BlockMapping, mapcal, mapcal_table
 from repro.core.quantile import (
     QuantileFFD,
     quantile_cvr,
-    quantile_reservation,
     spike_sum_distribution,
 )
 from repro.core.multidim import MultiDimFirstFit, MultiDimVMSpec, MultiDimPMSpec
@@ -50,7 +49,6 @@ __all__ = [
     "poisson_binomial_pmf",
     "QuantileFFD",
     "quantile_cvr",
-    "quantile_reservation",
     "spike_sum_distribution",
     "BlockMapping",
     "mapcal",

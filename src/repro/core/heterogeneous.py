@@ -22,12 +22,12 @@ paper's actual performance constraint (Eq. 5) — does not.
 :class:`HeterogeneousQueuingFFD` is a drop-in placer using the exact
 per-candidate-set tail: instead of a precomputed ``mapping[k]`` it
 recomputes the Poisson-binomial tail as each VM is tentatively added
-(one O(k) convolution step per PM, vectorized over the fleet).
+(one O(k) convolution step per PM, over the PMs that host a VM first and
+the empty tail only when none of them fits).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from repro.core.queuing_ffd import algorithm2_order
 from repro.core.reservation import ReservationKernel
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.perf.cache import get_cache
-from repro.placement.base import InsufficientCapacityError, Placer
+from repro.placement.base import Placer, first_fit
 from repro.utils.validation import check_integer, check_probability
 
 
@@ -118,27 +118,6 @@ def heterogeneous_cvr(vms: Sequence[VMSpec], n_blocks: int) -> float:
     return float(pmf[n_blocks + 1 :].sum())
 
 
-@dataclass(frozen=True)
-class _HeteroPMState:
-    """One PM after exact placement: hosted VM ids, the ON-count PMF of the
-    hosted set, its exact block count and the Eq. (17) aggregates."""
-
-    vm_ids: list[int]
-    pmf: np.ndarray
-    n_blocks: int
-    base_sum: float
-    max_extra: float
-
-    @property
-    def count(self) -> int:
-        return len(self.vm_ids)
-
-    @property
-    def committed(self) -> float:
-        """Base demand plus exact reservation."""
-        return self.base_sum + self.max_extra * self.n_blocks
-
-
 class HeterogeneousQueuingFFD(Placer):
     """QueuingFFD with exact per-PM Poisson-binomial reservations.
 
@@ -164,43 +143,38 @@ class HeterogeneousQueuingFFD(Placer):
         self.n_clusters = check_integer(n_clusters, "n_clusters", minimum=1)
 
     def place(self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]) -> Placement:
-        placement, _ = self.place_with_states(vms, pms)
-        return placement
+        if self.explainer is not None:
+            self.explainer.set_inputs(score_kind="reservation_headroom")
+        kernel = _ExactKernel([p.capacity for p in pms], self.d, self.rho)
+        return first_fit(self, vms, len(pms),
+                         algorithm2_order(vms, self.n_clusters), kernel)
 
-    def place_with_states(
-        self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]
-    ) -> tuple[Placement, list[_HeteroPMState]]:
-        """Place and return the exact per-PM states (for inspection).
 
-        Each PM keeps the PMF of its hosted set's ON-count (row ``j`` of
-        ``pmfs``).  A candidate's exact block count on every PM is one
-        convolution step of those PMFs, and the Eq. (17) test runs in
-        :class:`ReservationKernel` with those counts in place of a table.
-        """
-        placement = Placement(len(vms), len(pms))
-        kernel = ReservationKernel([p.capacity for p in pms], self.d)
-        pmfs = np.zeros((len(pms), self.d + 1))
-        pmfs[:, 0] = 1.0
-        threshold = 1.0 - self.rho - 1e-15
-        for vm_idx in algorithm2_order(vms, self.n_clusters):
-            vm_idx = int(vm_idx)
-            vm = vms[vm_idx]
-            q = vm.p_on / (vm.p_on + vm.p_off)
-            extended = pmfs * (1.0 - q)
-            extended[:, 1:] += pmfs[:, :-1] * q
-            blocks = _exact_blocks(extended, threshold, kernel.counts + 1)
-            hit = np.flatnonzero(kernel.feasible(vm, blocks=blocks))
-            if not hit.size:
-                raise InsufficientCapacityError(vm_idx)
-            pm_idx = int(hit[0])
-            kernel.add(pm_idx, vm_idx, vm)
-            pmfs[pm_idx] = extended[pm_idx]
-            placement.place(vm_idx, pm_idx)
-        n_blocks = _exact_blocks(pmfs, threshold, kernel.counts)
-        states = [
-            _HeteroPMState(list(kernel.hosted[j]),
-                           pmfs[j, :kernel.counts[j] + 1].copy(),
-                           int(n_blocks[j]), float(kernel.base_sums[j]),
-                           float(kernel.max_extras[j]))
-            for j in range(len(pms))]
-        return placement, states
+class _ExactKernel(ReservationKernel):
+    """The Eq. (17) kernel with exact block counts: each PM keeps the PMF
+    of its hosted set's ON-count as a row, and a candidate's block count is
+    one convolution step of that row."""
+
+    def __init__(self, caps, d: int, rho: float):
+        super().__init__(caps, d)
+        self.pmfs = np.zeros((self.caps.shape[0], d + 1))
+        self.pmfs[:, 0] = 1.0
+        self.threshold = 1.0 - rho - 1e-15
+
+    def _extended(self, vm, lo: int, hi: int | None) -> np.ndarray:
+        """Rows ``[lo, hi)`` with ``vm`` added."""
+        q = vm.p_on / (vm.p_on + vm.p_off)
+        pmfs = self.pmfs[lo:hi]
+        extended = pmfs * (1.0 - q)
+        extended[:, 1:] += pmfs[:, :-1] * q
+        return extended
+
+    def need(self, vm, lo: int = 0, hi: int | None = None):
+        blocks = _exact_blocks(self._extended(vm, lo, hi), self.threshold,
+                               self.counts[lo:hi] + 1)
+        return super().need(vm, lo, hi, blocks=blocks)
+
+    def add(self, pm: int, vm_id: int, vm) -> None:
+        row = self._extended(vm, pm, pm + 1)[0]
+        super().add(pm, vm_id, vm)
+        self.pmfs[pm] = row

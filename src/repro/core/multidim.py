@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.mapcal import BlockMapping, mapcal_table
+from repro.core.queuing_ffd import explained_mapping
 from repro.core.reservation import ReservationKernel
 from repro.core.rounding import RoundingRule, round_switch_probabilities
 from repro.core.types import Placement, VMSpec
 from repro.markov.chain import StationaryMethod
-from repro.placement.base import InsufficientCapacityError
+from repro.placement.base import Placer, first_fit
 from repro.utils.validation import check_integer, check_probability
 
 
@@ -86,13 +87,14 @@ class MultiDimPMSpec:
         return len(self.capacity)
 
 
-class MultiDimFirstFit:
+class MultiDimFirstFit(Placer):
     """First Fit with per-dimension queueing reservations.
 
     A VM fits on a PM iff Eq. (17) holds **in every dimension** with the
     shared block-count table (the block count depends only on
     ``(k, p_on, p_off, rho)``; block *sizes* differ per dimension via the
-    dimension's ``max R_e``).
+    dimension's ``max R_e``).  An explained decision scores each PM by its
+    tightest dimension's headroom.
 
     Parameters
     ----------
@@ -123,22 +125,14 @@ class MultiDimFirstFit:
     def place(self, vms: Sequence[MultiDimVMSpec],
               pms: Sequence[MultiDimPMSpec]) -> Placement:
         """First-fit placement over all dimensions; VMs in input order."""
-        placement = Placement(len(vms), len(pms))
         if not vms:
-            return placement
+            return Placement(0, len(pms))
         n_dims = vms[0].n_dims
         if any(v.n_dims != n_dims for v in vms):
             raise ValueError("all VMs must share the same dimensionality")
         if any(p.n_dims != n_dims for p in pms):
             raise ValueError("PM dimensionality must match the VMs")
-        mapping = self._mapping(vms)
-
+        mapping = explained_mapping(self, lambda: self._mapping(vms))
         kernel = ReservationKernel([p.capacity for p in pms], mapping.d,
                                    mapping.table)  # caps of shape (m, D)
-        for vm_idx, vm in enumerate(vms):
-            pm_idx = kernel.first_fit(vm)
-            if pm_idx < 0:
-                raise InsufficientCapacityError(vm_idx)
-            kernel.add(pm_idx, vm_idx, vm)
-            placement.place(vm_idx, pm_idx)
-        return placement
+        return first_fit(self, vms, len(pms), range(len(vms)), kernel)

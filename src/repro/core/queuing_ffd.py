@@ -15,7 +15,7 @@ Total cost ``O(d^4 + n log n + m n)`` as the paper states.
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -26,13 +26,8 @@ from repro.core.reservation import PMReservationState, ReservationKernel
 from repro.core.rounding import RoundingRule, round_switch_probabilities
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.markov.chain import StationaryMethod
-from repro.placement.base import (
-    REASON_CVR_THRESHOLD,
-    REASON_SPREAD,
-    REASON_VM_CAP,
-    InsufficientCapacityError,
-    Placer,
-)
+from repro.perf.cache import cache_stats
+from repro.placement.base import Placer, first_fit
 from repro.placement.spread import DomainSpreadConstraint
 from repro.telemetry import timed
 from repro.utils.validation import check_integer, check_probability
@@ -139,98 +134,38 @@ class QueuingFFD(Placer):
     ) -> tuple[Placement, list[PMReservationState]]:
         """Place VMs and also return the per-PM reservation states.
 
-        VMs go in :meth:`order_vms` order, each to the PM :meth:`_select`
-        picks with the :class:`ReservationKernel`; an explained placement
-        also scores every PM, for its candidate rows.
-        :meth:`_place_reference` keeps the literal Algorithm 2 loop for
-        cross-validation.
+        VMs go in :meth:`order_vms` order through
+        :func:`~repro.placement.base.first_fit`, with the
+        :class:`ReservationKernel` as its state.
         """
         with timed("queuing_ffd.place"):
-            return self._place_vectorized(vms, pms)
+            if not vms:
+                return Placement(0, len(pms)), []
+            mapping = explained_mapping(self, lambda: self.mapping_for(vms))
+            kernel = ReservationKernel([p.capacity for p in pms], mapping.d,
+                                       mapping.table)
+            placement = first_fit(
+                self, vms, len(pms), self.order_vms(vms), kernel,
+                spread=self.spread,
+                choose_for=getattr(self, "choose_for", None))
+            return placement, [kernel.snapshot(i, p, mapping)
+                               for i, p in enumerate(pms)]
 
-    def _place_vectorized(
-        self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]
-    ) -> tuple[Placement, list[PMReservationState]]:
-        placement = Placement(len(vms), len(pms))
-        if not vms:
-            return placement, []
-        explainer = self.explainer
-        if explainer is None:
-            mapping = self.mapping_for(vms)
-        else:
-            # Stamp the model inputs on every decision: the (rounded)
-            # switching probabilities, a fingerprint of the MapCal table the
-            # Eq. (17) test ran against, and whether building it hit the
-            # process-wide cache (no new misses = fully warm).
-            from repro.perf.cache import cache_stats
-            misses_before = cache_stats()["misses"]
-            mapping = self.mapping_for(vms)
-            explainer.set_inputs(
-                p_on=mapping.p_on, p_off=mapping.p_off,
-                table_fingerprint=table_fingerprint(mapping),
-                cache_hit=cache_stats()["misses"] == misses_before,
-                score_kind="reservation_headroom")
-        kernel = ReservationKernel([p.capacity for p in pms], mapping.d,
-                                   mapping.table)
-        domain_counts = None
-        if self.spread is not None:
-            self.spread.check_n_pms(len(pms))
-            domain_counts = self.spread.new_counts()
-        for vm_idx in self.order_vms(vms):
-            vm_idx = int(vm_idx)
-            vm = vms[vm_idx]
-            spread_ok = (self.spread.allowed_pms(domain_counts)
-                         if self.spread is not None else None)
-            pm_idx = self._select(kernel, vm, vm_idx, spread_ok)
-            if explainer is not None:
-                need, count_ok = kernel.need(vm)
-                explainer.record(vm_idx, pm_idx, [
-                    (REASON_VM_CAP, ~count_ok),
-                    (REASON_CVR_THRESHOLD, ~kernel.within(need)),
-                    (REASON_SPREAD, None if spread_ok is None else ~spread_ok),
-                ], kernel.caps - need)
-            if pm_idx < 0:
-                raise InsufficientCapacityError(vm_idx)
-            kernel.add(pm_idx, vm_idx, vm)
-            if self.spread is not None:
-                self.spread.admit(pm_idx, domain_counts)
-            placement.place(vm_idx, pm_idx)
-        return placement, [kernel.snapshot(i, p, mapping)
-                           for i, p in enumerate(pms)]
 
-    def _select(self, kernel: ReservationKernel, vm: VMSpec, vm_idx: int,
-                allowed: np.ndarray | None) -> int:
-        """Algorithm 2's first fit: one NumPy pass over the opened PMs, then
-        over the empty tail only if none of them fits (-1: none does)."""
-        return kernel.first_fit(vm, allowed)
-
-    def _place_reference(
-        self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]
-    ) -> tuple[Placement, list[PMReservationState]]:
-        """Literal Algorithm 2 (per-PM Python scan); used to cross-validate
-        the vectorized path in the test suite."""
-        placement = Placement(len(vms), len(pms))
-        if not vms:
-            return placement, []
-        mapping = self.mapping_for(vms)
-        states = [PMReservationState(spec=p, mapping=mapping) for p in pms]
-        domain_counts = None
-        if self.spread is not None:
-            self.spread.check_n_pms(len(pms))
-            domain_counts = self.spread.new_counts()
-        for vm_idx in self.order_vms(vms):
-            vm_idx = int(vm_idx)
-            vm = vms[vm_idx]
-            for pm_idx, state in enumerate(states):
-                if self.spread is not None and not bool(
-                        self.spread.allowed_pms(domain_counts)[pm_idx]):
-                    continue
-                if state.fits(vm):
-                    state.add(vm_idx, vm)
-                    placement.place(vm_idx, pm_idx)
-                    if self.spread is not None:
-                        self.spread.admit(pm_idx, domain_counts)
-                    break
-            else:
-                raise InsufficientCapacityError(vm_idx)
-        return placement, states
+def explained_mapping(placer: Placer,
+                      build: Callable[[], BlockMapping]) -> BlockMapping:
+    """``build()``'s MapCal table.  With ``placer``'s explainer attached,
+    every decision is stamped with the table's (rounded) switching
+    probabilities, its fingerprint and whether building it hit the
+    process-wide cache (no new misses = fully warm)."""
+    explainer = placer.explainer
+    if explainer is None:
+        return build()
+    misses_before = cache_stats()["misses"]
+    mapping = build()
+    explainer.set_inputs(
+        p_on=mapping.p_on, p_off=mapping.p_off,
+        table_fingerprint=table_fingerprint(mapping),
+        cache_hit=cache_stats()["misses"] == misses_before,
+        score_kind="reservation_headroom")
+    return mapping

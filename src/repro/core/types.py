@@ -68,11 +68,6 @@ class VMSpec:
         """Instantaneous demand given the ON/OFF state."""
         return self.r_peak if on else self.r_base
 
-    @property
-    def expected_demand(self) -> float:
-        """Stationary mean demand ``R_b + R_e * p_on / (p_on + p_off)``."""
-        return self.r_base + self.r_extra * self.chain().stationary_on_probability
-
 
 @dataclass(frozen=True)
 class PMSpec:
@@ -188,17 +183,6 @@ class Placement:
     def all_placed(self) -> bool:
         """Whether every VM is assigned to some PM."""
         return bool(np.all(self.assignment != UNPLACED))
-
-    def groups(self) -> dict[int, np.ndarray]:
-        """Mapping PM index -> array of hosted VM indices (used PMs only)."""
-        return {int(pm): self.vms_on(int(pm)) for pm in self.used_pms()}
-
-    def as_matrix(self) -> np.ndarray:
-        """The dense binary mapping ``X = [x_ij]`` of shape (n_vms, n_pms)."""
-        X = np.zeros((self.n_vms, self.n_pms), dtype=np.int8)
-        placed = np.flatnonzero(self.assignment != UNPLACED)
-        X[placed, self.assignment[placed]] = 1
-        return X
 
     def copy(self) -> "Placement":
         """Deep copy of the placement."""

@@ -1,6 +1,7 @@
 """Placement strategies: the paper's baselines plus related-work comparators.
 
-- :mod:`repro.placement.base` — the :class:`Placer` interface and errors.
+- :mod:`repro.placement.base` — the :class:`Placer` interface, errors and
+  :func:`first_fit`, the placement loop every batch placer runs.
 - :mod:`repro.placement.ffd` — First Fit Decreasing on a scalar size:
   by ``R_p`` (the paper's RP baseline) and by ``R_b`` (RB).
 - :mod:`repro.placement.grand` — GRAND (Stolyar): uniform-random choice
@@ -23,6 +24,7 @@ from repro.placement.base import (
     Placer,
     PlacementExplainer,
     candidate_rows,
+    first_fit,
 )
 from repro.placement.grand import GreedyRandomPlacer, hash_pick
 from repro.placement.ffd import FirstFitDecreasing, ffd_by_base, ffd_by_peak
@@ -45,6 +47,7 @@ __all__ = [
     "Placer",
     "PlacementExplainer",
     "candidate_rows",
+    "first_fit",
     "FirstFitDecreasing",
     "ffd_by_base",
     "ffd_by_peak",

@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.queuing_ffd import QueuingFFD
-from repro.core.reservation import ReservationKernel
 from repro.core.types import VMSpec
 
 
@@ -72,10 +71,11 @@ class GreedyRandomPlacer(QueuingFFD):
         self.seed = int(seed)
 
     # ------------------------------------------------------------------ #
-    # online hook: selection rule for OnlineConsolidator.admit(choose=...)
+    # what differs from QueuingFFD: the pick (batch first_fit and
+    # OnlineConsolidator.admit(choose=...) both take it) and the order
     # ------------------------------------------------------------------ #
     def choose_for(self, decision_seq: int):
-        """A ``choose`` callable for one online admission.
+        """A ``choose`` callable for one decision.
 
         Bind the decision's sequence number up front (the service uses its
         WAL sequence), then hand the result to
@@ -89,17 +89,6 @@ class GreedyRandomPlacer(QueuingFFD):
 
         return choose
 
-    # ------------------------------------------------------------------ #
-    # what differs from QueuingFFD: the order and the pick
-    # ------------------------------------------------------------------ #
     def order_vms(self, vms: Sequence[VMSpec]) -> np.ndarray:
         """Input order: GRAND places an arrival stream."""
         return np.arange(len(vms))
-
-    def _select(self, kernel: ReservationKernel, vm: VMSpec, vm_idx: int,
-                allowed: np.ndarray | None) -> int:
-        ok = kernel.feasible(vm)
-        if allowed is not None:
-            ok &= allowed
-        feasible = np.flatnonzero(ok).tolist()
-        return self.choose_for(vm_idx)(feasible) if feasible else -1

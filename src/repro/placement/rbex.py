@@ -12,12 +12,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.types import Placement, PMSpec, VMSpec
-from repro.placement.base import Placer
 from repro.placement.ffd import FirstFitDecreasing, size_by_base
 from repro.utils.validation import check_probability
 
 
-class RBExPlacer(Placer):
+class RBExPlacer(FirstFitDecreasing):
     """FFD by ``R_b`` into capacity shrunk by the reservation fraction.
 
     Parameters
@@ -32,21 +31,10 @@ class RBExPlacer(Placer):
 
     def __init__(self, delta: float = 0.3, *, max_vms_per_pm: int = 10**9):
         self.delta = check_probability(delta, "delta", allow_one=False)
-        self._inner = FirstFitDecreasing(
-            size_by_base, max_vms_per_pm=max_vms_per_pm, name="RB-EX"
-        )
-
-    @property
-    def max_vms_per_pm(self) -> int:
-        """Per-PM VM cap."""
-        return self._inner.max_vms_per_pm
+        super().__init__(size_by_base, max_vms_per_pm=max_vms_per_pm)
 
     def place(self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]) -> Placement:
-        shrunk = [PMSpec(capacity=p.capacity * (1.0 - self.delta)) for p in pms]
-        # forward the provenance hook so the delegated FFD pass explains
-        # its decisions (scores are residuals against the shrunk capacity)
-        self._inner.explainer = self.explainer
-        try:
-            return self._inner.place(vms, shrunk)
-        finally:
-            self._inner.explainer = None
+        """FFD against the shrunk capacities; explained scores are residuals
+        against them."""
+        return super().place(vms, [PMSpec(capacity=p.capacity * (1.0 - self.delta))
+                                   for p in pms])

@@ -5,6 +5,10 @@ checks other, production code with it:
 
 - placement validity checks (capacity at ``R_b`` and ``R_p``, completeness,
   the per-PM VM cap);
+- the scalar placement loops the shared first-fit loop is checked against:
+  literal Algorithm 2 (:func:`place_reference`) and QuantileFFD's
+  re-convolving loop (:func:`quantile_ffd_reference`, with
+  :func:`quantile_reservation`);
 - the Engset loss system, the continuous-time limit of the discrete
   Geom/Geom/K/K model;
 - the busy-block kernel (the paper's Eq. 12) by direct summation;
@@ -12,11 +16,13 @@ checks other, production code with it:
 - reading back a placement that ``repro consolidate`` wrote;
 - recounting a run's headline counters from its event stream;
 - the ambient telemetry and the active profiler, so tests can see that
-  ``tracing``/``Profiler`` blocks restore them.
+  ``tracing``/``Profiler`` blocks restore them;
+- the provenance fixture's generator module.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from collections import Counter as TallyCounter
 from pathlib import Path
@@ -26,7 +32,10 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import binom
 
+from repro.core.quantile import spike_sum_distribution
+from repro.core.reservation import PMReservationState
 from repro.core.types import Placement, PMSpec, VMSpec
+from repro.placement.base import InsufficientCapacityError
 from repro.queueing.transient import _kernel
 from repro.telemetry import context, profiling
 from repro.telemetry.events import TelemetryEvent
@@ -277,6 +286,103 @@ def replay_summary(
         "replan_decisions": kinds.get("replan_decided", 0),
         "decisions_dropped_total": dropped,
     }
+
+
+# --------------------------------------------------------------------- #
+# scalar placement loops
+# --------------------------------------------------------------------- #
+def place_reference(
+    placer, vms: Sequence[VMSpec], pms: Sequence[PMSpec]
+) -> tuple[Placement, list[PMReservationState]]:
+    """Literal Algorithm 2 (per-PM Python scan) for a ``QueuingFFD``; used
+    to cross-validate the vectorized path in the test suite."""
+    placement = Placement(len(vms), len(pms))
+    if not vms:
+        return placement, []
+    mapping = placer.mapping_for(vms)
+    states = [PMReservationState(spec=p, mapping=mapping) for p in pms]
+    domain_counts = None
+    if placer.spread is not None:
+        placer.spread.check_n_pms(len(pms))
+        domain_counts = placer.spread.new_counts()
+    for vm_idx in placer.order_vms(vms):
+        vm_idx = int(vm_idx)
+        vm = vms[vm_idx]
+        for pm_idx, state in enumerate(states):
+            if placer.spread is not None and not bool(
+                    placer.spread.allowed_pms(domain_counts)[pm_idx]):
+                continue
+            if state.fits(vm):
+                state.add(vm_idx, vm)
+                placement.place(vm_idx, pm_idx)
+                if placer.spread is not None:
+                    placer.spread.admit(pm_idx, domain_counts)
+                break
+        else:
+            raise InsufficientCapacityError(vm_idx)
+    return placement, states
+
+
+def quantile_reservation(vms: Sequence[VMSpec], rho: float, *,
+                         resolution: float = 0.25) -> float:
+    """Smallest grid amount ``R`` with ``P[spike mass > R] <= rho``.
+
+    The exact blockless analogue of MapCal's Eq. 15: reserving ``R`` bounds
+    the stationary CVR by rho (spike sizes were rounded up to the grid, so
+    the bound is conservative by at most ``len(vms) * resolution``).
+    """
+    check_probability(rho, "rho")
+    pmf, res = spike_sum_distribution(vms, resolution=resolution)
+    cumulative = np.cumsum(pmf)
+    meets = np.flatnonzero(cumulative >= 1.0 - rho - 1e-15)
+    idx = int(meets[0]) if meets.size else pmf.size - 1
+    return idx * res
+
+
+def quantile_ffd_reference(placer, vms: Sequence[VMSpec],
+                           pms: Sequence[PMSpec]) -> Placement:
+    """A ``QuantileFFD`` pass that re-convolves each PM's hosted set for
+    every admission test, one PM at a time."""
+    from repro.core.queuing_ffd import algorithm2_order
+
+    placement = Placement(len(vms), len(pms))
+    if not vms:
+        return placement
+    hosted: list[list[int]] = [[] for _ in pms]
+    base_sum = np.zeros(len(pms))
+    for vm_idx in algorithm2_order(vms, placer.n_clusters):
+        vm_idx = int(vm_idx)
+        vm = vms[vm_idx]
+        placed = False
+        for pm_idx, pm in enumerate(pms):
+            if len(hosted[pm_idx]) + 1 > placer.d:
+                continue
+            members = [vms[i] for i in hosted[pm_idx]] + [vm]
+            reserve = quantile_reservation(members, placer.rho,
+                                           resolution=placer.resolution)
+            need = reserve + base_sum[pm_idx] + vm.r_base
+            if need <= pm.capacity + _EPS:
+                hosted[pm_idx].append(vm_idx)
+                base_sum[pm_idx] += vm.r_base
+                placement.place(vm_idx, pm_idx)
+                placed = True
+                break
+        if not placed:
+            raise InsufficientCapacityError(vm_idx)
+    return placement
+
+
+# --------------------------------------------------------------------- #
+# the provenance fixture's generator
+# --------------------------------------------------------------------- #
+def provenance_generator():
+    """``tests/data/provenance_v1/generate.py``, loaded as a module."""
+    path = Path(__file__).parent / "data" / "provenance_v1" / "generate.py"
+    spec = importlib.util.spec_from_file_location("provenance_v1_generate",
+                                                  path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # --------------------------------------------------------------------- #

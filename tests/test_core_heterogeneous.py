@@ -9,8 +9,10 @@ from repro.core.heterogeneous import (
     heterogeneous_blocks,
     heterogeneous_cvr,
     poisson_binomial_pmf,
+    stationary_on_probabilities,
 )
 from repro.core.mapcal import mapcal
+from repro.core.queuing_ffd import algorithm2_order
 from repro.core.types import PMSpec, VMSpec
 from repro.placement.base import InsufficientCapacityError
 from tests.helpers import check_capacity_at_base, check_placement_complete
@@ -113,28 +115,39 @@ class TestHeterogeneousPlacer:
             for _ in range(n)
         ]
 
+    @staticmethod
+    def hosted_sets(placer, vms, placement):
+        """Each used PM's hosted VMs in hosting order, with the exact block
+        count of that set: the least ``K`` whose ON-count CDF, convolved in
+        that order, reaches ``1 - rho``."""
+        order = [int(i) for i in algorithm2_order(vms, placer.n_clusters)]
+        for pm_idx in placement.used_pms():
+            hosted = [vms[i] for i in order if placement.pm_of(i) == pm_idx]
+            pmf = poisson_binomial_pmf(stationary_on_probabilities(hosted))
+            meets = np.flatnonzero(np.cumsum(pmf) >= 1.0 - placer.rho - 1e-15)
+            yield int(pm_idx), hosted, int(meets[0]) if meets.size else len(hosted)
+
     def test_places_everything_validly(self):
         vms = self._fleet(80, seed=0)
         pms = [PMSpec(float(c)) for c in
                np.random.default_rng(1).uniform(80, 100, 80)]
         placer = HeterogeneousQueuingFFD(rho=0.01, d=16)
-        placement, states = placer.place_with_states(vms, pms)
+        placement = placer.place(vms, pms)
         check_placement_complete(placement)
         check_capacity_at_base(placement, vms, pms)
-        for pm_idx, state in enumerate(states):
-            if state.count:
-                assert state.committed <= pms[pm_idx].capacity + 1e-6
-                assert state.count <= 16
+        for pm_idx, hosted, n_blocks in self.hosted_sets(placer, vms, placement):
+            committed = (sum(v.r_base for v in hosted)
+                         + max(v.r_extra for v in hosted) * n_blocks)
+            assert committed <= pms[pm_idx].capacity + 1e-6
+            assert len(hosted) <= 16
 
     def test_exact_cvr_bound_holds_per_pm(self):
         vms = self._fleet(60, seed=2)
         pms = [PMSpec(100.0)] * 60
         placer = HeterogeneousQueuingFFD(rho=0.01, d=16)
-        placement, states = placer.place_with_states(vms, pms)
-        for pm_idx, state in enumerate(states):
-            if state.count:
-                hosted = [vms[i] for i in state.vm_ids]
-                assert heterogeneous_cvr(hosted, state.n_blocks) <= 0.01 + 1e-9
+        placement = placer.place(vms, pms)
+        for _, hosted, n_blocks in self.hosted_sets(placer, vms, placement):
+            assert heterogeneous_cvr(hosted, n_blocks) <= 0.01 + 1e-9
 
     def test_no_worse_than_conservative_rounding(self):
         """Exact reservations pack at least as tight as the conservative

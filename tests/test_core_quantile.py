@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.quantile import (
-    QuantileFFD,
-    quantile_cvr,
-    quantile_reservation,
-    spike_sum_distribution,
-)
+from repro.core.quantile import QuantileFFD, quantile_cvr, spike_sum_distribution
 from repro.core.types import PMSpec, VMSpec
 from repro.placement.base import InsufficientCapacityError
-from tests.helpers import check_capacity_at_base, check_placement_complete
+from tests.helpers import (
+    check_capacity_at_base,
+    check_placement_complete,
+    quantile_ffd_reference,
+    quantile_reservation,
+)
 
 
 def vm(p_on, p_off, base=10.0, extra=10.0):
@@ -156,8 +156,6 @@ class TestQuantileFFD:
         assert stats["mean"] <= 0.015
 
     def test_eq_constraint_holds_per_pm(self):
-        from repro.core.quantile import quantile_reservation
-
         vms, pms = self._instance(n=40, seed=6)
         placer = QuantileFFD(rho=0.01, d=16)
         placement = placer.place(vms, pms)
@@ -176,3 +174,25 @@ class TestQuantileFFD:
 
     def test_empty(self):
         assert QuantileFFD().place([], [PMSpec(10.0)]).n_vms == 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_scalar_loop(self, seed):
+        """The row state places exactly as re-convolving each PM's hosted
+        set does, with ``R_e = 0`` VMs and PMs full at ``d``."""
+        rng = np.random.default_rng(700 + seed)
+        vms = [vm(float(rng.uniform(0.005, 0.2)), float(rng.uniform(0.05, 0.6)),
+                  base=float(rng.uniform(0.0, 20.0)),
+                  extra=0.0 if rng.random() < 0.25 else float(rng.uniform(0.0, 30.0)))
+               for _ in range(int(rng.integers(1, 50)))]
+        pms = [PMSpec(float(c)) for c in rng.uniform(5.0, 120.0, int(rng.integers(1, 30)))]
+        placer = QuantileFFD(rho=float(rng.choice([0.0, 0.01, 0.1])),
+                             d=int(rng.choice([2, 3, 16])),
+                             resolution=float(rng.choice([0.25, 1.0, 2.5])))
+        try:
+            expected = quantile_ffd_reference(placer, vms, pms).assignment.tolist()
+        except InsufficientCapacityError as exc:
+            with pytest.raises(InsufficientCapacityError) as got:
+                placer.place(vms, pms)
+            assert got.value.vm_index == exc.vm_index
+        else:
+            assert placer.place(vms, pms).assignment.tolist() == expected

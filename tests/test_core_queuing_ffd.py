@@ -20,7 +20,12 @@ from repro.placement.grand import GreedyRandomPlacer
 from repro.service.service import PlacementService
 from repro.telemetry import RingBufferSink, Telemetry
 from repro.workload.patterns import generate_pattern_instance
-from tests.helpers import check_capacity_at_base, check_placement_complete, max_vms_on_any_pm
+from tests.helpers import (
+    check_capacity_at_base,
+    check_placement_complete,
+    max_vms_on_any_pm,
+    place_reference,
+)
 
 P_ON, P_OFF = 0.01, 0.09
 
@@ -239,8 +244,9 @@ class TestVectorizedEqualsReference:
     """One property suite for every caller of the Eq. (17) kernel.
 
     The vectorized first fit (opened PMs first, then empty ones) must
-    agree with the literal Algorithm 2 loop on assignment, reservation
-    states and the VM an infeasible input fails at.  Without a spread
+    agree with the literal Algorithm 2 loop (:func:`place_reference`) on
+    assignment, reservation states and the VM an infeasible input fails
+    at.  Without a spread
     cap, single online admissions in Algorithm 2 order, ``admit_batch``
     and the placement service must choose the same PMs.  GRAND and the
     one-dimensional ``MultiDimFirstFit`` must equal online admission in
@@ -250,7 +256,7 @@ class TestVectorizedEqualsReference:
     @staticmethod
     def assert_agrees(placer, vms, pms):
         try:
-            ref, ref_states = placer._place_reference(vms, pms)
+            ref, ref_states = place_reference(placer, vms, pms)
         except InsufficientCapacityError as ref_exc:
             with pytest.raises(InsufficientCapacityError) as fast_exc:
                 placer.place_with_states(vms, pms)
@@ -345,7 +351,7 @@ class TestVectorizedEqualsReference:
         vms, pms = random_fleet(rng, 30, 60)
         placer = QueuingFFD(rho=0.01, d=8)
         try:
-            ref, _ = placer._place_reference(vms, pms)
+            ref, _ = place_reference(placer, vms, pms)
         except InsufficientCapacityError:
             pytest.skip("infeasible draw")
         sink = RingBufferSink()

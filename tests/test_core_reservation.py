@@ -1,5 +1,6 @@
 """Tests for repro.core.reservation — Eq. (17) and PM state bookkeeping."""
 
+import numpy as np
 import pytest
 
 from repro.core.mapcal import mapcal_table
@@ -189,6 +190,8 @@ class TestReservationKernel:
         need, count_ok = kernel.need(big_memory)
         assert need.shape == (2, 2)
         assert kernel.within(need).tolist() == [False, True]
-        assert kernel.first_fit(big_memory) == 1
+        checks = kernel.checks(0, big_memory)
+        assert np.logical_and.reduce([ok for _, ok in checks]).tolist() \
+            == [False, True]
         kernel.add(1, 0, big_memory)
         assert kernel.base_sums[1].tolist() == [10.0, 20.0]

@@ -16,10 +16,6 @@ class TestVMSpec:
         assert vm.demand(False) == 10.0
         assert vm.demand(True) == 15.0
 
-    def test_expected_demand(self):
-        vm = VMSpec(0.01, 0.09, 10.0, 5.0)
-        assert vm.expected_demand == pytest.approx(10.0 + 5.0 * 0.1)
-
     def test_chain_parameters(self):
         vm = VMSpec(0.02, 0.08, 1.0, 1.0)
         chain = vm.chain()
@@ -103,19 +99,6 @@ class TestPlacement:
         for vm, pm in [(0, 3), (1, 1), (2, 3), (3, 1)]:
             p.place(vm, pm)
         np.testing.assert_array_equal(p.used_pms(), [1, 3])
-
-    def test_groups(self):
-        p = Placement(3, 2, assignment=np.array([0, 1, 0]))
-        groups = p.groups()
-        np.testing.assert_array_equal(groups[0], [0, 2])
-        np.testing.assert_array_equal(groups[1], [1])
-
-    def test_as_matrix_row_sums(self):
-        p = Placement(3, 2, assignment=np.array([0, 1, UNPLACED]))
-        X = p.as_matrix()
-        assert X.shape == (3, 2)
-        np.testing.assert_array_equal(X.sum(axis=1), [1, 1, 0])
-        assert X[0, 0] == 1 and X[1, 1] == 1
 
     def test_copy_is_independent(self):
         p = Placement(2, 2)

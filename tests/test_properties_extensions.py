@@ -16,11 +16,11 @@ from repro.core.heterogeneous import (
     poisson_binomial_pmf,
 )
 from repro.core.mapcal import mapcal
-from repro.core.quantile import quantile_cvr, quantile_reservation
+from repro.core.quantile import quantile_cvr
 from repro.core.types import VMSpec
 from repro.queueing.transient import expected_time_to_violation, violation_probability_curve
 from repro.workload.estimation import estimate_switch_probabilities, fit_onoff
-from tests.helpers import occupancy_at
+from tests.helpers import occupancy_at, quantile_reservation
 
 probs = st.floats(min_value=0.001, max_value=0.999)
 q_lists = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0,

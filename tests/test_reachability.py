@@ -12,9 +12,12 @@ The check is a name closure over the stdlib ``ast``. Its roots are:
 From the roots it follows ``Name`` ids, ``Attribute`` attrs and the
 identifiers inside string constants that are not docstrings (so a
 registry that names a function in a string reaches it) through the
-bodies of top-level ``def``/``class`` statements. It matches names, not
-bindings, so it errs toward "reached". Tests are not roots: code that
-only tests call belongs in ``tests/``.
+bodies of top-level ``def``/``class`` statements. In ``repro.core`` and
+``repro.placement`` it also checks methods: a reached class reaches its
+bases, decorators, class-level statements and dunder methods, and each
+other method is reached only when some reached code names it. It matches
+names, not bindings, so it errs toward "reached". Tests are not roots:
+code that only tests call belongs in ``tests/``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from typing import Iterable, Mapping
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 ENTRY_DIRS = ("perfbench", "benchmarks", "examples")
+#: packages whose classes are checked method by method
+METHOD_PACKAGES = ("repro.core", "repro.placement")
 
 POISSON_BINOMIAL = ("Poisson-binomial helper of the exact stationary CVR, kept for the "
                     "planned exact check of every Eq. (17) placer (ROADMAP.md)")
@@ -39,6 +44,7 @@ ALLOWLIST = {
     "repro.core.heterogeneous._solve_blocks": POISSON_BINOMIAL,
     "repro.core.heterogeneous.heterogeneous_cvr": POISSON_BINOMIAL,
     "repro.core.quantile.quantile_cvr": POISSON_BINOMIAL,
+    "repro.core.quantile.spike_sum_distribution": POISSON_BINOMIAL,
 }
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -84,13 +90,33 @@ def _is_module_root(stmt: ast.stmt) -> bool:
     return not any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def unreached(src_root: Path, extra_roots: Iterable[Path]) -> dict[str, tuple[Path, int, int]]:
-    """Top-level defs under ``src_root`` that no root reaches.
+def _in(module: str, packages: Iterable[str]) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in packages)
 
-    Keys are ``package.module.name``; values are ``(file, first line,
-    last line)``. ``src_root / "__main__.py"`` and every ``.py`` file under
-    ``extra_roots`` are roots as a whole.
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _class_parts(cls: ast.ClassDef) -> tuple[list[ast.AST], list[ast.AST]]:
+    """What reaching ``cls`` reaches, and its other methods."""
+    methods = [stmt for stmt in cls.body if isinstance(stmt, _DEFS[:2])
+               and not _is_dunder(stmt.name)]
+    rest = [stmt for stmt in cls.body if stmt not in methods]
+    return [*cls.bases, *cls.keywords, *cls.decorator_list, *rest], methods
+
+
+def unreached(src_root: Path, extra_roots: Iterable[Path],
+              method_packages: Iterable[str] = ()) -> dict[str, tuple[Path, int, int]]:
+    """Top-level defs under ``src_root`` that no root reaches, and the
+    methods of reached classes in ``method_packages`` that none reaches.
+
+    Keys are ``package.module.name`` or ``package.module.Class.method``;
+    values are ``(file, first line, last line)``. ``src_root /
+    "__main__.py"`` and every ``.py`` file under ``extra_roots`` are roots
+    as a whole.
     """
+    method_packages = tuple(method_packages)
     defs: dict[str, list[tuple[str, ast.AST, set[int], Path]]] = {}
     frontier: set[str] = set()
     for path in sorted(src_root.rglob("*.py")):
@@ -112,27 +138,44 @@ def unreached(src_root: Path, extra_roots: Iterable[Path]) -> dict[str, tuple[Pa
             tree = ast.parse(path.read_text(), str(path))
             frontier |= _names([tree], _docstrings(tree))
 
+    methods: dict[str, list[tuple[str, ast.AST, set[int], Path]]] = {}
     reached: set[str] = set()
     while frontier:
         name = frontier.pop()
         if name in reached:
             continue
         reached.add(name)
-        for _, stmt, docstrings, _ in defs.get(name, ()):
-            frontier |= _names([stmt], docstrings) - reached
-    return {f"{module}.{name}": (path, stmt.lineno, stmt.end_lineno)
-            for name, entries in defs.items() if name not in reached
-            for module, stmt, _, path in entries}
+        for module, stmt, docstrings, path in defs.get(name, ()):
+            if not (isinstance(stmt, ast.ClassDef) and _in(module, method_packages)):
+                frontier |= _names([stmt], docstrings) - reached
+                continue
+            body, own = _class_parts(stmt)
+            frontier |= _names(body, docstrings) - reached
+            for method in own:
+                entry = (f"{module}.{stmt.name}", method, docstrings, path)
+                methods.setdefault(method.name, []).append(entry)
+                if method.name in reached:
+                    frontier |= _names([method], docstrings) - reached
+        for _, method, docstrings, _ in methods.get(name, ()):
+            frontier |= _names([method], docstrings) - reached
+    found = {f"{module}.{name}": (path, stmt.lineno, stmt.end_lineno)
+             for name, entries in defs.items() if name not in reached
+             for module, stmt, _, path in entries}
+    found.update({f"{owner}.{name}": (path, stmt.lineno, stmt.end_lineno)
+                  for name, entries in methods.items() if name not in reached
+                  for owner, stmt, _, path in entries})
+    return found
 
 
 def check_reachability(src_root: Path, extra_roots: Iterable[Path],
-                       allowlist: Mapping[str, str]) -> list[str]:
+                       allowlist: Mapping[str, str],
+                       method_packages: Iterable[str] = ()) -> list[str]:
     """Problems with ``src_root``'s reachability; empty when it is clean.
 
     Every unreached def must be allowlisted with a reason, and every
     allowlist entry must name a def that exists and is unreached.
     """
-    found = unreached(src_root, extra_roots)
+    found = unreached(src_root, extra_roots, method_packages)
     problems = [f"{name} ({path}:{first}, {last - first + 1} lines) is reached by no "
                 "entry point: delete it, move it into tests/, or allowlist it with a reason"
                 for name, (path, first, last) in sorted(found.items())
@@ -145,7 +188,8 @@ def check_reachability(src_root: Path, extra_roots: Iterable[Path],
 
 
 def test_every_src_def_is_reached_or_allowlisted():
-    problems = check_reachability(SRC, [REPO / d for d in ENTRY_DIRS], ALLOWLIST)
+    problems = check_reachability(SRC, [REPO / d for d in ENTRY_DIRS], ALLOWLIST,
+                                  METHOD_PACKAGES)
     assert not problems, "\n".join(problems)
 
 
@@ -193,3 +237,25 @@ class TestChecker:
         assert reached == ["allowlist entry pkg.mod.used is reached or no longer exists"]
         gone = check_reachability(src, [extra], {"pkg.mod.deleted": "was unreached"})
         assert gone == ["allowlist entry pkg.mod.deleted is reached or no longer exists"]
+
+    def test_planted_unreached_method_is_reported(self, tmp_path):
+        src, extra = self._tree(tmp_path, (
+            "class Used:\n"
+            "    '''orphan is named here only.'''\n"
+            "    def __init__(self):\n        self.x = helper()\n\n"
+            "    def called(self):\n        return 1\n\n"
+            "    def orphan(self):\n        return only_from_orphan()\n\n"
+            "def helper():\n    return 0\n\n"
+            "def only_from_orphan():\n    return 3\n\n"
+            "def used():\n    return Used().called()\n\n"
+            "def example_only():\n    return 2\n"))
+        # only in a checked package does a reached class stop reaching
+        # every method: then the orphan and what only it calls are found
+        assert unreached(src, [extra]) == {}
+        assert set(unreached(src, [extra], ["pkg"])) == {
+            "pkg.mod.Used.orphan", "pkg.mod.only_from_orphan"}
+        problems = check_reachability(src, [extra], {}, ["pkg"])
+        assert len(problems) == 2 and "pkg.mod.Used.orphan" in problems[0]
+        assert check_reachability(src, [extra], {
+            "pkg.mod.Used.orphan": "kept for a test",
+            "pkg.mod.only_from_orphan": "kept for a test"}, ["pkg"]) == []
