@@ -37,6 +37,7 @@ from repro.core.reservation import ReservationKernel
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.perf.cache import get_cache
 from repro.placement.base import Placer, first_fit
+from repro.queueing.geom_geom_k import CDF_SLACK
 from repro.utils.validation import check_integer, check_probability
 
 
@@ -99,7 +100,7 @@ def heterogeneous_blocks(vms: Sequence[VMSpec], rho: float) -> int:
 
 def _solve_blocks(q: np.ndarray, rho: float) -> int:
     pmf = poisson_binomial_pmf(q)
-    return int(_exact_blocks(pmf[None, :], 1.0 - rho - 1e-15, q.size)[0])
+    return int(_exact_blocks(pmf[None, :], 1.0 - rho - CDF_SLACK, q.size)[0])
 
 
 def _exact_blocks(pmfs: np.ndarray, threshold: float, fallback) -> np.ndarray:
@@ -159,7 +160,7 @@ class _ExactKernel(ReservationKernel):
         super().__init__(caps, d)
         self.pmfs = np.zeros((self.caps.shape[0], d + 1))
         self.pmfs[:, 0] = 1.0
-        self.threshold = 1.0 - rho - 1e-15
+        self.threshold = 1.0 - rho - CDF_SLACK
 
     def _extended(self, vm, lo: int, hi: int | None) -> np.ndarray:
         """Rows ``[lo, hi)`` with ``vm`` added."""

@@ -33,6 +33,7 @@ from repro.core.queuing_ffd import algorithm2_order
 from repro.core.reservation import ReservationKernel
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.placement.base import Placer, first_fit
+from repro.queueing.geom_geom_k import CDF_SLACK
 from repro.utils.validation import check_integer, check_positive, check_probability
 
 
@@ -137,7 +138,7 @@ class _SpikeMassKernel(ReservationKernel):
     def __init__(self, caps, placer: QuantileFFD, max_steps: int):
         super().__init__(caps, placer.d)
         self.resolution = placer.resolution
-        self.threshold = 1.0 - placer.rho - 1e-15
+        self.threshold = 1.0 - placer.rho - CDF_SLACK
         self.widths = np.zeros_like(self.counts)  # grid steps of each row
         self.rows = np.zeros((self.counts.size, (self.d + 1) * max_steps + 1))
         self.rows[:, 0] = 1.0

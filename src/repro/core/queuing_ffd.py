@@ -22,7 +22,7 @@ import numpy as np
 from repro.cluster.binning import equal_width_bins
 from repro.cluster.kmeans import kmeans_1d
 from repro.core.mapcal import BlockMapping, mapcal_table, table_fingerprint
-from repro.core.reservation import PMReservationState, ReservationKernel
+from repro.core.reservation import ReservationKernel
 from repro.core.rounding import RoundingRule, round_switch_probabilities
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.markov.chain import StationaryMethod
@@ -126,30 +126,19 @@ class QueuingFFD(Placer):
     # Placer interface
     # ------------------------------------------------------------------ #
     def place(self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]) -> Placement:
-        placement, _ = self.place_with_states(vms, pms)
-        return placement
-
-    def place_with_states(
-        self, vms: Sequence[VMSpec], pms: Sequence[PMSpec]
-    ) -> tuple[Placement, list[PMReservationState]]:
-        """Place VMs and also return the per-PM reservation states.
-
-        VMs go in :meth:`order_vms` order through
+        """Place VMs in :meth:`order_vms` order through
         :func:`~repro.placement.base.first_fit`, with the
-        :class:`ReservationKernel` as its state.
-        """
+        :class:`ReservationKernel` as its state."""
         with timed("queuing_ffd.place"):
             if not vms:
-                return Placement(0, len(pms)), []
+                return Placement(0, len(pms))
             mapping = explained_mapping(self, lambda: self.mapping_for(vms))
             kernel = ReservationKernel([p.capacity for p in pms], mapping.d,
                                        mapping.table)
-            placement = first_fit(
+            return first_fit(
                 self, vms, len(pms), self.order_vms(vms), kernel,
                 spread=self.spread,
                 choose_for=getattr(self, "choose_for", None))
-            return placement, [kernel.snapshot(i, p, mapping)
-                               for i, p in enumerate(pms)]
 
 
 def explained_mapping(placer: Placer,

@@ -385,11 +385,12 @@ def _run_consolidate(args) -> int:
 def _cmd_bench(args) -> int:
     """Fan the figure/ablation suite across workers; aggregate results.
 
-    Routing: plain serial runs (no chaos, no resume) execute in-process via
-    :func:`repro.perf.bench.run_bench`; anything needing supervision —
-    ``--parallel > 1``, ``--chaos``, ``--resume`` — goes through the
-    durable worker pool (:mod:`repro.experiments.durability`), which adds
-    heartbeats, timeouts, retries, quarantine, and the crash-safe journal.
+    Routing: plain serial runs (``--parallel 1``, no chaos, no resume)
+    execute in-process via :func:`repro.perf.bench.run_bench`; everything
+    else — ``--parallel N != 1``, ``--chaos``, ``--resume`` — goes through
+    the durable worker pool (:mod:`repro.experiments.durability`), which
+    adds heartbeats, timeouts, retries, quarantine, and the crash-safe
+    journal, and rejects ``N < 1``.
     """
     from repro.perf.bench import iter_job_names, run_bench
     from repro.perf.cache import cache_stats
@@ -416,7 +417,7 @@ def _cmd_bench(args) -> int:
                   f"{event.remaining} to run", flush=True)
 
     durable = (args.resume is not None or args.chaos is not None
-               or args.parallel > 1)
+               or args.parallel != 1)
     interrupted = False
     report = None
     t0 = time.perf_counter()
@@ -459,7 +460,6 @@ def _cmd_bench(args) -> int:
             output_dir = args.output_dir
             results = run_bench(
                 args.filter,
-                parallel=args.parallel,
                 output_dir=output_dir,
                 progress_path=args.progress_jsonl,
                 base_seed=args.seed,

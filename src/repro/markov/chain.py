@@ -72,53 +72,6 @@ class DiscreteMarkovChain:
         """Number of states."""
         return self._P.shape[0]
 
-    def is_irreducible(self) -> bool:
-        """Whether every state communicates with every other state.
-
-        Checked via reachability on the support graph (O(n^2) BFS per
-        direction using boolean matrix powers by repeated squaring).
-        """
-        n = self.n_states
-        reach = (self._P > 0.0) | np.eye(n, dtype=bool)
-        # Transitive closure by repeated boolean squaring: O(log n) matmuls.
-        prev = np.zeros_like(reach)
-        while not np.array_equal(prev, reach):
-            prev = reach
-            reach = reach | (reach @ reach)
-        return bool(reach.all())
-
-    def is_aperiodic(self) -> bool:
-        """True if the chain's period is 1.
-
-        For an irreducible chain a single self-loop suffices; in general we
-        compute the gcd of cycle lengths through state 0's communicating
-        class via BFS levels.
-        """
-        if np.any(np.diag(self._P) > 0.0):
-            return True
-        # gcd of (level difference + 1) over edges closing within BFS tree.
-        n = self.n_states
-        adj = self._P > 0.0
-        level = np.full(n, -1)
-        level[0] = 0
-        frontier = [0]
-        g = 0
-        order = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in np.flatnonzero(adj[u]):
-                    if level[v] == -1:
-                        level[v] = level[u] + 1
-                        nxt.append(int(v))
-                        order.append(int(v))
-            frontier = nxt
-        for u in order:
-            for v in np.flatnonzero(adj[u]):
-                if level[v] != -1:
-                    g = int(np.gcd(g, level[u] + 1 - level[v]))
-        return g == 1
-
     # ------------------------------------------------------------------ #
     # stationary distribution
     # ------------------------------------------------------------------ #
@@ -203,17 +156,6 @@ class DiscreteMarkovChain:
     # ------------------------------------------------------------------ #
     # dynamics
     # ------------------------------------------------------------------ #
-    def step_distribution(self, pi: np.ndarray, steps: int = 1) -> np.ndarray:
-        """Push a distribution ``pi`` forward ``steps`` transitions."""
-        pi = np.asarray(pi, dtype=float)
-        if pi.shape != (self.n_states,):
-            raise ValueError(
-                f"distribution must have shape ({self.n_states},), got {pi.shape}"
-            )
-        for _ in range(steps):
-            pi = pi @ self._P
-        return pi
-
     def simulate(self, n_steps: int, *, initial_state: int = 0,
                  seed: SeedLike = None) -> np.ndarray:
         """Sample a state trajectory of length ``n_steps + 1``.
@@ -238,31 +180,3 @@ class DiscreteMarkovChain:
             s = int(np.searchsorted(cdf[s], u[t], side="right"))
             states[t + 1] = s
         return states
-
-    def occupancy_from_trajectory(self, states: np.ndarray) -> np.ndarray:
-        """Empirical state-occupancy frequencies of a simulated trajectory."""
-        states = np.asarray(states)
-        if states.size == 0:
-            raise ValueError("trajectory is empty")
-        counts = np.bincount(states, minlength=self.n_states)
-        return counts / counts.sum()
-
-    def mixing_time(self, epsilon: float = 1e-3, *, max_steps: int = 100_000) -> int:
-        """Steps until total-variation distance from stationarity <= epsilon.
-
-        Measured from the worst single-state start.  Diagnostic only (used by
-        the ablation benchmarks to justify solver choices), so a plain
-        doubling search over matrix powers is fine.
-        """
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
-        pi = self.stationary_distribution()
-        Pt = self._P.copy()
-        steps = 1
-        while steps <= max_steps:
-            tv = 0.5 * np.max(np.abs(Pt - pi[None, :]).sum(axis=1))
-            if tv <= epsilon:
-                return steps
-            Pt = Pt @ Pt
-            steps *= 2
-        raise RuntimeError(f"chain did not mix within {max_steps} steps")

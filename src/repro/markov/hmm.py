@@ -90,11 +90,6 @@ class HMMFitDiagnostics:
     converged: bool
     log_likelihood_path: tuple[float, ...]
 
-    @property
-    def final_log_likelihood(self) -> float:
-        """Log-likelihood at the last EM iteration."""
-        return self.log_likelihood_path[-1]
-
 
 def _log_gaussian(x: np.ndarray, mean: float, var: float) -> np.ndarray:
     return -0.5 * (np.log(2 * np.pi * var) + (x - mean) ** 2 / var)

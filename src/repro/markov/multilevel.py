@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.markov.chain import DiscreteMarkovChain
-from repro.utils.rng import SeedLike, as_generator
+from repro.utils.rng import SeedLike
 from repro.utils.validation import check_integer, check_probability
 
 
@@ -47,40 +47,12 @@ class MultiLevelChain:
         d.setflags(write=False)
         self.demands = d
 
-    @property
-    def n_levels(self) -> int:
-        """Number of demand levels."""
-        return self.chain.n_states
-
-    def stationary_demand_distribution(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, probabilities)`` of the stationary demand (aggregated
-        over levels sharing a demand value)."""
-        pi = self.chain.stationary_distribution()
-        values, inverse = np.unique(self.demands, return_inverse=True)
-        probs = np.zeros(values.size)
-        np.add.at(probs, inverse, pi)
-        return values, probs
-
-    def mean_demand(self) -> float:
-        """Stationary mean demand."""
-        pi = self.chain.stationary_distribution()
-        return float(pi @ self.demands)
-
     def simulate_demand(self, n_steps: int, *, initial_level: int = 0,
                         seed: SeedLike = None) -> np.ndarray:
         """Demand trace of length ``n_steps + 1``."""
         levels = self.chain.simulate(n_steps, initial_state=initial_level,
                                      seed=seed)
         return self.demands[levels]
-
-    def simulate_ensemble_demand(self, n_vms: int, n_steps: int, *,
-                                 seed: SeedLike = None) -> np.ndarray:
-        """``(n_vms, n_steps + 1)`` independent demand traces."""
-        check_integer(n_vms, "n_vms", minimum=0)
-        rng = as_generator(seed)
-        return np.stack([
-            self.simulate_demand(n_steps, seed=rng) for _ in range(n_vms)
-        ]) if n_vms else np.empty((0, n_steps + 1))
 
 
 def spiky_levels(base_demand: float, spike_demands: Sequence[float],

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.markov.chain import DiscreteMarkovChain
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_probability
 
@@ -50,50 +49,6 @@ class OnOffChain:
         """Long-run fraction of time spent ON: ``p_on / (p_on + p_off)``."""
         return self.p_on / (self.p_on + self.p_off)
 
-    @property
-    def stationary_off_probability(self) -> float:
-        """Long-run fraction of time spent OFF."""
-        return self.p_off / (self.p_on + self.p_off)
-
-    @property
-    def mean_burst_length(self) -> float:
-        """Expected consecutive ON intervals (geometric mean ``1 / p_off``)."""
-        return 1.0 / self.p_off
-
-    @property
-    def mean_gap_length(self) -> float:
-        """Expected consecutive OFF intervals (``1 / p_on``)."""
-        return 1.0 / self.p_on
-
-    @property
-    def cycle_length(self) -> float:
-        """Expected ON+OFF cycle length in intervals."""
-        return self.mean_burst_length + self.mean_gap_length
-
-    def burst_length_pmf(self, lengths: np.ndarray) -> np.ndarray:
-        """PMF of burst durations: geometric with success prob ``p_off``.
-
-        ``P[L = l] = (1 - p_off)^(l-1) p_off`` for integer ``l >= 1``.
-        """
-        lengths = np.asarray(lengths)
-        pmf = np.where(
-            lengths >= 1,
-            (1.0 - self.p_off) ** (np.maximum(lengths, 1) - 1) * self.p_off,
-            0.0,
-        )
-        return pmf
-
-    def autocorrelation(self, lag: int) -> float:
-        """Autocorrelation of the ON indicator at integer ``lag``.
-
-        For a two-state chain the indicator's autocorrelation decays
-        geometrically with the second eigenvalue
-        ``lambda_2 = 1 - p_on - p_off``.
-        """
-        if lag < 0:
-            raise ValueError(f"lag must be >= 0, got {lag}")
-        return (1.0 - self.p_on - self.p_off) ** lag
-
     # ------------------------------------------------------------------ #
     # matrix / simulation views
     # ------------------------------------------------------------------ #
@@ -105,10 +60,6 @@ class OnOffChain:
                 [self.p_off, 1.0 - self.p_off],
             ]
         )
-
-    def as_chain(self) -> DiscreteMarkovChain:
-        """View this ON-OFF process as a generic :class:`DiscreteMarkovChain`."""
-        return DiscreteMarkovChain(self.transition_matrix())
 
     def simulate(self, n_steps: int, *, initial_state: int = OFF,
                  seed: SeedLike = None) -> np.ndarray:

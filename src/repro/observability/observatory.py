@@ -121,13 +121,6 @@ class Observatory:
         self._live = True
         self._unsubscribe = telemetry.events.subscribe(self.observe)
 
-    def detach(self) -> None:
-        """Unsubscribe from the bus (idempotent)."""
-        if self._unsubscribe is not None:
-            self._unsubscribe()
-            self._unsubscribe = None
-        self._live = False
-
     # ----------------------------------------------------------------- #
     # ingestion
     # ----------------------------------------------------------------- #

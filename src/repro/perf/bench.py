@@ -1,22 +1,26 @@
-"""The parallel experiment runner behind ``python -m repro bench``.
+"""The serial experiment runner behind ``python -m repro bench``.
 
 The figure/ablation matrix is embarrassingly parallel: every job is one
 registered experiment (a ``fig*`` artifact or an ``ablation_*`` study),
 each internally seeded and side-effect free until its table is rendered.
-:func:`run_bench` fans the selected jobs across ``multiprocessing``
-workers, streams per-job progress events
+:func:`run_bench` runs the selected jobs in-process in sorted name order,
+streams per-job progress events
 (:class:`~repro.telemetry.BenchJobStarted` /
 :class:`~repro.telemetry.BenchJobFinished`) onto the ambient telemetry bus
 and an optional JSONL file, and aggregates the rendered tables under a
-results directory (``benchmarks/results/`` by convention).
+results directory (``benchmarks/results/`` by convention).  Worker
+processes are the durable runner's job
+(:func:`repro.experiments.durability.run_durable_bench`), which
+``repro bench`` uses for ``--parallel N > 1``, ``--chaos`` and
+``--resume`` and which executes each job through the same
+:func:`_execute_job`.
 
-Determinism contract: with ``parallel=1`` jobs execute serially in sorted
-name order through *exactly* the same code path; with ``parallel=N`` the
-same jobs run in worker processes and only wall-clock changes — the
-rendered tables and ``BENCH_results.json`` (per-job seeds, outcomes, and
-content hashes; wall-clock lives in the separate ``BENCH_timings.json``)
-are byte-identical, which the CI ``bench-smoke`` and ``chaos-smoke`` jobs
-assert by diffing runs.
+Determinism contract: a parallel or interrupted-then-resumed durable run
+changes only wall-clock — the rendered tables and ``BENCH_results.json``
+(per-job seeds, outcomes, and content hashes; wall-clock lives in the
+separate ``BENCH_timings.json``) are byte-identical to a serial run's,
+which the CI ``bench-smoke`` and ``chaos-smoke`` jobs assert by diffing
+runs.
 
 Per-job seeds: every job derives a stable seed from ``(base_seed, name)``
 (CRC-32 — cheap, deterministic, platform-independent).  With the default
@@ -30,10 +34,9 @@ from __future__ import annotations
 import fnmatch
 import hashlib
 import json
-import multiprocessing
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -59,12 +62,6 @@ class BenchJobResult:
     error: str
     text: str
     rows_sha256: str
-
-    def summary_dict(self) -> dict:
-        """JSON-safe summary without the (possibly large) rendered table."""
-        d = asdict(self)
-        d.pop("text")
-        return d
 
 
 def iter_job_names(pattern: str = "*") -> list[str]:
@@ -93,10 +90,10 @@ def _seeded_runners() -> dict[str, Callable]:
 
 
 def _execute_job(spec: tuple[str, int | None]) -> dict:
-    """Run one experiment (in-process or in a worker); never raises.
+    """Run one experiment (in-process or in a durable worker); never raises.
 
-    Returns a plain dict so the result pickles cheaply across the pool
-    boundary.
+    Returns a plain dict so the result serializes cheaply across the
+    worker boundary.
     """
     name, seed = spec
     from repro.analysis.report import render_result
@@ -154,7 +151,6 @@ class _ProgressStream:
 def run_bench(
     pattern: str = "*",
     *,
-    parallel: int = 1,
     output_dir: Path | str | None = None,
     progress_path: Path | str | None = None,
     base_seed: int | None = None,
@@ -166,9 +162,6 @@ def run_bench(
     ----------
     pattern:
         ``fnmatch`` glob over experiment ids (``fig*``, ``ablation_*`` ...).
-    parallel:
-        Worker processes.  ``1`` (default) runs serially in-process — the
-        identical code path, just without a pool.
     output_dir:
         When given, write ``<name>.txt`` per job plus the
         ``BENCH_results.json`` summary (outcomes, content hashes) and
@@ -181,8 +174,6 @@ def run_bench(
     on_event:
         Optional live callback for each progress event (the CLI's printer).
     """
-    if parallel < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
     names = iter_job_names(pattern)
     if not names:
         raise ValueError(f"no experiment matches filter {pattern!r}")
@@ -196,25 +187,16 @@ def run_bench(
     try:
         for i, (name, seed) in enumerate(specs):
             progress.emit(BenchJobStarted(
-                time=i, job=name, seed=seed if seed is not None else 0,
-                worker_count=parallel))
-        if parallel == 1:
-            for spec in specs:
-                raw[spec[0]] = payload = _execute_job(spec)
-                progress.emit(_finished_event(len(raw) - 1, payload))
-        else:
-            with multiprocessing.Pool(processes=min(parallel, len(specs))) \
-                    as pool:
-                for payload in pool.imap_unordered(_execute_job, specs,
-                                                   chunksize=1):
-                    raw[payload["name"]] = payload
-                    progress.emit(_finished_event(len(raw) - 1, payload))
+                time=i, job=name, seed=seed if seed is not None else 0))
+        for spec in specs:
+            raw[spec[0]] = payload = _execute_job(spec)
+            progress.emit(_finished_event(len(raw) - 1, payload))
     finally:
         progress.close()
     results = [BenchJobResult(**raw[name]) for name in names]
     if output_dir is not None:
         aggregate_results(Path(output_dir), results, pattern=pattern,
-                          parallel=parallel, base_seed=base_seed)
+                          parallel=1, base_seed=base_seed)
     return results
 
 

@@ -201,7 +201,7 @@ class MapCalCache:
             pass  # a read-only or full disk degrades to memory-only caching
 
     # ------------------------------------------------------------------ #
-    # introspection / management
+    # introspection
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return len(self._lru)
@@ -225,17 +225,6 @@ class MapCalCache:
             "hit_rate": self.hit_rate,
             "entries": len(self._lru),
         }
-
-    def clear(self, *, disk: bool = False) -> None:
-        """Drop the in-memory LRU (and optionally the disk store)."""
-        self._lru.clear()
-        self.hits = self.misses = self.disk_hits = self.corrupt = 0
-        if disk and self.disk_dir is not None and self.disk_dir.is_dir():
-            for path in self.disk_dir.glob("mapcal-*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
 
 
 def _jsonable(key: CacheKey):

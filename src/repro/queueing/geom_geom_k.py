@@ -5,25 +5,25 @@
 (service), OFF sojourns geometric with parameter ``p_on`` (think time).
 ``K <= k`` serving windows (reservation blocks) are available.
 
-Two occupancy processes matter:
-
-- the **unrestricted demand process** ``theta(t)`` — how many sources *want*
-  service, regardless of K.  Its stationary tail beyond K is exactly the
-  paper's capacity violation ratio (Eq. 16); the marginal is Binomial(k, q)
-  with ``q = p_on / (p_on + p_off)`` because sources are independent.
-- the **clipped loss process** — a genuine loss system where a source that
-  finds all K windows busy is turned away and resumes thinking.  This is the
-  classical discrete Engset analogue; the tests check it against the
-  continuous-time Engset law it converges to.
+The model's occupancy is the **unrestricted demand process** ``theta(t)``:
+how many sources *want* service, regardless of K.  Its stationary tail
+beyond K is exactly the paper's capacity violation ratio (Eq. 16); the
+marginal is Binomial(k, q) with ``q = p_on / (p_on + p_off)`` because
+sources are independent.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.markov.binomial import binomial_pmf_table, busy_block_kernel
+from repro.markov.binomial import busy_block_kernel
 from repro.markov.chain import DiscreteMarkovChain, StationaryMethod
 from repro.utils.validation import check_integer, check_probability
+
+#: slack under ``1 - rho`` wherever a cumulative ON-count law is compared
+#: with it: a law that reaches ``1`` only up to float rounding still meets
+#: ``rho = 0``
+CDF_SLACK = 1e-15
 
 
 class FiniteSourceGeomGeomK:
@@ -70,17 +70,6 @@ class FiniteSourceGeomGeomK:
             )
         return self._stationary_cache[method]
 
-    def stationary_distribution_closed_form(self) -> np.ndarray:
-        """Closed-form stationary law: ``Binomial(k, p_on / (p_on + p_off))``.
-
-        Because the k sources evolve independently and each source's
-        stationary ON-probability is ``q = p_on/(p_on+p_off)``, the number of
-        ON sources at stationarity is binomial.  This provides an O(k)
-        analytic cross-check of the O(k^3) matrix solve.
-        """
-        q = self.p_on / (self.p_on + self.p_off)
-        return binomial_pmf_table(self.k, q)[self.k]
-
     def overflow_probability(self, n_windows: int,
                              method: StationaryMethod = "linear") -> float:
         """Long-run fraction of time demand exceeds ``n_windows`` (paper Eq. 16).
@@ -104,37 +93,7 @@ class FiniteSourceGeomGeomK:
         rho = check_probability(rho, "rho")
         pi = self.stationary_distribution(method)
         cumulative = np.cumsum(pi)
-        meets = np.flatnonzero(cumulative >= 1.0 - rho - 1e-15)
+        meets = np.flatnonzero(cumulative >= 1.0 - rho - CDF_SLACK)
         if meets.size == 0:  # pragma: no cover - cumulative reaches 1 at k
             return self.k
         return int(meets[0])
-
-    def expected_demand(self) -> float:
-        """Stationary mean of ``theta(t)``: ``k * p_on / (p_on + p_off)``."""
-        return self.k * self.p_on / (self.p_on + self.p_off)
-
-    # ------------------------------------------------------------------ #
-    # clipped loss process (true loss system)
-    # ------------------------------------------------------------------ #
-    def loss_system_kernel(self, n_windows: int) -> np.ndarray:
-        """Transition matrix of the clipped process with ``K`` windows.
-
-        State = number of busy windows in ``0..K``.  A source that switches
-        ON when no window is free is *blocked*: it immediately resumes
-        thinking (geometric OFF sojourn restarts).  Transitions therefore
-        follow the unrestricted kernel restricted to ``j <= K`` with all
-        excess mass collapsed onto ``j = K``.
-        """
-        K = check_integer(n_windows, "n_windows", minimum=1, maximum=self.k)
-        full = busy_block_kernel(self.k, self.p_on, self.p_off)
-        clipped = full[: K + 1, : K + 1].copy()
-        clipped[:, K] += full[: K + 1, K + 1:].sum(axis=1)
-        return clipped
-
-    def loss_system_distribution(self, n_windows: int) -> np.ndarray:
-        """Stationary occupancy law of the clipped loss system."""
-        return DiscreteMarkovChain(self.loss_system_kernel(n_windows)).stationary_distribution()
-
-    def time_blocking_probability(self, n_windows: int) -> float:
-        """Fraction of time all ``K`` windows of the loss system are busy."""
-        return float(self.loss_system_distribution(n_windows)[-1])

@@ -129,15 +129,6 @@ class LatencyHistogram:
                 return float(v)
         return float(self.max_latency)  # pragma: no cover - cum reaches total
 
-    def tail_probability(self, t: int) -> float:
-        """Empirical ``P(T_S > t)``: fraction of completions slower than
-        ``t`` intervals (the SLA metric; 0.0 before any completion)."""
-        t = check_integer(t, "t", minimum=0)
-        if self.total == 0:
-            return 0.0
-        slow = sum(self.counts[min(t, self.max_latency) + 1:])
-        return slow / self.total
-
     @property
     def mean(self) -> float:
         """Mean sojourn over all completions (NaN when empty).

@@ -50,12 +50,6 @@ class DynamicFleetRecord:
     pms_used_series: list[int] = field(default_factory=list)
     population_series: list[int] = field(default_factory=list)
 
-    @property
-    def admission_rate(self) -> float:
-        """Fraction of arrivals admitted (1.0 when no arrival occurred)."""
-        total = self.admitted + self.rejected
-        return self.admitted / total if total else 1.0
-
 
 class DynamicFleetSimulator:
     """Arrivals + departures + ON-OFF workload + overflow migration.
@@ -163,13 +157,14 @@ class DynamicFleetSimulator:
                 vm = self._live[vid]
                 demand = vm.spec.demand(vm.on)
                 current = self.pm_loads()
-                order = np.argsort(current)
                 ok = (self.consolidator.kernel.feasible(vm.spec)
                       & (current + demand <= caps + _EPS))
                 ok[pm_idx] = False
-                targets = order[ok[order]]
-                if targets.size:
-                    vm.pm = int(targets[0])
+                # argmin returns the first of tied loads on every SIMD
+                # dispatch path; the default argsort orders ties per path
+                target = int(np.argmin(np.where(ok, current, np.inf)))
+                if ok[target]:
+                    vm.pm = target
                     self.consolidator.move(vid, vm.pm)
                     record.migrations += 1
                     moved = True

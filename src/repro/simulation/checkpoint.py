@@ -352,16 +352,6 @@ class CheckpointRetention:
             self._entries = list(data.get("checkpoints", []))
             self._seq = int(data.get("next_seq", len(self._entries)))
 
-    @property
-    def paths(self) -> list[Path]:
-        """Retained checkpoint paths, oldest first."""
-        return [self.directory / e["file"] for e in self._entries]
-
-    def latest(self) -> Path | None:
-        """The most recent retained checkpoint, or None."""
-        paths = self.paths
-        return paths[-1] if paths else None
-
     def _write_index(self) -> None:
         atomic_write(self.directory / self.INDEX_NAME, canonical(
             {"next_seq": self._seq, "checkpoints": self._entries}))

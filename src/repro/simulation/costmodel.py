@@ -14,11 +14,11 @@ in seconds of downtime and PM-seconds of overhead, not just event counts:
 - **overhead** — a CPU tax on source and target for the whole duration.
 
 :class:`CostedScheduler` wraps the standard scheduler: each migration is
-charged to an account, and while a migration is in flight
-:meth:`CostedScheduler.extra_load` reports the overhead it puts on *both*
-PMs (the transfer double-residency).  The overload scan does not read that
-overhead yet, so in-flight transfers cost downtime and PM-intervals in the
-account but never cause a violation or a further migration.
+charged to an account, and while a migration is in flight it records the
+overhead it puts on *both* PMs (the transfer double-residency).  The
+overload scan does not read that overhead yet, so in-flight transfers cost
+downtime and PM-intervals in the account but never cause a violation or a
+further migration.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ class _InFlight:
 class CostedScheduler(DynamicScheduler):
     """Dynamic scheduler with migration costs and double residency.
 
-    While a migration is in flight (``duration_intervals`` long),
-    :meth:`extra_load` reports the moved VM's overhead load on both the
-    source and the target PM.  Nothing adds it to the PM loads: the
-    overload scan sees the hosted demands only.  Costs land in
-    :attr:`account`.
+    While a migration is in flight (``duration_intervals`` long), the
+    moved VM's overhead load is recorded against both the source and the
+    target PM (checkpointed under ``in_flight``).  Nothing adds it to the
+    PM loads: the overload scan sees the hosted demands only.  Costs land
+    in :attr:`account`.
     """
 
     def __init__(self, dc: Datacenter, policy: MigrationPolicy | None = None,
@@ -129,13 +129,6 @@ class CostedScheduler(DynamicScheduler):
         self.cost_model = cost_model or MigrationCostModel()
         self.account = MigrationAccount()
         self._in_flight: list[_InFlight] = []
-
-    def extra_load(self, pm_id: int) -> float:
-        """Overhead load currently charged on PM ``pm_id`` by transfers."""
-        return sum(
-            f.overhead for f in self._in_flight
-            if pm_id in (f.source_pm, f.target_pm)
-        )
 
     def tick_transfers(self) -> None:
         """Advance in-flight migrations by one interval."""

@@ -291,15 +291,6 @@ class Datacenter:
         self._assumed_p_off = off
         self._recompute_assumed()
 
-    def set_on(self, vm_id: int, on: bool) -> None:
-        """Put VM ``vm_id`` in its ON (spiking) or OFF state.
-
-        The chain continues from this state at the next :meth:`step`.
-        """
-        self._check_vm(vm_id)
-        self._on = _with(self._on, vm_id, bool(on))
-        self._invalidate()
-
     def set_throttle(self, vm_id: int, throttled: bool) -> None:
         """Mark VM ``vm_id`` as degraded (served at ``R_b``) or restored."""
         self._check_vm(vm_id)

@@ -32,15 +32,6 @@ class EnergyModel:
                 f"peak_power ({peak_power}) must be >= idle_power ({idle_power})"
             )
 
-    def pm_power(self, load: float, capacity: float, *, powered_on: bool = True) -> float:
-        """Instantaneous power of one PM given its load and capacity."""
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        if not powered_on:
-            return 0.0
-        utilization = min(max(load / capacity, 0.0), 1.0)
-        return self.idle_power + (self.peak_power - self.idle_power) * utilization
-
     def fleet_power(self, loads: np.ndarray, capacities: np.ndarray,
                     powered_on: np.ndarray) -> float:
         """Total instantaneous power of the fleet (vectorized)."""

@@ -42,13 +42,6 @@ class SimulationEngine:
             raise ValueError(f"hook {name!r} is already registered")
         self._hooks.append((name, hook))
 
-    def remove_hook(self, name: str) -> None:
-        """Unregister a hook by name."""
-        before = len(self._hooks)
-        self._hooks = [(n, h) for n, h in self._hooks if n != name]
-        if len(self._hooks) == before:
-            raise KeyError(f"no hook named {name!r}")
-
     def run(self, n_intervals: int) -> None:
         """Advance ``n_intervals`` ticks, invoking every hook each tick."""
         n_intervals = check_integer(n_intervals, "n_intervals", minimum=0)

@@ -436,11 +436,6 @@ class FailureInjector:
         """VMs currently throttled to base demand (degraded service)."""
         return set(self._degraded)
 
-    @property
-    def failed_mask(self) -> np.ndarray:
-        """Copy of the per-PM failure mask (for failure-aware schedulers)."""
-        return self.failed.copy()
-
     # ------------------------------------------------------------------ #
     # checkpoint support
     # ------------------------------------------------------------------ #

@@ -116,11 +116,6 @@ class ReconsolidationScheduler(DynamicScheduler):
             "max_moves": max_moves,
         }
 
-    @property
-    def has_pending_replan(self) -> bool:
-        """Whether an on-demand replan is queued for the next interval."""
-        return self._pending_request is not None
-
     #: move rows kept verbatim in each ``ReconsolidationDecided`` event
     #: (the rest are counted in ``dropped_moves``; executed moves also
     #: appear individually as ``MigrationCompleted`` events)
@@ -238,10 +233,6 @@ class ReconsolidationScheduler(DynamicScheduler):
             events.extend(self.replan_now(time))
         events.extend(super().resolve_overloads(time))
         return events
-
-    def reactive_migrations(self, total: int) -> int:
-        """Split helper: reactive = total - planned."""
-        return total - self.planned_migrations
 
     def capture_state(self) -> dict:
         """Reactive-layer state plus the replan counters and pending request."""

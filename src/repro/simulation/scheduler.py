@@ -59,7 +59,7 @@ class DynamicScheduler:
         Safety valve against pathological thrash within one interval.
     excluded_pms_fn:
         Optional callable returning a boolean PM mask of hosts that must
-        never be targeted (typically a failure injector's ``failed_mask``).
+        never be targeted (typically a failure injector's ``failed`` mask).
         Without it the scheduler is failure-blind and can live-migrate a VM
         onto a crashed PM.
     migration_failure_probability:

@@ -12,9 +12,9 @@ together.  It feeds two consumers:
   a placer may co-locate per domain, trading packing density against blast
   radius.
 
-Domains are plain integers ``0..n_domains-1``; the canonical constructors
-are :meth:`Topology.racks` (contiguous PM ranges) and :meth:`Topology.striped`
-(round-robin, the usual "spread across feeds" wiring).
+Domains are plain integers ``0..n_domains-1``; the canonical constructor
+is :meth:`Topology.racks` (contiguous PM ranges), and any PM -> domain
+array builds one directly.
 """
 
 from __future__ import annotations
@@ -62,23 +62,6 @@ class Topology:
         rack_size = check_integer(rack_size, "rack_size", minimum=1)
         return cls(np.arange(n_pms) // rack_size)
 
-    @classmethod
-    def striped(cls, n_pms: int, n_domains: int) -> "Topology":
-        """Round-robin striping: PM ``i`` lands in domain ``i % n_domains``."""
-        n_pms = check_integer(n_pms, "n_pms", minimum=1)
-        n_domains = check_integer(n_domains, "n_domains", minimum=1)
-        if n_domains > n_pms:
-            raise ValueError(
-                f"n_domains ({n_domains}) cannot exceed n_pms ({n_pms}): empty domains"
-            )
-        return cls(np.arange(n_pms) % n_domains)
-
-    @classmethod
-    def single_domain(cls, n_pms: int) -> "Topology":
-        """Every PM in one domain (the degenerate all-correlated case)."""
-        n_pms = check_integer(n_pms, "n_pms", minimum=1)
-        return cls(np.zeros(n_pms, dtype=np.int64))
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -92,27 +75,6 @@ class Topology:
         if not 0 <= domain < self.n_domains:
             raise ValueError(f"domain must be in [0, {self.n_domains}), got {domain}")
         return np.flatnonzero(self.domain_of == domain)
-
-    def domain_sizes(self) -> np.ndarray:
-        """PMs per domain (length ``n_domains``)."""
-        return np.bincount(self.domain_of, minlength=self.n_domains)
-
-    def domain_mask(self, domain: int) -> np.ndarray:
-        """Boolean PM mask for ``domain``."""
-        if not 0 <= domain < self.n_domains:
-            raise ValueError(f"domain must be in [0, {self.n_domains}), got {domain}")
-        return self.domain_of == domain
-
-    def vm_domain_counts(self, assignment: np.ndarray) -> np.ndarray:
-        """VMs per domain given a VM -> PM ``assignment`` array.
-
-        Unplaced entries (negative) are ignored.
-        """
-        assignment = np.asarray(assignment)
-        placed = assignment[assignment >= 0]
-        if placed.size and int(placed.max()) >= self.n_pms:
-            raise ValueError("assignment references PMs outside the topology")
-        return np.bincount(self.domain_of[placed], minlength=self.n_domains)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Topology {self.n_pms} PMs in {self.n_domains} domains>"

@@ -6,7 +6,7 @@ Three planes, one facade:
   :mod:`~repro.telemetry.sinks`): typed, deterministic, replayable records
   of every state transition the simulator performs;
 - **metrics** (:mod:`~repro.telemetry.metrics`): counters/gauges/histograms
-  with Prometheus-text and JSON exporters;
+  with a JSON exporter;
 - **profiling** (:mod:`~repro.telemetry.profiling`): nested wall-clock
   spans over the hot paths, summarized as a tree.
 

@@ -72,9 +72,8 @@ class Telemetry:
         """Compact human-readable snapshot: events, counters, top spans.
 
         One line of event/metric totals plus the non-zero counters; the
-        full registry is available via ``metrics.to_prometheus()`` /
-        ``metrics.to_json()`` and the full span tree via
-        ``profiler.summary()``.
+        full registry is available via ``metrics.to_json()`` and the full
+        span tree via ``profiler.summary()``.
         """
         lines = [f"telemetry: {self.events.emitted} events emitted, "
                  f"{len(self.metrics)} metrics"]

@@ -58,10 +58,6 @@ class LogRateLimiter:
             self.counter.inc()
         return False
 
-    def suppressed_for(self, source: str, kind: str) -> int:
-        """Lines suppressed under ``(source, kind)`` since the last emit."""
-        return self._dropped.get((source, kind), 0)
-
     def warning(self, logger: logging.Logger, source: str, kind: str,
                 time: int, msg: str, *args) -> bool:
         """Rate-limited ``logger.warning``; returns True when emitted.

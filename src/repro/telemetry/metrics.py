@@ -1,8 +1,8 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
 The simulator's components publish operational numbers here — migrations
-attempted, PMs overloaded, blast radii — and exporters turn the registry
-into Prometheus-style text or a JSON dict.  Everything is plain Python
+attempted, PMs overloaded, blast radii — and the registry exports as a
+JSON dict.  Everything is plain Python
 (no numpy in the hot paths): one ``inc()`` is an attribute add, one
 histogram ``observe()`` is a bisect into a fixed bucket array, so the
 metrics plane is cheap enough to leave on even for large runs.
@@ -223,12 +223,11 @@ Metric = Counter | Gauge | Histogram
 
 
 class MetricsRegistry:
-    """Named metric series, get-or-create, with Prometheus/JSON exporters.
+    """Named metric series, get-or-create, with a JSON exporter.
 
     A series is identified by its name plus its (sorted) label set, so
     ``counter("slo_alerts_total", labels={"rule": "cvr_burn"})`` and the
-    same name with another rule are independent series sharing one
-    HELP/TYPE block in the exposition output.
+    same name with another rule are independent series.
     """
 
     def __init__(self) -> None:
@@ -296,43 +295,3 @@ class MetricsRegistry:
     def to_json(self, *, indent: int | None = None) -> str:
         """The :meth:`to_dict` snapshot as a JSON string."""
         return json.dumps(self.to_dict(), indent=indent)
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format.
-
-        Label values are escaped per the format (backslash, quote, newline);
-        HELP/TYPE headers are emitted once per metric *name* even when
-        several labelled series share it; every histogram ends with the
-        cumulative ``+Inf`` bucket.
-        """
-        lines: list[str] = []
-        described: set[str] = set()
-        for metric in self._metrics.values():
-            if metric.name not in described:
-                described.add(metric.name)
-                if metric.help:
-                    lines.append(f"# HELP {metric.name} {metric.help}")
-                kind = ("counter" if isinstance(metric, Counter)
-                        else "gauge" if isinstance(metric, Gauge)
-                        else "histogram")
-                lines.append(f"# TYPE {metric.name} {kind}")
-            label_s = _label_str(metric.labels)
-            if isinstance(metric, (Counter, Gauge)):
-                lines.append(f"{metric.name}{label_s} {_fmt(metric.value)}")
-            else:
-                cumulative = 0
-                for bound, count in zip(metric.bounds, metric.counts):
-                    cumulative += count
-                    bucket = _label_str(metric.labels, {"le": _fmt(bound)})
-                    lines.append(f"{metric.name}_bucket{bucket} {cumulative}")
-                cumulative += metric.counts[-1]
-                bucket = _label_str(metric.labels, {"le": "+Inf"})
-                lines.append(f"{metric.name}_bucket{bucket} {cumulative}")
-                lines.append(f"{metric.name}_sum{label_s} {_fmt(metric.sum)}")
-                lines.append(f"{metric.name}_count{label_s} {metric.count}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _fmt(value: float) -> str:
-    """Render a number the way Prometheus likes (ints without .0)."""
-    return str(int(value)) if float(value).is_integer() else repr(value)

@@ -86,10 +86,6 @@ class RingBufferSink:
         """Snapshot of the buffered events, oldest first."""
         return list(self._buffer)
 
-    def clear(self) -> None:
-        """Drop all buffered events."""
-        self._buffer.clear()
-
 
 class JSONLSink:
     """Appends each event as one JSON line to a file (replayable log)."""

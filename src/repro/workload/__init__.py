@@ -8,7 +8,7 @@
 - :mod:`repro.workload.webserver` — request-level user/think-time workload
   (Fig. 8 / Section V-D), the paper's XCP web-server programs in simulation.
 - :mod:`repro.workload.stats` — burstiness statistics (index of dispersion,
-  peak-to-mean ratio, burst lengths).
+  peak-to-mean ratio).
 """
 
 from repro.workload.onoff_generator import (
@@ -25,11 +25,7 @@ from repro.workload.patterns import (
     table_i_vms,
 )
 from repro.workload.webserver import WebServerWorkload, UserPool
-from repro.workload.stats import (
-    burst_lengths,
-    index_of_dispersion,
-    peak_to_mean_ratio,
-)
+from repro.workload.stats import index_of_dispersion, peak_to_mean_ratio
 from repro.workload.estimation import (
     OnOffFit,
     classify_states,
@@ -65,7 +61,6 @@ __all__ = [
     "table_i_vms",
     "WebServerWorkload",
     "UserPool",
-    "burst_lengths",
     "index_of_dispersion",
     "peak_to_mean_ratio",
     "OnOffFit",

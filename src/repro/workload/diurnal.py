@@ -59,12 +59,6 @@ class DiurnalSchedule:
         """Intervals in one full cycle."""
         return len(self.multipliers) * self.phase_length
 
-    def multiplier_at(self, t: int) -> float:
-        """The spike-rate multiplier in effect at interval ``t``."""
-        if t < 0:
-            raise ValueError(f"t must be >= 0, got {t}")
-        return self.multipliers[(t // self.phase_length) % len(self.multipliers)]
-
     def multiplier_series(self, n_intervals: int) -> np.ndarray:
         """Vector of multipliers for intervals ``0..n_intervals-1``."""
         idx = (np.arange(n_intervals) // self.phase_length) % len(self.multipliers)

@@ -1,8 +1,7 @@
 """Burstiness statistics over workload traces.
 
-Used to characterize generated traces (Fig. 8) and to verify that the ON-OFF
-generators actually produce the burstiness the paper's model promises
-(spike frequency ``p_on``, duration ``1/p_off``).
+Used to characterize generated traces (Fig. 8): how far a trace's
+burstiness departs from a steady (Poisson-like) load.
 """
 
 from __future__ import annotations
@@ -33,28 +32,3 @@ def peak_to_mean_ratio(trace: np.ndarray) -> float:
     if mean == 0:
         return 0.0
     return float(t.max() / mean)
-
-
-def burst_lengths(states: np.ndarray) -> np.ndarray:
-    """Lengths of maximal runs of ON (truthy) intervals in a 0/1 trace.
-
-    Returns an empty array if the trace never turns ON.  Runs touching the
-    trace boundary are counted as-is (right-censoring is negligible for the
-    long traces used in the experiments).
-    """
-    s = np.asarray(states).astype(bool)
-    if s.ndim != 1:
-        raise ValueError(f"states must be 1-D, got shape {s.shape}")
-    if s.size == 0:
-        return np.empty(0, dtype=np.int64)
-    padded = np.concatenate(([False], s, [False])).astype(np.int8)
-    diff = np.diff(padded)
-    starts = np.flatnonzero(diff == 1)
-    ends = np.flatnonzero(diff == -1)
-    return (ends - starts).astype(np.int64)
-
-
-def mean_burst_length(states: np.ndarray) -> float:
-    """Average ON-run length; 0.0 if the trace never turns ON."""
-    lengths = burst_lengths(states)
-    return float(lengths.mean()) if lengths.size else 0.0

@@ -73,12 +73,6 @@ class UserPool:
             return 0.0
         return self.n_users / self.effective_mean_think_time
 
-    def sample_think_times(self, size: int, *, seed: SeedLike = None) -> np.ndarray:
-        """Draw floored-exponential think times."""
-        rng = as_generator(seed)
-        raw = rng.exponential(self.think_time_mean, size=size)
-        return np.maximum(raw, self.think_time_floor)
-
     def requests_in_interval(self, interval: float, n_intervals: int, *,
                              seed: SeedLike = None) -> np.ndarray:
         """Requests arriving per interval, simulated per user.

@@ -8,12 +8,18 @@ checks other, production code with it:
 - the scalar placement loops the shared first-fit loop is checked against:
   literal Algorithm 2 (:func:`place_reference`) and QuantileFFD's
   re-convolving loop (:func:`quantile_ffd_reference`, with
-  :func:`quantile_reservation`);
+  :func:`quantile_reservation`), and a QueuingFFD pass that also returns
+  its per-PM reservation states (:func:`place_with_states`);
 - the Engset loss system, the continuous-time limit of the discrete
   Geom/Geom/K/K model;
 - the busy-block kernel (the paper's Eq. 12) by direct summation;
 - the transient occupancy ``Pi_0 P^t`` of the busy-block chain;
-- reading back a placement that ``repro consolidate`` wrote;
+- the closed-form Binomial stationary law the chain solve is checked
+  against, and the occupancy and burst statistics of simulated traces;
+- fleet set-up: forcing a VM ON or OFF, striped and single-domain
+  topologies, and counting a placement's VMs per fault domain;
+- reading back a placement that ``repro consolidate`` wrote, the
+  checkpoints a retention directory keeps, and a latency histogram's tail;
 - recounting a run's headline counters from its event stream;
 - the ambient telemetry and the active profiler, so tests can see that
   ``tracing``/``Profiler`` blocks restore them;
@@ -33,10 +39,13 @@ from scipy.special import gammaln
 from scipy.stats import binom
 
 from repro.core.quantile import spike_sum_distribution
-from repro.core.reservation import PMReservationState
+from repro.core.reservation import PMReservationState, ReservationKernel
 from repro.core.types import Placement, PMSpec, VMSpec
-from repro.placement.base import InsufficientCapacityError
+from repro.markov.binomial import binomial_pmf_table
+from repro.placement.base import InsufficientCapacityError, first_fit
 from repro.queueing.transient import _kernel
+from repro.simulation.checkpoint import CheckpointRetention
+from repro.simulation.topology import Topology
 from repro.telemetry import context, profiling
 from repro.telemetry.events import TelemetryEvent
 from repro.telemetry.sinks import read_events_tolerant
@@ -153,9 +162,8 @@ def engset_distribution(k: int, n_servers: int, alpha: float) -> np.ndarray:
 def engset_blocking_probability(k: int, n_servers: int, alpha: float) -> float:
     """Time-blocking probability of the Engset system (all servers busy).
 
-    Note this is *time* blocking (the fraction of time the system is full),
-    matching :meth:`FiniteSourceGeomGeomK.time_blocking_probability`; call
-    blocking seen by arrivals would use ``k - 1`` sources (the Engset
+    Note this is *time* blocking (the fraction of time the system is full);
+    call blocking seen by arrivals would use ``k - 1`` sources (the Engset
     arrival theorem).
     """
     return float(engset_distribution(k, n_servers, alpha)[-1])
@@ -206,6 +214,94 @@ def occupancy_at(k: int, p_on: float, p_off: float, t: int,
     return pi
 
 
+def stationary_distribution_closed_form(model) -> np.ndarray:
+    """Closed-form stationary law of a ``FiniteSourceGeomGeomK`` ``model``:
+    ``Binomial(k, p_on / (p_on + p_off))``.
+
+    Because the k sources evolve independently and each source's
+    stationary ON-probability is ``q = p_on/(p_on+p_off)``, the number of
+    ON sources at stationarity is binomial.  This provides an O(k)
+    analytic cross-check of the O(k^3) matrix solve.
+    """
+    q = model.p_on / (model.p_on + model.p_off)
+    return binomial_pmf_table(model.k, q)[model.k]
+
+
+def occupancy_from_trajectory(states: np.ndarray, n_states: int) -> np.ndarray:
+    """Empirical state-occupancy frequencies of a simulated trajectory."""
+    states = np.asarray(states)
+    if states.size == 0:
+        raise ValueError("trajectory is empty")
+    counts = np.bincount(states, minlength=n_states)
+    return counts / counts.sum()
+
+
+def burst_lengths(states: np.ndarray) -> np.ndarray:
+    """Lengths of maximal runs of ON (truthy) intervals in a 0/1 trace.
+
+    Returns an empty array if the trace never turns ON.  Runs touching the
+    trace boundary are counted as-is (right-censoring is negligible for the
+    long traces used in the tests).
+    """
+    s = np.asarray(states).astype(bool)
+    if s.ndim != 1:
+        raise ValueError(f"states must be 1-D, got shape {s.shape}")
+    if s.size == 0:
+        return np.empty(0, dtype=np.int64)
+    padded = np.concatenate(([False], s, [False])).astype(np.int8)
+    diff = np.diff(padded)
+    starts = np.flatnonzero(diff == 1)
+    ends = np.flatnonzero(diff == -1)
+    return (ends - starts).astype(np.int64)
+
+
+def mean_burst_length(states: np.ndarray) -> float:
+    """Average ON-run length; 0.0 if the trace never turns ON."""
+    lengths = burst_lengths(states)
+    return float(lengths.mean()) if lengths.size else 0.0
+
+
+# --------------------------------------------------------------------- #
+# fleet set-up
+# --------------------------------------------------------------------- #
+def set_on(dc, vm_id: int, on: bool) -> None:
+    """Put VM ``vm_id`` of datacenter ``dc`` in its ON (spiking) or OFF
+    state through the checkpoint round trip; the chain continues from this
+    state at the next ``step``."""
+    state = dc.capture_state()
+    state["on"][vm_id] = bool(on)
+    dc.restore_state(state)
+
+
+def striped(n_pms: int, n_domains: int) -> Topology:
+    """Round-robin striping: PM ``i`` lands in domain ``i % n_domains``."""
+    n_pms = check_integer(n_pms, "n_pms", minimum=1)
+    n_domains = check_integer(n_domains, "n_domains", minimum=1)
+    if n_domains > n_pms:
+        raise ValueError(
+            f"n_domains ({n_domains}) cannot exceed n_pms ({n_pms}): empty domains"
+        )
+    return Topology(np.arange(n_pms) % n_domains)
+
+
+def single_domain(n_pms: int) -> Topology:
+    """Every PM in one domain (the degenerate all-correlated case)."""
+    n_pms = check_integer(n_pms, "n_pms", minimum=1)
+    return Topology(np.zeros(n_pms, dtype=np.int64))
+
+
+def vm_domain_counts(topology: Topology, assignment: np.ndarray) -> np.ndarray:
+    """VMs per domain of ``topology`` given a VM -> PM ``assignment``.
+
+    Unplaced entries (negative) are ignored.
+    """
+    assignment = np.asarray(assignment)
+    placed = assignment[assignment >= 0]
+    if placed.size and int(placed.max()) >= topology.n_pms:
+        raise ValueError("assignment references PMs outside the topology")
+    return np.bincount(topology.domain_of[placed], minlength=topology.n_domains)
+
+
 # --------------------------------------------------------------------- #
 # files and event streams
 # --------------------------------------------------------------------- #
@@ -219,6 +315,23 @@ def load_placement(path: str | Path) -> Placement:
         n_pms=payload["n_pms"],
         assignment=np.array(payload["assignment"], dtype=np.int64),
     )
+
+
+def retained_checkpoints(directory: str | Path) -> list[Path]:
+    """The checkpoints a ``CheckpointRetention`` directory's index keeps,
+    oldest first."""
+    index = json.loads((Path(directory) / CheckpointRetention.INDEX_NAME).read_text())
+    return [Path(directory) / e["file"] for e in index["checkpoints"]]
+
+
+def tail_probability(histogram, t: int) -> float:
+    """Empirical ``P(T_S > t)`` of a ``LatencyHistogram``: the fraction of
+    completions slower than ``t`` intervals (0.0 before any completion)."""
+    t = check_integer(t, "t", minimum=0)
+    if histogram.total == 0:
+        return 0.0
+    slow = sum(histogram.counts[min(t, histogram.max_latency) + 1:])
+    return slow / histogram.total
 
 
 def count_by_kind(events: Iterable[TelemetryEvent]) -> dict[str, int]:
@@ -321,6 +434,30 @@ def place_reference(
         else:
             raise InsufficientCapacityError(vm_idx)
     return placement, states
+
+
+def place_with_states(
+    placer, vms: Sequence[VMSpec], pms: Sequence[PMSpec]
+) -> tuple[Placement, list[PMReservationState]]:
+    """Place VMs with a ``QueuingFFD`` ``placer`` and also return the per-PM
+    reservation states.
+
+    VMs go in ``placer.order_vms`` order through
+    :func:`~repro.placement.base.first_fit`, with a
+    :class:`ReservationKernel` as its state, as ``QueuingFFD.place`` runs
+    them; each PM's state is the kernel's snapshot after the pass.
+    """
+    if not vms:
+        return Placement(0, len(pms)), []
+    mapping = placer.mapping_for(vms)
+    kernel = ReservationKernel([p.capacity for p in pms], mapping.d,
+                               mapping.table)
+    placement = first_fit(
+        placer, vms, len(pms), placer.order_vms(vms), kernel,
+        spread=placer.spread,
+        choose_for=getattr(placer, "choose_for", None))
+    return placement, [kernel.snapshot(i, p, mapping)
+                       for i, p in enumerate(pms)]
 
 
 def quantile_reservation(vms: Sequence[VMSpec], rho: float, *,

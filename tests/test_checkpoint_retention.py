@@ -9,6 +9,7 @@ import pytest
 from repro.core.queuing_ffd import QueuingFFD
 from repro.core.types import PMSpec, VMSpec
 from repro.simulation import CheckpointRetention, Scenario, load_checkpoint
+from tests.helpers import retained_checkpoints
 
 
 def _run():
@@ -32,7 +33,7 @@ class TestRetention:
         assert payload["state"]["time"] == 5
         index = json.loads((tmp_path / "index.json").read_text())
         assert [e["file"] for e in index["checkpoints"]] == [path.name]
-        assert ret.latest() == path
+        assert retained_checkpoints(tmp_path) == [path]
         run.close()
 
     def test_prunes_oldest_beyond_keep(self, tmp_path):
@@ -41,7 +42,7 @@ class TestRetention:
         paths = [ret.save(run, label=f"n{i}") for i in range(4)]
         kept = sorted(p.name for p in tmp_path.glob("ckpt-*.json"))
         assert kept == sorted(p.name for p in paths[-2:])
-        assert [p.name for p in ret.paths] == [p.name for p in paths[-2:]]
+        assert retained_checkpoints(tmp_path) == paths[-2:]
         run.close()
 
     def test_label_is_sanitized(self, tmp_path):
@@ -61,7 +62,7 @@ class TestRetention:
         # the new instance resumed the counter instead of clobbering
         assert p0.name.split("-")[1] == "000000"
         assert p1.name.split("-")[1] == "000001"
-        assert [p.name for p in second.paths] == [p0.name, p1.name]
+        assert retained_checkpoints(tmp_path) == [p0, p1]
         run.close()
 
     def test_keep_must_be_positive(self, tmp_path):

@@ -25,6 +25,7 @@ from tests.helpers import (
     check_placement_complete,
     max_vms_on_any_pm,
     place_reference,
+    place_with_states,
 )
 
 P_ON, P_OFF = 0.01, 0.09
@@ -84,7 +85,7 @@ class TestPlacement:
     def test_eq17_holds_on_every_pm(self, medium_instance):
         vms, pms = medium_instance
         placer = QueuingFFD(rho=0.01, d=16)
-        placement, states = placer.place_with_states(vms, pms)
+        placement, states = place_with_states(placer, vms, pms)
         for pm_idx, state in enumerate(states):
             if state.is_empty:
                 continue
@@ -94,7 +95,7 @@ class TestPlacement:
 
     def test_states_match_placement(self, medium_instance):
         vms, pms = medium_instance
-        placement, states = QueuingFFD().place_with_states(vms, pms)
+        placement, states = place_with_states(QueuingFFD(), vms, pms)
         for pm_idx, state in enumerate(states):
             assert set(state.vms.keys()) == set(placement.vms_on(pm_idx).tolist())
 
@@ -259,15 +260,16 @@ class TestVectorizedEqualsReference:
             ref, ref_states = place_reference(placer, vms, pms)
         except InsufficientCapacityError as ref_exc:
             with pytest.raises(InsufficientCapacityError) as fast_exc:
-                placer.place_with_states(vms, pms)
+                placer.place(vms, pms)
             assert fast_exc.value.vm_index == ref_exc.vm_index
             if placer.spread is None:
                 for path, (_, failed) in online_outcomes(
                         placer, vms, pms).items():
                     assert failed == ref_exc.vm_index, path
             return None
-        fast, fast_states = placer.place_with_states(vms, pms)
+        fast = placer.place(vms, pms)
         np.testing.assert_array_equal(fast.assignment, ref.assignment)
+        _, fast_states = place_with_states(placer, vms, pms)
         for a, b in zip(fast_states, ref_states):
             # both add in placement order: the aggregates are bit-equal
             assert a.vms == b.vms

@@ -42,6 +42,7 @@ from repro.simulation.checkpoint import (
     save_checkpoint,
 )
 from repro.telemetry import BenchJobFinished
+from tests.helpers import retained_checkpoints
 
 FIXTURES = Path(__file__).parent / "data" / "durable_v1"
 OPS = ("write", "fsync", "rename", "fsync_dir")
@@ -181,8 +182,7 @@ def retention_index(d: Path) -> Writer:
     return Writer(
         d / CheckpointRetention.INDEX_NAME,
         lambda: CheckpointRetention(d, keep=2).save(_run(8)),
-        lambda: load_checkpoint(
-            CheckpointRetention(d, keep=2).latest())["state"]["time"])
+        lambda: load_checkpoint(retained_checkpoints(d)[-1])["state"]["time"])
 
 
 def _service(d: Path, target: str) -> Writer:
@@ -626,8 +626,7 @@ def test_parent_simulation_checkpoint_runs_to_the_straight_report():
 
 def test_parent_retention_directory_restores_its_latest_checkpoint():
     want = _expected()["retention"]
-    run = restore_checkpoint(CheckpointRetention(
-        FIXTURES / "retention", keep=2).latest())
+    run = restore_checkpoint(retained_checkpoints(FIXTURES / "retention")[-1])
     assert run.time == want["time"]
     assert hashlib.sha256(canonical_state_bytes(
         run.capture_state())).hexdigest() == want["state_sha256"]

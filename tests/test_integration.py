@@ -16,6 +16,7 @@ from repro.placement.rbex import RBExPlacer
 from repro.simulation.scheduler import run_simulation
 from repro.workload.onoff_generator import ensemble_states
 from repro.workload.patterns import generate_pattern_instance, make_pms, table_i_vms
+from tests.helpers import place_with_states
 
 RHO, D = 0.01, 16
 
@@ -42,7 +43,7 @@ class TestCvrGuarantee:
 
         vms, pms = generate_pattern_instance("equal", 100, seed=12)
         placer = QueuingFFD(rho=RHO, d=D)
-        placement, states_list = placer.place_with_states(vms, pms)
+        placement, states_list = place_with_states(placer, vms, pms)
         mapping = placer.mapping_for(vms)
         sim_states = ensemble_states(vms, 60_000, start_stationary=True, seed=13)
         cvrs = cvr_per_pm(placement, vms, pms, sim_states)

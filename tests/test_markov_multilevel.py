@@ -18,35 +18,12 @@ class TestMultiLevelChain:
         with pytest.raises(ValueError):
             MultiLevelChain(P, [1.0, -2.0])
 
-    def test_stationary_demand_distribution_aggregates_equal_values(self):
-        P = np.full((3, 3), 1 / 3)
-        chain = MultiLevelChain(P, [5.0, 5.0, 10.0])
-        values, probs = chain.stationary_demand_distribution()
-        np.testing.assert_array_equal(values, [5.0, 10.0])
-        np.testing.assert_allclose(probs, [2 / 3, 1 / 3])
-
-    def test_mean_demand(self):
-        P = np.array([[0.5, 0.5], [0.5, 0.5]])
-        chain = MultiLevelChain(P, [0.0, 10.0])
-        assert chain.mean_demand() == pytest.approx(5.0)
-
     def test_simulate_demand_values_from_levels(self):
         P = np.array([[0.5, 0.5], [0.5, 0.5]])
         chain = MultiLevelChain(P, [3.0, 7.0])
         trace = chain.simulate_demand(1000, seed=0)
         assert set(np.unique(trace)) <= {3.0, 7.0}
         assert trace.shape == (1001,)
-
-    def test_ensemble_shape(self):
-        P = np.array([[0.9, 0.1], [0.2, 0.8]])
-        chain = MultiLevelChain(P, [1.0, 2.0])
-        traces = chain.simulate_ensemble_demand(4, 100, seed=1)
-        assert traces.shape == (4, 101)
-
-    def test_empty_ensemble(self):
-        P = np.array([[1.0]])
-        chain = MultiLevelChain(P, [1.0])
-        assert chain.simulate_ensemble_demand(0, 10).shape == (0, 11)
 
 
 class TestSpikyLevels:

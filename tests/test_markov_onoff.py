@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.markov.chain import DiscreteMarkovChain
 from repro.markov.onoff import OFF, ON, OnOffChain
-from repro.workload.stats import burst_lengths
+from tests.helpers import burst_lengths
 
 
 @pytest.fixture
@@ -27,43 +28,15 @@ class TestConstruction:
 class TestAnalytics:
     def test_stationary_probabilities(self, chain):
         assert chain.stationary_on_probability == pytest.approx(0.1)
-        assert chain.stationary_off_probability == pytest.approx(0.9)
-        assert (chain.stationary_on_probability
-                + chain.stationary_off_probability) == pytest.approx(1.0)
-
-    def test_burst_and_gap_means(self, chain):
-        assert chain.mean_burst_length == pytest.approx(1 / 0.09)
-        assert chain.mean_gap_length == pytest.approx(100.0)
-        assert chain.cycle_length == pytest.approx(100.0 + 1 / 0.09)
-
-    def test_burst_length_pmf_is_geometric(self, chain):
-        lengths = np.arange(1, 200)
-        pmf = chain.burst_length_pmf(lengths)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-6)
-        assert pmf[0] == pytest.approx(0.09)
-        # mean of the pmf equals 1/p_off
-        assert (lengths * pmf).sum() == pytest.approx(1 / 0.09, rel=1e-4)
-
-    def test_burst_length_pmf_zero_below_one(self, chain):
-        assert chain.burst_length_pmf(np.array([0])) == pytest.approx(0.0)
-
-    def test_autocorrelation_decay(self, chain):
-        lam = 1 - 0.01 - 0.09
-        assert chain.autocorrelation(0) == pytest.approx(1.0)
-        assert chain.autocorrelation(3) == pytest.approx(lam**3)
-        with pytest.raises(ValueError):
-            chain.autocorrelation(-1)
 
     def test_transition_matrix(self, chain):
         P = chain.transition_matrix()
         np.testing.assert_allclose(P, [[0.99, 0.01], [0.09, 0.91]])
 
     def test_as_chain_stationary_matches(self, chain):
-        pi = chain.as_chain().stationary_distribution()
-        np.testing.assert_allclose(
-            pi, [chain.stationary_off_probability, chain.stationary_on_probability],
-            atol=1e-12,
-        )
+        pi = DiscreteMarkovChain(chain.transition_matrix()).stationary_distribution()
+        q = chain.stationary_on_probability
+        np.testing.assert_allclose(pi, [1.0 - q, q], atol=1e-12)
 
 
 class TestSimulation:

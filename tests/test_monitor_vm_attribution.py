@@ -10,6 +10,7 @@ from repro.simulation.datacenter import Datacenter
 from repro.simulation.monitor import Monitor
 from repro.simulation.scheduler import run_simulation
 from repro.workload.patterns import generate_pattern_instance
+from tests.helpers import set_on
 
 
 def make_dc():
@@ -25,7 +26,7 @@ class TestVmAttribution:
         dc = make_dc()
         monitor = Monitor(2, n_vms=3)
         monitor.record_interval(dc, [])  # loads 90 / 10: no violation
-        dc.set_on(0, True)  # PM0 load 140 > 100
+        set_on(dc, 0, True)  # PM0 load 140 > 100
         monitor.record_interval(dc, [])
         record = monitor.finalize()
         np.testing.assert_array_equal(record.vm_suffering_counts, [1, 1, 0])
@@ -89,7 +90,7 @@ class TestVmAttribution:
         count to the suffering totals (when no migrations move VMs)."""
         dc = make_dc()
         monitor = Monitor(2, n_vms=3)
-        dc.set_on(0, True)
+        set_on(dc, 0, True)
         for _ in range(5):
             monitor.record_interval(dc, [])
         record = monitor.finalize()

@@ -1,4 +1,4 @@
-"""The parallel experiment runner: filtering, seeding, parity, aggregation."""
+"""The serial experiment runner: filtering, seeding, aggregation, progress."""
 
 from __future__ import annotations
 
@@ -6,12 +6,7 @@ import json
 
 import pytest
 
-from repro.perf.bench import (
-    BenchJobResult,
-    iter_job_names,
-    job_seed,
-    run_bench,
-)
+from repro.perf.bench import iter_job_names, job_seed, run_bench
 from repro.telemetry import RingBufferSink, Telemetry, tracing
 
 
@@ -32,10 +27,6 @@ class TestJobSelection:
         with pytest.raises(ValueError, match="no experiment matches"):
             run_bench("no_such_job_*")
 
-    def test_bad_parallel_raises(self):
-        with pytest.raises(ValueError, match="parallel"):
-            run_bench("table1", parallel=0)
-
 
 class TestSeeding:
     def test_job_seed_deterministic_and_name_sensitive(self):
@@ -51,19 +42,6 @@ class TestSeeding:
         assert result.text == render_result(fn())
         assert result.ok and result.error == ""
         assert result.seed is None
-
-
-class TestParity:
-    def test_parallel_identical_to_serial(self, tmp_path):
-        serial = run_bench("table1", output_dir=tmp_path / "serial")
-        fanned = run_bench("table1", parallel=2,
-                           output_dir=tmp_path / "parallel")
-        assert [r.name for r in serial] == [r.name for r in fanned]
-        for a, b in zip(serial, fanned):
-            assert a.text == b.text
-            assert a.rows_sha256 == b.rows_sha256
-        assert ((tmp_path / "serial" / "table1.txt").read_text()
-                == (tmp_path / "parallel" / "table1.txt").read_text())
 
 
 class TestAggregation:
@@ -82,18 +60,6 @@ class TestAggregation:
         assert timings["parallel"] == 1
         assert timings["jobs"]["table1"] > 0
         assert (tmp_path / "table1.txt").read_text().rstrip()
-
-    def test_results_json_is_run_invariant(self, tmp_path):
-        run_bench("table1", output_dir=tmp_path / "a")
-        run_bench("table1", output_dir=tmp_path / "b", parallel=2)
-        assert ((tmp_path / "a" / "BENCH_results.json").read_bytes()
-                == (tmp_path / "b" / "BENCH_results.json").read_bytes())
-
-    def test_summary_dict_drops_text(self):
-        r = BenchJobResult(name="x", seed=None, seconds=1.0, ok=True,
-                           error="", text="big table", rows_sha256="00")
-        assert "text" not in r.summary_dict()
-        assert r.summary_dict()["name"] == "x"
 
 
 class TestProgressStream:

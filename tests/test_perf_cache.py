@@ -51,16 +51,6 @@ class TestLRU:
         with pytest.raises(ValueError, match="maxsize"):
             MapCalCache(maxsize=0)
 
-    def test_clear_resets_counters(self):
-        cache = MapCalCache()
-        cache.get_or_compute(key(1), lambda: 1)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats() == {
-            "hits": 0, "misses": 0, "disk_hits": 0, "corrupt": 0,
-            "hit_rate": 0.0, "entries": 0,
-        }
-
 
 class TestDiskStore:
     def test_round_trip_across_instances(self, tmp_path):
@@ -150,12 +140,6 @@ class TestDiskStore:
             MapCalCache(disk_dir=tmp_path).get_or_compute(key(5), lambda: 11)
         metrics = json.loads(tel.metrics.to_json())
         assert metrics["mapcal_cache_corrupt_total"]["value"] == 1
-
-    def test_clear_disk_removes_entries(self, tmp_path):
-        cache = MapCalCache(disk_dir=tmp_path)
-        cache.get_or_compute(key(5), lambda: 11)
-        cache.clear(disk=True)
-        assert not list(tmp_path.glob("mapcal-*.json"))
 
     def test_unwritable_dir_degrades_to_memory_only(self, tmp_path):
         blocked = tmp_path / "file-not-dir"

@@ -23,6 +23,7 @@ from repro.simulation.datacenter import Datacenter
 from repro.simulation.energy import EnergyModel
 from repro.simulation.scenario import Scenario
 from repro.workload.patterns import generate_pattern_instance
+from tests.helpers import set_on
 
 
 def assert_reports_identical(a, b):
@@ -168,7 +169,7 @@ class TestCacheCoherence:
                 elif op == 2:
                     dc.set_throttle(vm, flag)
                 elif op == 3:
-                    dc.set_on(vm, flag)
+                    set_on(dc, vm, flag)
                 elif op == 5 and snapshot is not None:
                     dc.restore_state(snapshot)
             self.assert_fleets_identical(fast, slow)
@@ -178,7 +179,7 @@ class TestCacheCoherence:
         placement = QueuingFFD(rho=0.01, d=16).place(vms, pms)
         dc = Datacenter(vms, pms, placement, seed=0)
         dc.step()
-        dc.set_on(3, True)
+        set_on(dc, 3, True)
         dc.set_throttle(2, True)
         dc.migrate(0, dc.n_pms - 1)
         for arr in (dc._on, dc._throttled, dc._r_base, dc._r_extra,

@@ -500,6 +500,24 @@ class TestOneFirstFitLoop:
         fleet = pms(*rng.uniform(5.0, 120.0, int(rng.integers(9, 30))))
         placer = GENERATE.PLACERS[name](
             int(rng.choice([1, 2, 3, GENERATE.UNCAPPED])), None)
+        self.check(name, placer, vms, fleet)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_queue_het_at_rho_zero_follows_the_scalar_test(self, seed):
+        """At rho = 0 a PM's exact block count is the least K whose ON-count
+        CDF reaches ``1 - rho - 1e-15``.  PMs packed with up to 16 rarely-ON
+        VMs have tails below 1e-15, where the summed PMF can stop an ulp
+        short of 1, so the threshold's slack decides their assignments."""
+        rng = np.random.default_rng(900 + seed)
+        vms = [vm(float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0)),
+                  p_on=float(rng.uniform(0.001, 0.02)),
+                  p_off=float(rng.uniform(0.05, 0.6)))
+               for _ in range(60)]
+        fleet = pms(*rng.uniform(20.0, 80.0, int(rng.integers(9, 30))))
+        self.check("QUEUE-HET", HeterogeneousQueuingFFD(rho=0.0, d=16), vms, fleet)
+
+    @staticmethod
+    def check(name, placer, vms, fleet):
         plain = outcome(lambda: placer.place(vms, fleet))
         # keep every candidate row, so every PM's verdict is checked
         sink = RingBufferSink()

@@ -11,6 +11,7 @@ from repro.placement.grand import GreedyRandomPlacer
 from repro.placement.spread import DomainSpreadConstraint
 from repro.simulation.topology import Topology
 from repro.workload.patterns import generate_pattern_instance
+from tests.helpers import single_domain, vm_domain_counts
 
 
 def small_vms(n, base=10.0):
@@ -41,7 +42,7 @@ class TestConstraint:
 
 class TestWithPlacers:
     def _assert_cap_respected(self, placement, topo, cap):
-        counts = topo.vm_domain_counts(placement.assignment)
+        counts = vm_domain_counts(topo, placement.assignment)
         assert counts.max() <= cap
 
     @pytest.mark.parametrize("make", [
@@ -71,7 +72,7 @@ class TestWithPlacers:
         # 10 VMs, one domain, cap 4: impossible regardless of capacity.
         vms = small_vms(10)
         pms = [PMSpec(1000.0)] * 3
-        spread = DomainSpreadConstraint(Topology.single_domain(3), 4)
+        spread = DomainSpreadConstraint(single_domain(3), 4)
         with pytest.raises(InsufficientCapacityError):
             ffd_by_base(spread=spread).place(vms, pms)
 

@@ -16,12 +16,17 @@ from repro.core.reservation import fits_with_reservation
 from repro.core.types import PMSpec, VMSpec
 from repro.markov.binomial import busy_block_kernel
 from repro.markov.chain import DiscreteMarkovChain
-from repro.markov.onoff import OnOffChain
 from repro.placement.base import InsufficientCapacityError
 from repro.placement.ffd import FirstFitDecreasing, ffd_by_base
 from repro.placement.rbex import RBExPlacer
 from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK
-from tests.helpers import check_capacity_at_base, check_placement_complete, max_vms_on_any_pm
+from tests.helpers import (
+    check_capacity_at_base,
+    check_placement_complete,
+    max_vms_on_any_pm,
+    place_with_states,
+    stationary_distribution_closed_form,
+)
 
 probs = st.floats(min_value=0.001, max_value=0.999)
 small_k = st.integers(min_value=1, max_value=20)
@@ -52,15 +57,9 @@ class TestKernelProperties:
         m = FiniteSourceGeomGeomK(k, p_on, p_off)
         np.testing.assert_allclose(
             m.stationary_distribution(),
-            m.stationary_distribution_closed_form(),
+            stationary_distribution_closed_form(m),
             atol=1e-8,
         )
-
-    @given(p_on=probs, p_off=probs, lag=st.integers(0, 20))
-    @settings(max_examples=40, deadline=None)
-    def test_onoff_autocorrelation_in_unit_interval(self, p_on, p_off, lag):
-        acf = OnOffChain(p_on, p_off).autocorrelation(lag)
-        assert -1.0 <= acf <= 1.0
 
 
 class TestMapcalProperties:
@@ -138,7 +137,7 @@ class TestPlacerProperties:
     def test_queuing_ffd_valid(self, inst):
         vms, pms = inst
         placer = QueuingFFD(rho=0.01, d=16)
-        placement, states = placer.place_with_states(vms, pms)
+        placement, states = place_with_states(placer, vms, pms)
         check_placement_complete(placement)
         check_capacity_at_base(placement, vms, pms)
         assert max_vms_on_any_pm(placement) <= 16

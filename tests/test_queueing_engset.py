@@ -56,19 +56,6 @@ class TestEngsetBlocking:
 
 
 class TestDiscreteToEngsetLimit:
-    def test_unrestricted_tail_matches_engset_truncation(self):
-        """As p_on, p_off -> 0 with fixed ratio, the discrete loss system's
-        occupancy converges to the Engset law with alpha = p_on / p_off."""
-        k, K = 8, 4
-        alpha = 1 / 9
-        for scale, tol in ((0.1, 0.05), (0.01, 0.005)):
-            p_off = scale
-            p_on = alpha * scale
-            m = FiniteSourceGeomGeomK(k, p_on, p_off)
-            discrete = m.loss_system_distribution(K)
-            engset = engset_distribution(k, K, alpha)
-            assert np.max(np.abs(discrete - engset)) < tol
-
     def test_stationary_binomial_matches_engset_full(self):
         # Unrestricted discrete marginal is Binomial(k, q); Engset with K = k
         # is the same binomial with p = alpha/(1+alpha) = q.

@@ -5,6 +5,7 @@ import pytest
 
 from repro.markov.onoff import OnOffChain
 from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK
+from tests.helpers import stationary_distribution_closed_form
 
 
 @pytest.fixture
@@ -28,7 +29,7 @@ class TestStationary:
     def test_matches_closed_form_binomial(self, model):
         np.testing.assert_allclose(
             model.stationary_distribution(),
-            model.stationary_distribution_closed_form(),
+            stationary_distribution_closed_form(model),
             atol=1e-10,
         )
 
@@ -39,7 +40,7 @@ class TestStationary:
         m = FiniteSourceGeomGeomK(k, p_on, p_off)
         np.testing.assert_allclose(
             m.stationary_distribution(),
-            m.stationary_distribution_closed_form(),
+            stationary_distribution_closed_form(m),
             atol=1e-9,
         )
 
@@ -55,12 +56,6 @@ class TestStationary:
         busy = states.sum(axis=0)
         empirical = np.bincount(busy, minlength=7) / busy.size
         np.testing.assert_allclose(empirical, m.stationary_distribution(), atol=0.01)
-
-    def test_expected_demand(self, model):
-        pi = model.stationary_distribution()
-        mean_from_pi = float(np.arange(11) @ pi)
-        assert model.expected_demand() == pytest.approx(mean_from_pi, abs=1e-10)
-        assert model.expected_demand() == pytest.approx(10 * 0.1)
 
 
 class TestOverflow:
@@ -97,39 +92,3 @@ class TestOverflow:
     def test_negative_windows_rejected(self, model):
         with pytest.raises(ValueError):
             model.overflow_probability(-1)
-
-
-class TestLossSystem:
-    def test_kernel_rows_stochastic(self, model):
-        P = model.loss_system_kernel(4)
-        assert P.shape == (5, 5)
-        np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-10)
-        assert np.all(P >= 0)
-
-    def test_full_windows_equals_unrestricted(self, model):
-        # With K = k clipping does nothing.
-        full = model.demand_chain().transition_matrix
-        np.testing.assert_allclose(model.loss_system_kernel(10), full, atol=1e-15)
-
-    def test_distribution_sums_to_one(self, model):
-        pi = model.loss_system_distribution(3)
-        assert pi.shape == (4,)
-        assert pi.sum() == pytest.approx(1.0)
-
-    def test_time_blocking_decreasing_in_windows(self, model):
-        blocks = [model.time_blocking_probability(K) for K in range(1, 11)]
-        assert all(a >= b - 1e-12 for a, b in zip(blocks, blocks[1:]))
-
-    def test_blocking_below_overflow_of_one_fewer(self, model):
-        # Loss-system full-probability is related to, but not above, the
-        # unrestricted tail at K-1 (clipping removes mass above K).
-        for K in (2, 4, 6):
-            assert model.time_blocking_probability(K) <= (
-                model.overflow_probability(K - 1) + 1e-12
-            )
-
-    def test_invalid_window_counts(self, model):
-        with pytest.raises(ValueError):
-            model.loss_system_kernel(0)
-        with pytest.raises(ValueError):
-            model.loss_system_kernel(11)

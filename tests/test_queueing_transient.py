@@ -10,7 +10,7 @@ from repro.queueing.transient import (
     expected_violation_episode_length,
     violation_probability_curve,
 )
-from tests.helpers import occupancy_at
+from tests.helpers import burst_lengths, occupancy_at
 
 K_VMS, P_ON, P_OFF = 8, 0.05, 0.2
 
@@ -139,8 +139,6 @@ class TestEpisodeLength:
                                          seed=5)
         busy = states.sum(axis=0)
         violating = busy > K
-        from repro.workload.stats import burst_lengths
-
         episodes = burst_lengths(violating.astype(int))
         expected = expected_violation_episode_length(K_VMS, P_ON, P_OFF, K)
         assert episodes.mean() == pytest.approx(expected, rel=0.1)

@@ -12,12 +12,12 @@ The check is a name closure over the stdlib ``ast``. Its roots are:
 From the roots it follows ``Name`` ids, ``Attribute`` attrs and the
 identifiers inside string constants that are not docstrings (so a
 registry that names a function in a string reaches it) through the
-bodies of top-level ``def``/``class`` statements. In ``repro.core`` and
-``repro.placement`` it also checks methods: a reached class reaches its
-bases, decorators, class-level statements and dunder methods, and each
-other method is reached only when some reached code names it. It matches
-names, not bindings, so it errs toward "reached". Tests are not roots:
-code that only tests call belongs in ``tests/``.
+bodies of top-level ``def``/``class`` statements. It also checks the
+methods of every class: a reached class reaches its bases, decorators,
+class-level statements and dunder methods, and each other method is
+reached only when some reached code names it. It matches names, not
+bindings, so it errs toward "reached". Tests are not roots: code that
+only tests call belongs in ``tests/``.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from typing import Iterable, Mapping
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "repro"
 ENTRY_DIRS = ("perfbench", "benchmarks", "examples")
-#: packages whose classes are checked method by method
-METHOD_PACKAGES = ("repro.core", "repro.placement")
 
 POISSON_BINOMIAL = ("Poisson-binomial helper of the exact stationary CVR, kept for the "
                     "planned exact check of every Eq. (17) placer (ROADMAP.md)")
@@ -90,10 +88,6 @@ def _is_module_root(stmt: ast.stmt) -> bool:
     return not any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
 
 
-def _in(module: str, packages: Iterable[str]) -> bool:
-    return any(module == p or module.startswith(p + ".") for p in packages)
-
-
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
@@ -106,17 +100,15 @@ def _class_parts(cls: ast.ClassDef) -> tuple[list[ast.AST], list[ast.AST]]:
     return [*cls.bases, *cls.keywords, *cls.decorator_list, *rest], methods
 
 
-def unreached(src_root: Path, extra_roots: Iterable[Path],
-              method_packages: Iterable[str] = ()) -> dict[str, tuple[Path, int, int]]:
+def unreached(src_root: Path, extra_roots: Iterable[Path]) -> dict[str, tuple[Path, int, int]]:
     """Top-level defs under ``src_root`` that no root reaches, and the
-    methods of reached classes in ``method_packages`` that none reaches.
+    methods of reached classes that none reaches.
 
     Keys are ``package.module.name`` or ``package.module.Class.method``;
     values are ``(file, first line, last line)``. ``src_root /
     "__main__.py"`` and every ``.py`` file under ``extra_roots`` are roots
     as a whole.
     """
-    method_packages = tuple(method_packages)
     defs: dict[str, list[tuple[str, ast.AST, set[int], Path]]] = {}
     frontier: set[str] = set()
     for path in sorted(src_root.rglob("*.py")):
@@ -146,7 +138,7 @@ def unreached(src_root: Path, extra_roots: Iterable[Path],
             continue
         reached.add(name)
         for module, stmt, docstrings, path in defs.get(name, ()):
-            if not (isinstance(stmt, ast.ClassDef) and _in(module, method_packages)):
+            if not isinstance(stmt, ast.ClassDef):
                 frontier |= _names([stmt], docstrings) - reached
                 continue
             body, own = _class_parts(stmt)
@@ -168,14 +160,13 @@ def unreached(src_root: Path, extra_roots: Iterable[Path],
 
 
 def check_reachability(src_root: Path, extra_roots: Iterable[Path],
-                       allowlist: Mapping[str, str],
-                       method_packages: Iterable[str] = ()) -> list[str]:
+                       allowlist: Mapping[str, str]) -> list[str]:
     """Problems with ``src_root``'s reachability; empty when it is clean.
 
     Every unreached def must be allowlisted with a reason, and every
     allowlist entry must name a def that exists and is unreached.
     """
-    found = unreached(src_root, extra_roots, method_packages)
+    found = unreached(src_root, extra_roots)
     problems = [f"{name} ({path}:{first}, {last - first + 1} lines) is reached by no "
                 "entry point: delete it, move it into tests/, or allowlist it with a reason"
                 for name, (path, first, last) in sorted(found.items())
@@ -188,8 +179,7 @@ def check_reachability(src_root: Path, extra_roots: Iterable[Path],
 
 
 def test_every_src_def_is_reached_or_allowlisted():
-    problems = check_reachability(SRC, [REPO / d for d in ENTRY_DIRS], ALLOWLIST,
-                                  METHOD_PACKAGES)
+    problems = check_reachability(SRC, [REPO / d for d in ENTRY_DIRS], ALLOWLIST)
     assert not problems, "\n".join(problems)
 
 
@@ -249,13 +239,12 @@ class TestChecker:
             "def only_from_orphan():\n    return 3\n\n"
             "def used():\n    return Used().called()\n\n"
             "def example_only():\n    return 2\n"))
-        # only in a checked package does a reached class stop reaching
-        # every method: then the orphan and what only it calls are found
-        assert unreached(src, [extra]) == {}
-        assert set(unreached(src, [extra], ["pkg"])) == {
+        # a reached class does not reach every method: the orphan and what
+        # only it calls are found, with no package named
+        assert set(unreached(src, [extra])) == {
             "pkg.mod.Used.orphan", "pkg.mod.only_from_orphan"}
-        problems = check_reachability(src, [extra], {}, ["pkg"])
+        problems = check_reachability(src, [extra], {})
         assert len(problems) == 2 and "pkg.mod.Used.orphan" in problems[0]
         assert check_reachability(src, [extra], {
             "pkg.mod.Used.orphan": "kept for a test",
-            "pkg.mod.only_from_orphan": "kept for a test"}, ["pkg"]) == []
+            "pkg.mod.only_from_orphan": "kept for a test"}) == []

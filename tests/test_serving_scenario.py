@@ -18,6 +18,7 @@ from repro.simulation.scenario import Scenario
 from repro.simulation.triggers import SlidingWindowCVRTrigger
 from repro.telemetry import RingBufferSink, Telemetry
 from repro.workload.patterns import generate_pattern_instance
+from tests.helpers import tail_probability
 
 
 def serving_rules(tail_budget=0.01, loss_budget=0.01):
@@ -200,7 +201,7 @@ class TestSlaFraction:
             vms, pms, serving={"sla_t": 4, "max_latency": 5}).start(seed=7)
         run.advance(40)
         run.close()
-        tail = run.serving.histogram.tail_probability(4)
+        tail = tail_probability(run.serving.histogram, 4)
         assert run.finish().serving.sla_violation_fraction == tail == \
             2180 / 57864
 

@@ -1,10 +1,11 @@
 """Tests for repro.simulation.arrivals — the dynamic-fleet simulator."""
 
+import numpy as np
 import pytest
 
 from repro.core.queuing_ffd import QueuingFFD
 from repro.core.types import PMSpec, VMSpec
-from repro.simulation.arrivals import DynamicFleetSimulator
+from repro.simulation.arrivals import DynamicFleetRecord, DynamicFleetSimulator, _LiveVM
 
 
 def fleet(n=20, cap=100.0):
@@ -38,7 +39,6 @@ class TestRun:
         record = sim.run(20)
         assert sim.population == 0
         assert record.admitted == record.rejected == 0
-        assert record.admission_rate == 1.0
 
     def test_departures_drain_population(self):
         sim = DynamicFleetSimulator(fleet(), arrival_probability=1.0,
@@ -57,7 +57,7 @@ class TestRun:
                                     departure_probability=0.0, seed=2)
         record = sim.run(100)
         assert record.rejected > 0
-        assert 0.0 < record.admission_rate < 1.0
+        assert record.admitted > 0
 
     def test_reservation_invariant_holds_throughout(self):
         sim = DynamicFleetSimulator(fleet(), arrival_probability=0.8,
@@ -112,6 +112,27 @@ class TestRun:
     def test_invalid_intervals(self):
         with pytest.raises(ValueError):
             DynamicFleetSimulator(fleet()).run(0)
+
+
+class TestOverflowTarget:
+    def test_tied_loads_go_to_the_lowest_indexed_pm(self):
+        """The overflowing PM's largest VM moves to the least-loaded PM with
+        room and, among equally loaded ones, to the lowest index, whatever
+        order the CPU's sort kernel gives tied loads."""
+        sim = DynamicFleetSimulator(fleet(n=6), arrival_probability=0.0,
+                                    departure_probability=0.0, seed=0)
+        hosts = [(VMSpec(0.01, 0.09, 40.0, 40.0), 0, True),
+                 (VMSpec(0.01, 0.09, 30.0, 10.0), 0, False),
+                 (VMSpec(0.01, 0.09, 10.0, 10.0), 1, False),
+                 (VMSpec(0.01, 0.09, 10.0, 10.0), 4, False)]
+        for vm_id, (spec, pm, on) in enumerate(hosts):
+            sim.consolidator.apply_admit(spec, pm, vm_id)
+            sim._live[vm_id] = _LiveVM(spec=spec, pm=pm, on=on)
+        np.testing.assert_array_equal(sim.pm_loads(), [110, 10, 0, 0, 10, 0])
+        record = DynamicFleetRecord(n_intervals=1)
+        sim._resolve_overflows(record)
+        assert (record.migrations, record.violations) == (1, 0)
+        assert sim._live[0].pm == sim.consolidator.pm_of(0) == 2
 
 
 class TestReservationEffect:

@@ -10,6 +10,15 @@ from repro.simulation.costmodel import (
     MigrationCostModel,
 )
 from repro.simulation.datacenter import Datacenter
+from tests.helpers import set_on
+
+
+def in_flight_load(scheduler, pm_id):
+    """Overhead load the scheduler's in-flight transfers charge on PM
+    ``pm_id``, read from its checkpoint state."""
+    return sum(overhead for _, source, target, _, overhead
+               in scheduler.capture_state()["in_flight"]
+               if pm_id in (source, target))
 
 
 class TestMigrationCostModel:
@@ -66,7 +75,7 @@ class TestCostedScheduler:
         placement = Placement(2, 2, assignment=np.array([0, 0]))
         dc = Datacenter(vms, pms, placement, seed=0)
         for i in range(dc.n_vms):
-            dc.set_on(i, True)
+            set_on(dc, i, True)
         return dc
 
     def test_migration_is_charged(self):
@@ -85,9 +94,9 @@ class TestCostedScheduler:
         events = scheduler.resolve_overloads(0)
         e = events[0]
         overhead = 0.25 * 70.0  # migrated VM was spiking: demand 70
-        assert scheduler.extra_load(e.source_pm) == pytest.approx(overhead)
-        assert scheduler.extra_load(e.target_pm) == pytest.approx(overhead)
-        assert scheduler.extra_load(99) == 0.0
+        assert in_flight_load(scheduler, e.source_pm) == pytest.approx(overhead)
+        assert in_flight_load(scheduler, e.target_pm) == pytest.approx(overhead)
+        assert in_flight_load(scheduler, 99) == 0.0
 
     def test_transfer_completes_after_duration(self):
         dc = self._dc()
@@ -97,9 +106,9 @@ class TestCostedScheduler:
         duration = model.duration_intervals(40.0)  # footprint = r_base
         pm = events[0].target_pm
         for _ in range(duration):
-            assert scheduler.extra_load(pm) > 0
+            assert in_flight_load(scheduler, pm) > 0
             scheduler.tick_transfers()
-        assert scheduler.extra_load(pm) == 0.0
+        assert in_flight_load(scheduler, pm) == 0.0
 
     def test_no_overload_no_charges(self):
         vms = [VMSpec(0.01, 0.09, 10.0, 5.0)]

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.types import Placement, PMSpec, VMSpec
 from repro.simulation.datacenter import Datacenter
+from tests.helpers import set_on
 
 P_ON, P_OFF = 0.01, 0.09
 
@@ -79,7 +80,7 @@ class TestLoads:
 
     def test_demand_reflects_state(self):
         dc, _, _ = build_dc()
-        dc.set_on(0, True)
+        set_on(dc, 0, True)
         assert dc.pm_loads()[0] == pytest.approx(35.0)
 
     def test_base_loads_state_independent(self):
@@ -96,7 +97,7 @@ class TestLoads:
         dc = Datacenter(vms, pms, placement, seed=0)
         assert dc.overloaded_pms().size == 0
         for i in range(dc.n_vms):
-            dc.set_on(i, True)
+            set_on(dc, i, True)
         np.testing.assert_array_equal(dc.overloaded_pms(), [0])
 
     def test_used_pm_count(self):

@@ -9,6 +9,7 @@ from repro.simulation.energy import EnergyModel
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.migration import MigrationEvent
 from repro.simulation.monitor import Monitor
+from tests.helpers import set_on
 
 
 class TestEngine:
@@ -26,16 +27,6 @@ class TestEngine:
         engine.add_hook("x", lambda t: None)
         with pytest.raises(ValueError, match="already registered"):
             engine.add_hook("x", lambda t: None)
-
-    def test_remove_hook(self):
-        engine = SimulationEngine()
-        calls = []
-        engine.add_hook("x", lambda t: calls.append(t))
-        engine.remove_hook("x")
-        engine.run(3)
-        assert calls == []
-        with pytest.raises(KeyError):
-            engine.remove_hook("x")
 
     def test_time_accumulates_across_runs(self):
         engine = SimulationEngine()
@@ -72,7 +63,7 @@ class TestMonitor:
         dc = self._dc()
         monitor = Monitor(3)
         monitor.record_interval(dc, [])
-        dc.set_on(0, True)  # PM0 load 110 > 100
+        set_on(dc, 0, True)  # PM0 load 110 > 100
         monitor.record_interval(dc, [])
         record = monitor.finalize()
         np.testing.assert_array_equal(record.violation_counts, [1, 0, 0])
@@ -114,19 +105,20 @@ class TestMonitor:
 
 
 class TestEnergyModel:
+    @staticmethod
+    def one_pm(model, load, capacity):
+        return model.fleet_power(np.array([load]), np.array([capacity]),
+                                 np.array([True]))
+
     def test_idle_and_peak_endpoints(self):
         m = EnergyModel(idle_power=100.0, peak_power=200.0)
-        assert m.pm_power(0.0, 50.0) == 100.0
-        assert m.pm_power(50.0, 50.0) == 200.0
-        assert m.pm_power(25.0, 50.0) == 150.0
-
-    def test_powered_off_draws_nothing(self):
-        m = EnergyModel()
-        assert m.pm_power(10.0, 50.0, powered_on=False) == 0.0
+        assert self.one_pm(m, 0.0, 50.0) == 100.0
+        assert self.one_pm(m, 50.0, 50.0) == 200.0
+        assert self.one_pm(m, 25.0, 50.0) == 150.0
 
     def test_load_clipped_to_capacity(self):
         m = EnergyModel(100.0, 200.0)
-        assert m.pm_power(80.0, 50.0) == 200.0
+        assert self.one_pm(m, 80.0, 50.0) == 200.0
 
     def test_fleet_power(self):
         m = EnergyModel(100.0, 200.0)
@@ -152,7 +144,5 @@ class TestEnergyModel:
         with pytest.raises(ValueError):
             EnergyModel(idle_power=300.0, peak_power=200.0)
         m = EnergyModel()
-        with pytest.raises(ValueError):
-            m.pm_power(1.0, 0.0)
         with pytest.raises(ValueError):
             m.run_energy(np.array([1]), interval_seconds=10.0, mean_utilization=1.5)

@@ -8,6 +8,7 @@ from repro.core.types import Placement, PMSpec, VMSpec
 from repro.simulation.datacenter import Datacenter
 from repro.simulation.failures import FailureInjector
 from repro.workload.patterns import generate_pattern_instance
+from tests.helpers import set_on
 
 
 def vm(base, extra=0.0):
@@ -71,7 +72,7 @@ class TestFailureInjector:
         pms = [PMSpec(100.0), PMSpec(100.0)]
         placement = Placement(2, 2, assignment=np.array([0, 1]))
         dc = Datacenter(vms, pms, placement, seed=4)
-        dc.set_on(0, True)  # demand 70 > PM1's free 40
+        set_on(dc, 0, True)  # demand 70 > PM1's free 40
         inj = FailureInjector(dc, failure_probability=0.0,
                               repair_probability=0.0,
                               degrade_stranded=False, seed=5)
@@ -81,7 +82,7 @@ class TestFailureInjector:
         assert dc.placement.pm_of(0) == 0  # stranded on the dead host
         assert 0 in inj.stranded_vms
         # Spike ends -> demand 30 fits PM1's free 40 -> retry succeeds.
-        dc.set_on(0, False)
+        set_on(dc, 0, False)
         inj.step(0)
         assert dc.placement.pm_of(0) == 1
         assert not inj.stranded_vms

@@ -11,6 +11,7 @@ from repro.simulation.migration import (
     select_target_reservation_aware,
     select_vm_largest_demand,
 )
+from tests.helpers import set_on
 
 P_ON, P_OFF = 0.01, 0.09
 
@@ -25,7 +26,7 @@ def make_dc(vms, pms, assignment, on_flags=None, seed=0):
     dc = Datacenter(vms, pms, placement, seed=seed)
     if on_flags is not None:
         for i, flag in enumerate(on_flags):
-            dc.set_on(i, flag)
+            set_on(dc, i, flag)
     return dc
 
 

@@ -21,6 +21,7 @@ from repro.simulation.scenario import Scenario
 from repro.simulation.scheduler import DynamicScheduler
 from repro.simulation.topology import Topology
 from repro.workload.patterns import generate_pattern_instance
+from tests.helpers import set_on, single_domain, striped
 
 
 def steady_vm(base=10.0, extra=5.0):
@@ -75,7 +76,7 @@ class TestCorrelatedFailures:
 
     def test_pm_repair_blocked_while_domain_down(self):
         dc = spread_dc(n_pms=2)
-        topo = Topology.single_domain(2)
+        topo = single_domain(2)
         inj = FailureInjector(dc, failure_probability=0.0,
                               repair_probability=1.0,
                               topology=topo,
@@ -110,8 +111,8 @@ class TestGracefulDegradation:
         pms = [PMSpec(100.0), PMSpec(100.0)]
         placement = Placement(2, 2, assignment=np.array([0, 1]))
         dc = Datacenter(vms, pms, placement, seed=6)
-        dc.set_on(0, True)
-        dc.set_on(1, True)
+        set_on(dc, 0, True)
+        set_on(dc, 1, True)
         return dc
 
     def test_stranded_vm_degrades_instead_of_dropping(self):
@@ -136,7 +137,7 @@ class TestGracefulDegradation:
         inj._evacuate(0)
         assert 0 in inj.degraded_vms
         # VM 1's spike ends: its demand drops to R_b = 10.
-        dc.set_on(1, False)
+        set_on(dc, 1, False)
         inj.step(0)
         assert not inj.degraded_vms
         assert inj.record.restorations == 1
@@ -208,7 +209,7 @@ class TestRetryAndBackoff:
         dc = Datacenter(vms, pms, placement, seed=14)
         sched = DynamicScheduler(dc, migration_failure_probability=1.0,
                                  seed=15)
-        dc.set_on(0, True)  # load 90 > cap 80
+        set_on(dc, 0, True)  # load 90 > cap 80
         events = sched.resolve_overloads(0)
         assert events == []
         assert sched.failed_attempts_last_interval == 1
@@ -238,7 +239,7 @@ class TestInvariants:
             for t in range(50):
                 dc.step()
                 inj.step(t)
-                failed_before = inj.failed_mask
+                failed_before = inj.failed.copy()
                 for ev in sched.resolve_overloads(t):
                     assert not failed_before[ev.target_pm]
                 on_failed = {
@@ -268,7 +269,7 @@ class TestInvariants:
             dc = Datacenter(vms, pms, placement, seed=22)
             inj = FailureInjector(
                 dc, failure_probability=0.05, repair_probability=0.2,
-                topology=Topology.striped(len(pms), 5),
+                topology=striped(len(pms), 5),
                 domain_failure_probability=0.02,
                 domain_repair_probability=0.3, seed=seed,
             )

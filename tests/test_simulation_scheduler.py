@@ -10,6 +10,7 @@ from repro.simulation.datacenter import Datacenter
 from repro.simulation.migration import StandardPolicy
 from repro.simulation.scheduler import DynamicScheduler, run_simulation
 from repro.workload.patterns import generate_pattern_instance
+from tests.helpers import set_on
 
 P_ON, P_OFF = 0.01, 0.09
 
@@ -33,7 +34,7 @@ class TestResolveOverloads:
         placement = Placement(2, 2, assignment=np.array([0, 0]))
         dc = Datacenter(vms, pms, placement, seed=0)
         for i in range(dc.n_vms):
-            dc.set_on(i, True)  # both spike: load 140 > 90
+            set_on(dc, i, True)  # both spike: load 140 > 90
         events = DynamicScheduler(dc).resolve_overloads(time=5)
         assert len(events) == 1
         e = events[0]
@@ -46,7 +47,7 @@ class TestResolveOverloads:
         placement = Placement(2, 1, assignment=np.array([0, 0]))
         dc = Datacenter(vms, pms, placement, seed=0)
         for i in range(dc.n_vms):
-            dc.set_on(i, True)
+            set_on(dc, i, True)
         events = DynamicScheduler(dc).resolve_overloads(0)
         assert events == []
         assert dc.overloaded_pms().size == 1

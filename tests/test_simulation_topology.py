@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.simulation.topology import Topology
+from tests.helpers import single_domain, striped, vm_domain_counts
 
 
 class TestConstruction:
@@ -19,15 +20,15 @@ class TestConstruction:
         np.testing.assert_array_equal(topo.domain_of, [0, 0, 1, 1, 2])
 
     def test_striped_round_robin(self):
-        topo = Topology.striped(6, 2)
+        topo = striped(6, 2)
         np.testing.assert_array_equal(topo.domain_of, [0, 1, 0, 1, 0, 1])
 
     def test_striped_rejects_empty_domains(self):
         with pytest.raises(ValueError, match="empty domains"):
-            Topology.striped(3, 5)
+            striped(3, 5)
 
     def test_single_domain(self):
-        topo = Topology.single_domain(4)
+        topo = single_domain(4)
         assert topo.n_domains == 1
         assert list(topo.pms_in(0)) == [0, 1, 2, 3]
 
@@ -59,20 +60,12 @@ class TestQueries:
         with pytest.raises(ValueError):
             topo.pms_in(2)
 
-    def test_domain_sizes(self):
-        topo = Topology.racks(5, 2)
-        np.testing.assert_array_equal(topo.domain_sizes(), [2, 2, 1])
-
-    def test_domain_mask(self):
-        topo = Topology.striped(4, 2)
-        np.testing.assert_array_equal(topo.domain_mask(0), [True, False, True, False])
-
     def test_vm_domain_counts(self):
         topo = Topology.racks(4, 2)
         assignment = np.array([0, 1, 3, 3, -1])  # one unplaced VM
-        np.testing.assert_array_equal(topo.vm_domain_counts(assignment), [2, 2])
+        np.testing.assert_array_equal(vm_domain_counts(topo, assignment), [2, 2])
 
     def test_vm_domain_counts_rejects_unknown_pm(self):
         topo = Topology.racks(4, 2)
         with pytest.raises(ValueError, match="outside the topology"):
-            topo.vm_domain_counts(np.array([0, 4]))
+            vm_domain_counts(topo, np.array([0, 4]))

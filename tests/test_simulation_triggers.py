@@ -7,6 +7,7 @@ from repro.core.types import Placement, PMSpec, VMSpec
 from repro.simulation.datacenter import Datacenter
 from repro.simulation.scheduler import DynamicScheduler
 from repro.simulation.triggers import OverflowTrigger, SlidingWindowCVRTrigger
+from tests.helpers import set_on
 
 
 def overloadable_dc(seed=0):
@@ -18,7 +19,7 @@ def overloadable_dc(seed=0):
 
 def force_spike(dc, vm_ids):
     for v in vm_ids:
-        dc.set_on(v, True)
+        set_on(dc, v, True)
 
 
 class TestOverflowTrigger:
@@ -58,7 +59,7 @@ class TestSlidingWindowCVRTrigger:
         trigger.observe(dc, 0)  # violation
         # now calm down
         for i in range(dc.n_vms):
-            dc.set_on(i, False)
+            set_on(dc, i, False)
         for t in range(1, 5):
             trigger.observe(dc, t)
         assert trigger.windowed_cvr(0) == 0.0

@@ -17,6 +17,7 @@ from repro.core.types import Placement, PMSpec, VMSpec
 from repro.simulation import Scenario, canonical_state_bytes
 from repro.simulation.datacenter import Datacenter
 from repro.simulation.triggers import OverflowTrigger, SlidingWindowCVRTrigger
+from tests.helpers import set_on
 
 
 def _dc(seed=0):
@@ -28,7 +29,7 @@ def _dc(seed=0):
 
 def _force_spike(dc, vm_ids):
     for v in vm_ids:
-        dc.set_on(v, True)
+        set_on(dc, v, True)
 
 
 def _roundtrip(state: dict) -> dict:

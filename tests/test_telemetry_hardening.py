@@ -141,25 +141,6 @@ class TestPrometheusEscaping:
         assert a is not b
         assert reg.counter("req_total", labels={"strategy": "QUEUE"}) is a
 
-    def test_exposition_escapes_and_dedupes_help(self):
-        reg = MetricsRegistry()
-        reg.counter("req_total", "requests", labels={"p": 'he said "hi"\n'})
-        reg.counter("req_total", "requests", labels={"p": "plain"}).inc()
-        text = reg.to_prometheus()
-        assert text.count("# HELP req_total") == 1
-        assert text.count("# TYPE req_total") == 1
-        assert r'p="he said \"hi\"\n"' in text
-
-    def test_histogram_emits_cumulative_inf_bucket(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=[0.1, 1.0],
-                          labels={"op": "place"})
-        h.observe(0.05)
-        h.observe(5.0)
-        text = reg.to_prometheus()
-        assert 'lat_bucket{op="place",le="+Inf"} 2' in text
-        assert 'lat_bucket{op="place",le="0.1"} 1' in text
-
     def test_series_key_stable(self):
         assert (series_key("m", {"b": "2", "a": "1"})
                 == series_key("m", {"a": "1", "b": "2"}))

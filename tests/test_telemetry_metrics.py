@@ -123,18 +123,6 @@ class TestExporters:
         h.observe(0.5)
         return reg
 
-    def test_prometheus_text_format(self):
-        text = self._populated().to_prometheus()
-        assert "# HELP migrations_total completed migrations" in text
-        assert "# TYPE migrations_total counter" in text
-        assert "migrations_total 7" in text
-        assert "# TYPE pms_used gauge" in text
-        # histogram buckets are cumulative and end at +Inf
-        assert 'span_seconds_bucket{le="0.1"} 1' in text
-        assert 'span_seconds_bucket{le="1"} 2' in text
-        assert 'span_seconds_bucket{le="+Inf"} 2' in text
-        assert "span_seconds_count 2" in text
-
     def test_json_round_trips(self):
         snapshot = json.loads(self._populated().to_json())
         assert snapshot["migrations_total"] == {"type": "counter", "value": 7}

@@ -16,15 +16,15 @@ from repro.workload.diurnal import (
 class TestDiurnalSchedule:
     def test_multiplier_cycles(self):
         s = DiurnalSchedule(multipliers=(1.0, 2.0), phase_length=3)
-        values = [s.multiplier_at(t) for t in range(8)]
-        assert values == [1, 1, 1, 2, 2, 2, 1, 1]
+        assert s.multiplier_series(8).tolist() == [1, 1, 1, 2, 2, 2, 1, 1]
         assert s.period == 6
 
     def test_series_matches_pointwise(self):
         s = DiurnalSchedule(multipliers=(0.5, 1.5, 3.0), phase_length=2)
         series = s.multiplier_series(10)
+        # interval t runs phase (t // 2) % 3
         np.testing.assert_array_equal(
-            series, [s.multiplier_at(t) for t in range(10)]
+            series, [0.5, 0.5, 1.5, 1.5, 3.0, 3.0, 0.5, 0.5, 1.5, 1.5]
         )
 
     def test_mean_and_peak(self):
@@ -44,8 +44,6 @@ class TestDiurnalSchedule:
             DiurnalSchedule(multipliers=(1.0,), phase_length=0)
         with pytest.raises(ValueError):
             DiurnalSchedule(multipliers=(-1.0,))
-        with pytest.raises(ValueError):
-            DiurnalSchedule(multipliers=(1.0,)).multiplier_at(-1)
 
 
 class TestEffectiveQ:

@@ -1,15 +1,12 @@
-"""Tests for repro.workload.stats — burstiness statistics."""
+"""Tests for repro.workload.stats — burstiness statistics — and the burst
+lengths of simulated ON-OFF traces (``tests.helpers``)."""
 
 import numpy as np
 import pytest
 
 from repro.markov.onoff import OnOffChain
-from repro.workload.stats import (
-    burst_lengths,
-    index_of_dispersion,
-    mean_burst_length,
-    peak_to_mean_ratio,
-)
+from repro.workload.stats import index_of_dispersion, peak_to_mean_ratio
+from tests.helpers import burst_lengths, mean_burst_length
 
 
 class TestIndexOfDispersion:

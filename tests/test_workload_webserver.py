@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.markov.onoff import OnOffChain
-from repro.workload.webserver import (
-    THINK_TIME_FLOOR,
-    UserPool,
-    WebServerWorkload,
-)
+from repro.workload.webserver import UserPool, WebServerWorkload
 
 
 class TestUserPool:
@@ -30,13 +26,6 @@ class TestUserPool:
 
     def test_zero_users(self):
         assert UserPool(0).request_rate == 0.0
-
-    def test_sample_think_times_floored(self):
-        pool = UserPool(1)
-        samples = pool.sample_think_times(10_000, seed=0)
-        assert samples.min() >= THINK_TIME_FLOOR
-        assert samples.mean() == pytest.approx(pool.effective_mean_think_time,
-                                               rel=0.05)
 
     def test_requests_in_interval_matches_rate(self):
         pool = UserPool(20)
