@@ -65,21 +65,27 @@ class Envelope:
     the payload's bytes in it, so reading hashes and parses that slice.
     The layout earlier builds wrote (``json.dumps(envelope,
     sort_keys=True)``) is verified by re-encoding its payload instead.
+    ``write`` seals ``version``; ``read`` also accepts the ``older``
+    versions and returns their payloads as they are, so a caller that
+    bumps the version while keeping the old payload readable says so here.
     """
 
     def __init__(self, format: str, version: int, *,
                  error: type[Exception],
-                 read_error: type[Exception] | None = None):
+                 read_error: type[Exception] | None = None,
+                 older: tuple[int, ...] = ()):
         self.format, self.version, self.error = format, version, error
         self.read_error = read_error or error
         self._head = b'{"format":' + canonical(format) + b',"payload":'
-        self._tail = b'","version":' + canonical(version) + b"}"
+        self._tails = {v: b'","version":' + canonical(v) + b"}"
+                       for v in (version, *older)}
 
     def write(self, path: str | os.PathLike, payload: dict) -> tuple[str, int]:
         """Seal ``payload`` into ``path`` atomically: ``(sha256, size)``."""
         body = canonical(payload)
         digest = hashlib.sha256(body).hexdigest()
-        data = self._head + body + _SHA_KEY + digest.encode() + self._tail
+        data = (self._head + body + _SHA_KEY + digest.encode()
+                + self._tails[self.version])
         atomic_write(path, data)
         return digest, len(data)
 
@@ -90,11 +96,12 @@ class Envelope:
         except OSError as exc:
             raise self.read_error(
                 f"cannot read checkpoint {path}: {exc}") from exc
-        end = len(data) - len(self._tail)
+        tail = next((t for t in self._tails.values() if data.endswith(t)),
+                    b"")
+        end = len(data) - len(tail)
         start = end - 64 - len(_SHA_KEY)
         payload = None
-        if (start >= len(self._head) and data.startswith(self._head)
-                and data.endswith(self._tail)
+        if (tail and start >= len(self._head) and data.startswith(self._head)
                 and data[start:end - 64] == _SHA_KEY):
             body = data[len(self._head):start]
             expected = data[end - 64:end].decode("ascii", "replace")
@@ -118,11 +125,11 @@ class Envelope:
         if not isinstance(envelope, dict) \
                 or envelope.get("format") != self.format:
             raise self.error(f"{path} is not a {self.format} file")
-        if envelope.get("version") != self.version:
+        if envelope.get("version") not in self._tails:
             raise self.error(
                 f"checkpoint {path} has format version "
                 f"{envelope.get('version')!r}; this build reads version "
-                f"{self.version} only")
+                f"{' or '.join(map(str, sorted(self._tails)))} only")
         if not isinstance(envelope.get("payload"), dict):
             raise self.error(f"checkpoint {path} has no payload")
         return envelope
@@ -172,7 +179,7 @@ def read_journal(path: str | os.PathLike, decode: Callable[[Any], Any], *,
 
 
 class Journal:
-    """Append-only JSON Lines: one canonical line and one fsync per append.
+    """Append-only JSON Lines: one line and one fsync per append.
 
     Opening creates the file atomically if absent, scans it with
     :func:`read_journal` and truncates a torn tail on disk.  The file
@@ -196,10 +203,14 @@ class Journal:
 
     def append(self, obj: Any) -> None:
         """Durably append ``canonical(obj)`` as one line."""
+        self.append_line(canonical(obj) + b"\n")
+
+    def append_line(self, line: bytes) -> None:
+        """Durably append one encoded line, newline included."""
         if self._fh is None:
             raise self.error(f"{self.path} is closed; reopen it to recover")
         try:
-            _write_all(self._fh.fileno(), canonical(obj) + b"\n")
+            _write_all(self._fh.fileno(), line)
             os.fsync(self._fh.fileno())
         except BaseException:
             self.close()

@@ -190,8 +190,10 @@ class PlacementService:
         return out
 
     def _empty_pms(self) -> set[int]:
+        """PMs hosting no VM, which only the pool reads: without a pool,
+        an empty set."""
         kernel = self.consolidator.kernel
-        if kernel is None:
+        if self.pool is None or kernel is None:
             return set()
         return set(np.flatnonzero(kernel.counts == 0).tolist())
 
@@ -499,15 +501,22 @@ class PlacementService:
         records = svc.wal.records(after_seq=start_seq)
         for rec in records:
             svc._replay(rec)
-        svc._emit(WALReplayed(
-            time=svc.wal.last_seq, path=str(svc.wal.path),
-            checkpoint_seq=start_seq, records=len(records),
-            truncated_tail=svc.wal.truncated_tail,
-            fingerprint=svc.consolidator.state_fingerprint()))
+        tel = resolve(svc.telemetry)
+        events = tel is not None and tel.events.enabled
+        # the fingerprint encodes the whole state: only for a reader
+        fingerprint = (svc.consolidator.state_fingerprint()
+                       if events or logger.isEnabledFor(logging.INFO)
+                       else None)
+        if events:
+            svc._emit(WALReplayed(
+                time=svc.wal.last_seq, path=str(svc.wal.path),
+                checkpoint_seq=start_seq, records=len(records),
+                truncated_tail=svc.wal.truncated_tail,
+                fingerprint=fingerprint))
         logger.info(
             "recovered: checkpoint seq %d + %d WAL records (%d torn tail "
             "lines dropped), state %s", start_seq, len(records),
-            svc.wal.truncated_tail, svc.consolidator.state_fingerprint())
+            svc.wal.truncated_tail, fingerprint)
         svc._maybe_checkpoint()
         return svc
 

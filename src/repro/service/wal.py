@@ -22,21 +22,41 @@ Durability contract (tested by the crash drills in
   recovery skips replaying records at or below the checkpoint's sequence
   number.
 
-File format — JSON Lines, one object per line:
+File formats:
 
-- header (line 1): ``{"format": "repro-wal", "version": 1, "base_seq": N,
-  "base_chain": "<64 hex>"}``
-- record: ``{"seq": n, "chain": "<64 hex>", "key": "...", "op": "...",
-  "body": {...}}`` with ``chain = sha256(prev_chain + canonical({seq,
-  key, op, body}))``.
+- The WAL is JSON Lines, one object per line.  Line 1 is the header
+  ``{"format": "repro-wal", "version": 1, "base_seq": N, "base_chain":
+  "<64 hex>"}``.  Each further line is a record ``{"seq": n, "chain":
+  "<64 hex>", "key": "...", "op": "...", "body": {...}}`` with ``chain =
+  sha256(prev_chain + canonical({seq, key, op, body}))``.  Both the chain
+  material and the line come from one encoding of the body
+  (:func:`encode_record`).
+- The service checkpoint is an envelope (``repro-service-checkpoint``)
+  whose payload is ``{"wal_seq", "wal_chain", "state"}``.  Version 2
+  stores the two large parts of
+  :meth:`~repro.service.service.PlacementService.capture_state` as
+  parallel columns.  The consolidator's ``vms`` becomes ``hosted``:
+  ``id`` and ``pm`` int lists plus ``spec``, base64 of the little-endian
+  float64 ``(p_on, p_off, r_base, r_extra)`` of each VM, 32 bytes per VM,
+  bit-exact.  ``results`` becomes ``kept``: ``key``, ``op`` and ``seq``
+  columns plus ``vm_id``, ``pm`` and ``detail`` (a shed's ``reason``, a
+  recalibration's ``fingerprint``), null where the op has none.  Every
+  other key is stored as it is, and so are ``vms`` whose specs are not
+  all floats (an int would come back as a float).  Version 1 stored the
+  captured state as it is; both versions load to the same state.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import itertools
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from repro.durable import Envelope, Journal, canonical
 
@@ -46,7 +66,7 @@ WAL_VERSION = 1
 GENESIS_CHAIN = hashlib.sha256(b"repro-wal-genesis").hexdigest()
 
 SERVICE_CHECKPOINT_FORMAT = "repro-service-checkpoint"
-SERVICE_CHECKPOINT_VERSION = 1
+SERVICE_CHECKPOINT_VERSION = 2
 
 
 class WALError(RuntimeError):
@@ -57,12 +77,18 @@ class WALCorruptError(WALError):
     """The log is damaged beyond the torn-tail case; refuse to guess."""
 
 
-def chain_hash(prev_chain: str, seq: int, key: str, op: str,
-               body: dict) -> str:
-    """The chain value for one record: covers predecessor + canonical body."""
-    material = prev_chain.encode() + canonical(
-        {"seq": seq, "key": key, "op": op, "body": body})
-    return hashlib.sha256(material).hexdigest()
+def encode_record(prev_chain: str, seq: int, key: str, op: str,
+                  body: dict) -> tuple[str, bytes]:
+    """One record's chain value and log line, from one encoding of its body.
+
+    The chain covers the predecessor plus ``canonical({seq, key, op,
+    body})``; the line is ``canonical`` of the record with its chain.
+    Both share the body's bytes, as sorted keys put ``body`` first.
+    """
+    head = b'{"body":' + canonical(body)
+    tail = b"," + canonical({"key": key, "op": op, "seq": seq})[1:]
+    chain = hashlib.sha256(prev_chain.encode() + head + tail).hexdigest()
+    return chain, head + b',"chain":"' + chain.encode() + b'"' + tail + b"\n"
 
 
 @dataclass(frozen=True)
@@ -103,7 +129,8 @@ class WriteAheadLog(Journal):
                 raise WALCorruptError(
                     f"{self.path}: record seq {rec.seq} follows {seq} "
                     "(gap or reorder)")
-            expect = chain_hash(chain, rec.seq, rec.key, rec.op, rec.body)
+            expect, _ = encode_record(chain, rec.seq, rec.key, rec.op,
+                                      rec.body)
             if rec.chain != expect:
                 raise WALCorruptError(
                     f"{self.path}: chain mismatch at seq {rec.seq} "
@@ -119,9 +146,9 @@ class WriteAheadLog(Journal):
         may only mutate in-memory state *after* that (journal-then-apply).
         """
         seq = self.last_seq + 1
-        rec = WALRecord(seq=seq, key=key, op=op, body=dict(body),
-                        chain=chain_hash(self.last_chain, seq, key, op, body))
-        super().append(vars(rec))
+        chain, line = encode_record(self.last_chain, seq, key, op, body)
+        self.append_line(line)
+        rec = WALRecord(seq=seq, key=key, op=op, body=dict(body), chain=chain)
         self._records.append(rec)
         self.last_seq, self.last_chain = seq, rec.chain
         return seq
@@ -156,26 +183,137 @@ class WriteAheadLog(Journal):
 # service checkpoint (the same envelope as simulation.checkpoint)
 # ---------------------------------------------------------------------- #
 _CHECKPOINT = Envelope(SERVICE_CHECKPOINT_FORMAT, SERVICE_CHECKPOINT_VERSION,
-                       error=WALCorruptError, read_error=WALError)
+                       error=WALCorruptError, read_error=WALError, older=(1,))
+
+#: a hosted VM's spec fields, in the order of its 32 bytes in ``spec``
+_SPEC = ("p_on", "p_off", "r_base", "r_extra")
+_spec_of = itemgetter(*_SPEC)
+_KEPT = ("key", "op", "seq", "vm_id", "pm", "detail")
+#: a kept outcome rebuilt from its ``(seq, vm_id, pm, detail)``, by op
+_OUTCOME = {
+    "admit": lambda seq, vm_id, pm, _: {
+        "op": "admit", "vm_id": vm_id, "pm": pm, "seq": seq},
+    "depart": lambda seq, vm_id, pm, _: {
+        "op": "depart", "vm_id": vm_id, "pm": pm, "seq": seq},
+    "shed": lambda seq, _v, _p, reason: {
+        "op": "shed", "reason": reason, "seq": seq},
+    "recalibrate": lambda seq, _v, _p, fingerprint: {
+        "op": "recalibrate", "seq": seq, "fingerprint": fingerprint},
+    "recalibrate_noop": lambda seq, *_: {
+        "op": "recalibrate_noop", "seq": seq},
+}
+
+
+def _pack_state(state: dict) -> dict:
+    """A captured service state as version 2 stores it (module docstring);
+    keys it does not pack pass through."""
+    packed = dict(state)
+    cons = state.get("consolidator")
+    if isinstance(cons, dict) and "vms" in cons:
+        vms = cons["vms"]
+        flat = list(itertools.chain.from_iterable(
+            map(_spec_of, vms.values())))
+        # float64 would read an int spec back as a float: keep it as JSON
+        if set(map(type, flat)) <= {float}:
+            packed["consolidator"] = {k: v for k, v in cons.items()
+                                      if k != "vms"}
+            packed["consolidator"]["hosted"] = {
+                "id": list(map(int, vms)),
+                "pm": [v["pm"] for v in vms.values()],
+                "spec": base64.b64encode(
+                    np.array(flat, dtype="<f8").tobytes()).decode("ascii")}
+    if "results" in state:
+        results = packed.pop("results")
+        outs = list(results.values())
+        packed["kept"] = {
+            "key": list(results), "op": list(map(itemgetter("op"), outs)),
+            "seq": list(map(itemgetter("seq"), outs)),
+            "vm_id": [o.get("vm_id") for o in outs],
+            "pm": [o.get("pm") for o in outs],
+            "detail": [o.get("reason", o.get("fingerprint")) for o in outs],
+        }
+    return packed
+
+
+def _columns(holder: dict, group: str, names: tuple, path) -> list[list]:
+    """The named columns of ``holder[group]``, refused unless lists of one
+    length."""
+    cols = holder.get(group)
+    cols = [cols.get(n) if isinstance(cols, dict) else None for n in names]
+    for name, col in zip(names, cols):
+        if not isinstance(col, list):
+            raise WALCorruptError(f"service checkpoint {path}: column "
+                                  f"{group}.{name} is missing or not a list")
+        if len(col) != len(cols[0]):
+            raise WALCorruptError(
+                f"service checkpoint {path}: column {group}.{name} has "
+                f"{len(col)} entries, {group}.{names[0]} {len(cols[0])}")
+    return cols
+
+
+def _unpack_state(state, path) -> dict:
+    """The captured state a version 1 or 2 payload holds."""
+    if not isinstance(state, dict):
+        raise WALCorruptError(f"service checkpoint {path} has no state")
+    out = dict(state)
+    cons = state.get("consolidator")
+    if isinstance(cons, dict) and "hosted" in cons:
+        ids, pms = _columns(cons, "hosted", ("id", "pm"), path)
+        try:
+            raw = base64.b64decode(cons["hosted"]["spec"], validate=True)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise WALCorruptError(
+                f"service checkpoint {path}: column hosted.spec is not "
+                f"base64 ({type(exc).__name__}: {exc})") from exc
+        if len(raw) != 32 * len(ids):
+            raise WALCorruptError(
+                f"service checkpoint {path}: column hosted.spec has "
+                f"{len(raw)} bytes for {len(ids)} VMs (32 each)")
+        spec = iter(np.frombuffer(raw, dtype="<f8").tolist())
+        out["consolidator"] = {k: v for k, v in cons.items()
+                               if k != "hosted"}
+        out["consolidator"]["vms"] = {
+            str(i): {"pm": pm, "p_on": a, "p_off": b, "r_base": c,
+                     "r_extra": d}
+            for i, pm, (a, b, c, d) in zip(ids, pms,
+                                           zip(spec, spec, spec, spec))}
+    if "kept" in state:
+        keys, ops, *rest = _columns(state, "kept", _KEPT, path)
+        unknown = {repr(op) for op in ops
+                   if not isinstance(op, str) or op not in _OUTCOME}
+        if unknown:
+            raise WALCorruptError(
+                f"service checkpoint {path}: column kept.op names unknown "
+                f"op(s) {', '.join(sorted(unknown))}")
+        del out["kept"]
+        out["results"] = {key: _OUTCOME[op](*row)
+                          for key, op, *row in zip(keys, ops, *rest)}
+    return out
 
 
 def save_service_checkpoint(path: str | os.PathLike, *, state: dict,
                             wal_seq: int, wal_chain: str) -> Path:
     """Atomically write the service state snapshot taken at a WAL position.
 
-    ``state`` must be JSON-safe; the envelope's sha256 detects a bit-rotted
-    checkpoint on load rather than silently replaying against it.
+    ``state`` must be JSON-safe; it is written as format version 2 (its
+    hosted VMs and kept outcomes as columns, module docstring).  The
+    envelope's sha256 detects a bit-rotted checkpoint on load rather than
+    silently replaying against it.
     """
     _CHECKPOINT.write(path, {"wal_seq": int(wal_seq),
-                             "wal_chain": str(wal_chain), "state": state})
+                             "wal_chain": str(wal_chain),
+                             "state": _pack_state(state)})
     return Path(path)
 
 
 def load_service_checkpoint(path: str | os.PathLike) -> dict:
     """Read and checksum-verify a service checkpoint; returns the payload.
 
-    The payload dict has keys ``wal_seq``, ``wal_chain`` and ``state``.
-    Raises :class:`WALCorruptError` on any damage — the caller decides
-    whether a full-log replay from genesis can substitute.
+    The payload dict has keys ``wal_seq``, ``wal_chain`` and ``state``,
+    the state as ``capture_state()`` produced it, from a version 1 or 2
+    file alike.  Raises :class:`WALCorruptError` on any damage, or on v2
+    columns that do not fit together -- the caller decides whether a
+    full-log replay from genesis can substitute.
     """
-    return _CHECKPOINT.read(path)
+    payload = _CHECKPOINT.read(path)
+    return {**payload, "state": _unpack_state(payload.get("state"), path)}

@@ -10,10 +10,12 @@ an uninterrupted run's.
 """
 
 import json
+import logging
 
 import numpy as np
 import pytest
 
+from repro.core.online import OnlineConsolidator
 from repro.core.types import PMSpec, VMSpec
 from repro.service.pool import ElasticPMPool
 from repro.service.service import PlacementService
@@ -161,6 +163,22 @@ def test_recovery_emits_wal_replayed(tmp_path):
     assert ev.records == recovered.wal.last_seq - ev.checkpoint_seq
     assert ev.truncated_tail == 0
     assert ev.fingerprint == recovered.consolidator.state_fingerprint()
+
+
+@pytest.mark.parametrize("reader, calls", [
+    ("quiet", 0), ("events", 1), ("info", 1)])
+def test_recovery_fingerprints_the_state_only_for_a_reader(
+        reader, calls, tmp_path, monkeypatch, caplog):
+    drive(make_service(tmp_path))
+    seen = []
+    fingerprint = OnlineConsolidator.state_fingerprint
+    monkeypatch.setattr(OnlineConsolidator, "state_fingerprint",
+                        lambda self: seen.append(1) or fingerprint(self))
+    caplog.set_level(logging.INFO if reader == "info" else logging.WARNING,
+                     logger="repro.service.service")
+    recover_service(tmp_path, telemetry=(Telemetry(RingBufferSink())
+                                         if reader == "events" else None))
+    assert len(seen) == calls
 
 
 def test_checkpoint_compaction_shortens_replay(tmp_path):
