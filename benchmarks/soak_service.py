@@ -10,8 +10,12 @@ at a time, then recalibrates on its cadence; it stops after exactly
 ``--decisions`` journaled decisions.
 
 For each 10,000 decisions it prints the hosted VMs and the latest
-checkpoint's bytes at the end of the block, and the median and max
-``process_time`` of the block's checkpoints.  At the end it recovers the
+checkpoint's bytes at the end of the block, the median and max
+``process_time`` of the block's checkpoints, and how the slowest one's
+CPU splits into user and system time (``getrusage``, which resolves
+microseconds where ``os.times()`` counts 10 ms ticks): kernel work such
+as the checkpoint's two fsyncs shows as system time, Python work as user
+time.  At the end it recovers the
 service from its files.  It exits 1 if the recovered state's fingerprint
 differs from the live one, or if the last checkpoint is more than 1.2x
 the size of the last one taken by the midpoint; it gates size and parity
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import shutil
 import statistics
 import sys
@@ -75,19 +80,25 @@ def soak(decisions: int, where: Path) -> int:
     svc = PlacementService(pms, _placer(), checkpoint_every=CHECKPOINT_EVERY,
                            **paths)
     times: list[float] = []
+    #: (user, system) CPU seconds of every checkpoint
+    splits: list[tuple[float, float]] = []
     sizes: list[tuple[int, int]] = []  # (seq, bytes) of every checkpoint
     checkpoint = svc.checkpoint
 
     def timed_checkpoint() -> None:
+        r0 = resource.getrusage(resource.RUSAGE_SELF)
         t0 = time.process_time()
         checkpoint()
         times.append(time.process_time() - t0)
+        r1 = resource.getrusage(resource.RUSAGE_SELF)
+        splits.append((r1.ru_utime - r0.ru_utime, r1.ru_stime - r0.ru_stime))
         sizes.append((svc.wal.last_seq,
                       os.path.getsize(paths["checkpoint_path"])))
 
     svc.checkpoint = timed_checkpoint
     print(f"{'decisions':>10} {'hosted VMs':>10} {'ckpt bytes':>10} "
-          f"{'ckpts':>6} {'median ms':>9} {'max ms':>7}")
+          f"{'ckpts':>6} {'median ms':>9} {'max ms':>7} {'usr ms':>7} "
+          f"{'sys ms':>7}")
     deaths: dict[int, list[int]] = {}
     block_start = seq = 0
     for t, tick in enumerate(_arrivals(rng)):
@@ -110,11 +121,15 @@ def soak(decisions: int, where: Path) -> int:
             seq = svc.wal.last_seq
             if seq % BLOCK == 0 or seq == decisions:
                 block = times[block_start:]
+                slowest = (splits[block_start + block.index(max(block))]
+                           if block else (0.0, 0.0))
                 block_start = len(times)
                 print(f"{seq:>10,} {svc.consolidator.n_vms:>10,} "
                       f"{sizes[-1][1] if sizes else 0:>10,} {len(block):>6} "
                       f"{statistics.median(block) * 1e3 if block else 0:>9.2f} "
-                      f"{max(block, default=0) * 1e3:>7.2f}", flush=True)
+                      f"{max(block, default=0) * 1e3:>7.2f} "
+                      f"{slowest[0] * 1e3:>7.2f} {slowest[1] * 1e3:>7.2f}",
+                      flush=True)
             if seq == decisions:
                 break
         if seq == decisions:

@@ -19,13 +19,14 @@ Run:  python examples/transient_sla.py
 import numpy as np
 
 from repro.core.mapcal import mapcal
-from repro.markov.onoff import OnOffChain
+from repro.core.types import VMSpec
 from repro.queueing.transient import (
     expected_time_to_violation,
     expected_violation_episode_length,
     violation_probability_curve,
 )
 from repro.viz.ascii_charts import line_chart
+from repro.workload.onoff_generator import ensemble_states
 
 K_VMS = 16          # VMs on the PM
 RHO = 0.01
@@ -40,9 +41,9 @@ def main() -> None:
     # 1. Violation-probability ramp from the all-OFF start.
     horizon = 120
     curve = violation_probability_curve(K_VMS, P_ON, 0.09, blocks, horizon)
-    chain = OnOffChain(P_ON, 0.09)
     n_pops, steps = 3000, horizon
-    states = chain.simulate_ensemble(K_VMS * n_pops, steps, seed=1)
+    vms = [VMSpec(P_ON, 0.09, 0.0, 1.0)] * (K_VMS * n_pops)
+    states = ensemble_states(vms, steps, seed=1)
     busy = states.reshape(n_pops, K_VMS, steps + 1).sum(axis=1)
     empirical = (busy > blocks).mean(axis=0)
     print(line_chart(

@@ -18,7 +18,7 @@ from repro.analysis.availability import (
     mean_time_to_repair,
     nines,
 )
-from repro.analysis.consolidation import pm_reduction_percent, pms_used
+from repro.analysis.consolidation import pm_reduction_percent
 from repro.analysis.cvr import cvr_from_loads, cvr_per_pm, evaluate_placement_cvr
 from repro.analysis.fairness import (
     fairness_report,
@@ -43,7 +43,6 @@ __all__ = [
     "jains_index",
     "max_share",
     "pm_reduction_percent",
-    "pms_used",
     "cvr_from_loads",
     "cvr_per_pm",
     "evaluate_placement_cvr",

@@ -11,11 +11,6 @@ from __future__ import annotations
 from repro.core.types import Placement
 
 
-def pms_used(placement: Placement) -> int:
-    """Number of PMs hosting at least one VM."""
-    return placement.n_used_pms
-
-
 def pm_reduction_percent(candidate: Placement, baseline: Placement) -> float:
     """Percent fewer PMs the candidate uses vs the baseline.
 

@@ -82,13 +82,6 @@ __all__ = [
 ]
 
 
-def _default_keep() -> int:
-    """Retention default, overridable via ``REPRO_KEEP_CHECKPOINTS`` (the
-    durable bench runner's ``--keep-checkpoints`` reaches forked experiment
-    code through this environment variable)."""
-    return int(os.environ.get("REPRO_KEEP_CHECKPOINTS", "3"))
-
-
 @dataclass(frozen=True)
 class AutopilotConfig:
     """Tuning knobs of the control loop (see docs/AUTOPILOT.md).
@@ -128,8 +121,7 @@ class AutopilotConfig:
         guard_slack``.  The slack term keeps a near-zero baseline from
         turning measurement noise into a rollback.
     keep_checkpoints:
-        Rollback points retained on disk (None reads
-        ``REPRO_KEEP_CHECKPOINTS``, default 3).
+        Rollback points retained on disk.
     rho, d:
         MapCal parameters used to warm the effective-size tables for the
         refitted fleet.
@@ -149,7 +141,7 @@ class AutopilotConfig:
     guard_window: int = 25
     guard_factor: float = 1.25
     guard_slack: float = 0.005
-    keep_checkpoints: int | None = None
+    keep_checkpoints: int = 3
     rho: float = 0.01
     d: int = 16
 
@@ -307,10 +299,9 @@ class Autopilot:
         self.scenario = scenario
         self.observatory = scenario.observatory
         self.config = config if config is not None else AutopilotConfig()
-        keep = self.config.keep_checkpoints
         self.retention = (
             CheckpointRetention(checkpoint_dir,
-                                keep=_default_keep() if keep is None else keep)
+                                keep=self.config.keep_checkpoints)
             if checkpoint_dir is not None else None
         )
         self.refit_override = refit_override

@@ -82,7 +82,7 @@ def heterogeneous_blocks(vms: Sequence[VMSpec], rho: float) -> int:
     with the MapCal tables.
 
     Solves are memoized through :func:`repro.perf.cache.get_cache`,
-    content-addressed on the sorted ``q_i`` multiset and ``rho`` (block
+    keyed on the sorted ``q_i`` multiset and ``rho`` (block
     count is permutation-invariant in the ``q_i``).
     """
     check_probability(rho, "rho")

@@ -19,11 +19,10 @@ exists.
 per-PM VM limit ``d``, which QueuingFFD (Algorithm 2, lines 1-6) consumes.
 
 Every solve is memoized through the process-wide
-:class:`repro.perf.cache.MapCalCache`, content-addressed on
+:class:`repro.perf.cache.MapCalCache`, keyed on
 ``(k, p_on, p_off, rho, method)``: repeated tables, re-consolidation
 periods and benchmark repetitions hit the cache instead of re-running the
-``O(k^3)`` Gaussian elimination (set ``REPRO_CACHE_DIR`` to also persist
-results across processes).
+``O(k^3)`` Gaussian elimination.
 """
 
 from __future__ import annotations

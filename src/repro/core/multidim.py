@@ -23,7 +23,6 @@ from repro.core.queuing_ffd import explained_mapping
 from repro.core.reservation import ReservationKernel
 from repro.core.rounding import RoundingRule, round_switch_probabilities
 from repro.core.types import Placement, VMSpec
-from repro.markov.chain import StationaryMethod
 from repro.placement.base import Placer, first_fit
 from repro.utils.validation import check_integer, check_probability
 
@@ -102,25 +101,22 @@ class MultiDimFirstFit(Placer):
         CVR threshold, enforced independently per dimension.
     d:
         Max VMs per PM.
-    rounding_rule, stationary_method:
+    rounding_rule:
         As in :class:`~repro.core.queuing_ffd.QueuingFFD`.
     """
 
     name = "QUEUE-MD"
 
     def __init__(self, rho: float = 0.01, d: int = 16, *,
-                 rounding_rule: RoundingRule = "mean",
-                 stationary_method: StationaryMethod = "linear"):
+                 rounding_rule: RoundingRule = "mean"):
         self.rho = check_probability(rho, "rho")
         self.d = check_integer(d, "d", minimum=1)
         self.rounding_rule: RoundingRule = rounding_rule
-        self.stationary_method: StationaryMethod = stationary_method
 
     def _mapping(self, vms: Sequence[MultiDimVMSpec]) -> BlockMapping:
         proxies = [v.projected(0) for v in vms]
         p_on, p_off = round_switch_probabilities(proxies, self.rounding_rule)
-        return mapcal_table(self.d, p_on, p_off, self.rho,
-                            method=self.stationary_method)
+        return mapcal_table(self.d, p_on, p_off, self.rho)
 
     def place(self, vms: Sequence[MultiDimVMSpec],
               pms: Sequence[MultiDimPMSpec]) -> Placement:

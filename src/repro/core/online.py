@@ -399,8 +399,8 @@ class OnlineConsolidator:
         """Apply a *recorded* recalibration outcome (WAL replay path).
 
         Rebuilds the block table from the journaled rounded probabilities
-        (``d``, ``rho`` and the stationary method come from the configured
-        placer, which is part of service configuration, not state) instead
+        (``d`` and ``rho`` come from the configured placer, which is part
+        of service configuration, not state) instead
         of refitting against the population — replay applies outcomes, it
         does not re-decide.
         """
@@ -408,8 +408,7 @@ class OnlineConsolidator:
             raise RuntimeError("cannot replay recalibrate before any mapping "
                                "exists")
         self._apply_mapping(mapcal_table(
-            self.placer.d, float(p_on), float(p_off), self.placer.rho,
-            method=self.placer.stationary_method))
+            self.placer.d, float(p_on), float(p_off), self.placer.rho))
 
     # ------------------------------------------------------------------ #
     # durable state capture / restore
@@ -473,8 +472,7 @@ class OnlineConsolidator:
         if state["mapping"] is not None:
             m = state["mapping"]
             mapping = mapcal_table(int(m["d"]), float(m["p_on"]),
-                                   float(m["p_off"]), float(m["rho"]),
-                                   method=self.placer.stationary_method)
+                                   float(m["p_off"]), float(m["rho"]))
             got = table_fingerprint(mapping)
             if got != m["fingerprint"]:
                 raise ValueError(

@@ -25,7 +25,6 @@ from repro.core.mapcal import BlockMapping, mapcal_table, table_fingerprint
 from repro.core.reservation import ReservationKernel
 from repro.core.rounding import RoundingRule, round_switch_probabilities
 from repro.core.types import Placement, PMSpec, VMSpec
-from repro.markov.chain import StationaryMethod
 from repro.perf.cache import cache_stats
 from repro.placement.base import Placer, first_fit
 from repro.placement.spread import DomainSpreadConstraint
@@ -76,8 +75,6 @@ class QueuingFFD(Placer):
     rounding_rule:
         How heterogeneous ``(p_on, p_off)`` values are collapsed
         (Section IV-E); ignored when they are already uniform.
-    stationary_method:
-        Stationary-distribution solver passed through to MapCal.
     spread:
         Optional :class:`~repro.placement.spread.DomainSpreadConstraint`
         capping VMs per fault domain on top of the Eq. (17) feasibility
@@ -89,7 +86,6 @@ class QueuingFFD(Placer):
     def __init__(self, rho: float = 0.01, d: int = 16, *, n_clusters: int = 10,
                  cluster_method: ClusterMethod = "binning",
                  rounding_rule: RoundingRule = "mean",
-                 stationary_method: StationaryMethod = "linear",
                  spread: DomainSpreadConstraint | None = None):
         self.rho = check_probability(rho, "rho")
         self.d = check_integer(d, "d", minimum=1)
@@ -98,7 +94,6 @@ class QueuingFFD(Placer):
             raise ValueError(f"unknown cluster_method {cluster_method!r}")
         self.cluster_method = cluster_method
         self.rounding_rule: RoundingRule = rounding_rule
-        self.stationary_method: StationaryMethod = stationary_method
         self.spread = spread
 
     # ------------------------------------------------------------------ #
@@ -114,9 +109,7 @@ class QueuingFFD(Placer):
         would only hide that traffic from the cache counters.
         """
         p_on, p_off = round_switch_probabilities(vms, self.rounding_rule)
-        return mapcal_table(
-            self.d, p_on, p_off, self.rho, method=self.stationary_method
-        )
+        return mapcal_table(self.d, p_on, p_off, self.rho)
 
     def order_vms(self, vms: Sequence[VMSpec]) -> np.ndarray:
         """Placement order (:func:`algorithm2_order`); GRAND overrides it."""

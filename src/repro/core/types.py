@@ -136,21 +136,6 @@ class Placement:
             raise ValueError(f"VM {vm} is already placed on PM {self.assignment[vm]}")
         self.assignment[vm] = pm
 
-    def remove(self, vm: int) -> int:
-        """Unassign VM ``vm``; returns the PM it was on."""
-        self._check_vm(vm)
-        pm = int(self.assignment[vm])
-        if pm == UNPLACED:
-            raise ValueError(f"VM {vm} is not placed")
-        self.assignment[vm] = UNPLACED
-        return pm
-
-    def migrate(self, vm: int, target_pm: int) -> int:
-        """Move VM ``vm`` to ``target_pm``; returns the source PM."""
-        src = self.remove(vm)
-        self.place(vm, target_pm)
-        return src
-
     def _check_vm(self, vm: int) -> None:
         if not 0 <= vm < self.n_vms:
             raise ValueError(f"vm must be in [0, {self.n_vms}), got {vm}")

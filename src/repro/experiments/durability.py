@@ -278,11 +278,6 @@ class DurableRunReport:
     #: jobs restored from the journal instead of re-executed
     restored: list[str] = field(default_factory=list)
 
-    @property
-    def failed(self) -> list[BenchJobResult]:
-        """Jobs whose final outcome is a failure."""
-        return [r for r in self.results if not r.ok]
-
 
 def _load_completed(run_dir: Path) -> tuple[dict[str, BenchJobResult],
                                             str, int | None, int]:
@@ -345,7 +340,6 @@ def run_durable_bench(
     progress_path: Path | str | None = None,
     on_event: Callable[[TelemetryEvent], None] | None = None,
     install_signal_handlers: bool = False,
-    keep_checkpoints: int | None = None,
 ) -> DurableRunReport:
     """Run the bench suite under the supervised, journaled worker pool.
 
@@ -376,20 +370,10 @@ def run_durable_bench(
         CLI mode: first SIGINT/SIGTERM drains gracefully (workers
         terminated, in-flight jobs journalled ``interrupted``, journal
         flushed), a second force-exits with code 130.
-    keep_checkpoints:
-        Rollback-checkpoint retention depth for any autopilot run inside
-        the suite: exported as ``REPRO_KEEP_CHECKPOINTS`` for the duration
-        of the run (fork workers inherit it), restored afterwards.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
-    if keep_checkpoints is not None and keep_checkpoints < 1:
-        raise ValueError(
-            f"keep_checkpoints must be >= 1, got {keep_checkpoints}")
     retry = retry if retry is not None else BenchRetryPolicy()
-    prev_keep = os.environ.get("REPRO_KEEP_CHECKPOINTS")
-    if keep_checkpoints is not None:
-        os.environ["REPRO_KEEP_CHECKPOINTS"] = str(keep_checkpoints)
     run_dir = Path(output_dir)
     report = DurableRunReport(results=[], run_dir=run_dir, resumed=resume)
 
@@ -603,11 +587,6 @@ def run_durable_bench(
                                             attempt=entry.attempt))
                 seq += 1
     finally:
-        if keep_checkpoints is not None:
-            if prev_keep is None:
-                os.environ.pop("REPRO_KEEP_CHECKPOINTS", None)
-            else:  # pragma: no cover - nested override
-                os.environ["REPRO_KEEP_CHECKPOINTS"] = prev_keep
         if install_signal_handlers:
             for sig, handler in previous_handlers.items():
                 signal.signal(sig, handler)

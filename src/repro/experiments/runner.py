@@ -180,11 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="kill a worker whose heartbeat is older than "
                             "this (durable runner)")
-    bench.add_argument("--keep-checkpoints", type=int, default=None,
-                       metavar="K",
-                       help="rollback-checkpoint retention depth for "
-                            "autopilot jobs (durable runner; exported as "
-                            "REPRO_KEEP_CHECKPOINTS)")
 
     auto = sub.add_parser(
         "autopilot",
@@ -216,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     auto.add_argument("--keep-checkpoints", type=int, default=None,
                       metavar="K",
                       help="retention depth for --checkpoint-dir "
-                           "(default: REPRO_KEEP_CHECKPOINTS or 3)")
+                           "(default: 3)")
     auto.add_argument("--jsonl", type=Path, default=None,
                       help="record the run's event stream here "
                            "(feed to `repro compare`)")
@@ -448,15 +443,10 @@ def _cmd_bench(args) -> int:
                 progress_path=args.progress_jsonl,
                 on_event=printer,
                 install_signal_handlers=True,
-                keep_checkpoints=args.keep_checkpoints,
             )
             results = report.results
             interrupted = report.interrupted
         else:
-            if args.keep_checkpoints is not None:
-                print("note: --keep-checkpoints applies to the durable "
-                      "runner (-j > 1, --chaos or --resume); ignored",
-                      file=sys.stderr)
             output_dir = args.output_dir
             results = run_bench(
                 args.filter,
@@ -521,6 +511,17 @@ def _cmd_autopilot(args) -> int:
         print("error: --force-bad-refit needs the controller; drop "
               "--never-adapt", file=sys.stderr)
         return 2
+    retention = {}
+    if args.keep_checkpoints is not None:
+        if args.checkpoint_dir is None:
+            print("error: --keep-checkpoints needs --checkpoint-dir",
+                  file=sys.stderr)
+            return 2
+        if args.keep_checkpoints < 1:
+            print(f"error: --keep-checkpoints must be >= 1, got "
+                  f"{args.keep_checkpoints}", file=sys.stderr)
+            return 2
+        retention["keep_checkpoints"] = args.keep_checkpoints
 
     if args.force_bad_refit:
         # generous capacity + a mild true drift: the fleet is healthy
@@ -529,15 +530,13 @@ def _cmd_autopilot(args) -> int:
         pms = [PMSpec(100.0) for _ in range(10)]
         drift_at, drift_p_on = 30, 0.12
         config = AutopilotConfig(min_refit_samples=40, guard_window=20,
-                                 migration_budget=40,
-                                 keep_checkpoints=args.keep_checkpoints)
+                                 migration_budget=40, **retention)
         refit_override = adversarial_refit
     else:
         vms, pms = generate_pattern_instance("equal", args.n_vms,
                                              seed=args.seed)
         drift_at, drift_p_on = args.drift_at, args.drift_p_on
-        config = AutopilotConfig(migration_budget=args.budget,
-                                 keep_checkpoints=args.keep_checkpoints)
+        config = AutopilotConfig(migration_budget=args.budget, **retention)
         refit_override = None
 
     sinks = ([JSONLSink(args.jsonl)] if args.jsonl is not None

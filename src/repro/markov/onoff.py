@@ -42,14 +42,6 @@ class OnOffChain:
         check_probability(self.p_off, "p_off", allow_zero=False)
 
     # ------------------------------------------------------------------ #
-    # closed-form analytics
-    # ------------------------------------------------------------------ #
-    @property
-    def stationary_on_probability(self) -> float:
-        """Long-run fraction of time spent ON: ``p_on / (p_on + p_off)``."""
-        return self.p_on / (self.p_on + self.p_off)
-
-    # ------------------------------------------------------------------ #
     # matrix / simulation views
     # ------------------------------------------------------------------ #
     def transition_matrix(self) -> np.ndarray:
@@ -80,42 +72,3 @@ class OnOffChain:
                 s = OFF if u[t] < self.p_off else ON
             out[t + 1] = s
         return out
-
-    def simulate_ensemble(self, n_vms: int, n_steps: int, *,
-                          start_stationary: bool = False,
-                          seed: SeedLike = None) -> np.ndarray:
-        """Sample ``n_vms`` independent trajectories simultaneously.
-
-        Vectorized across VMs: each step draws one uniform per VM and flips
-        states with the appropriate probability, so the cost is
-        ``O(n_vms * n_steps)`` with NumPy inner loops only over time.
-
-        Parameters
-        ----------
-        start_stationary:
-            If true, initial states are drawn from the stationary law instead
-            of all starting OFF (the paper starts at OFF: ``Pi_0 = (1,0,...)``).
-
-        Returns
-        -------
-        numpy.ndarray
-            ``int8`` array of shape ``(n_vms, n_steps + 1)``.
-        """
-        if n_vms < 0:
-            raise ValueError(f"n_vms must be >= 0, got {n_vms}")
-        if n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-        rng = as_generator(seed)
-        states = np.empty((n_vms, n_steps + 1), dtype=np.int8)
-        if start_stationary:
-            states[:, 0] = rng.random(n_vms) < self.stationary_on_probability
-        else:
-            states[:, 0] = OFF
-        current = states[:, 0].astype(bool)
-        for t in range(n_steps):
-            u = rng.random(n_vms)
-            switch_on = ~current & (u < self.p_on)
-            switch_off = current & (u < self.p_off)
-            current = (current | switch_on) & ~switch_off
-            states[:, t + 1] = current
-        return states

@@ -110,17 +110,6 @@ class ProvenanceIndex:
         return cls(events, skipped_lines=skipped)
 
     # ----------------------------------------------------------------- #
-    # counters
-    # ----------------------------------------------------------------- #
-    @property
-    def decisions_dropped_total(self) -> int:
-        """Candidate/move rows truncated out of decision events (never
-        silent: every event records how many rows it dropped)."""
-        return sum(getattr(e, "dropped_candidates", 0)
-                   + getattr(e, "dropped_moves", 0)
-                   for e in self.decisions)
-
-    # ----------------------------------------------------------------- #
     # filters (all return (seq, event) pairs in stream order)
     # ----------------------------------------------------------------- #
     def _enumerated(self) -> list[tuple[int, TelemetryEvent]]:

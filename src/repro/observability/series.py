@@ -69,10 +69,6 @@ class RollingWindow:
         """Most recent sample (0.0 when empty)."""
         return self._buf[-1] if self._buf else 0.0
 
-    def values(self) -> list[float]:
-        """Snapshot, oldest first."""
-        return list(self._buf)
-
 
 class TieredSeries:
     """Append-only series with a raw head and downsampled retention tiers.
@@ -136,10 +132,6 @@ class TieredSeries:
                 times.append(t)
                 values.append(v)
         return times, values
-
-    def tail(self, n: int) -> list[float]:
-        """The last ``n`` retained values (raw resolution where possible)."""
-        return self.series()[1][-n:]
 
     @property
     def last(self) -> float:

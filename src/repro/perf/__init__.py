@@ -3,9 +3,9 @@
 Three pieces, one goal — make the full figure/ablation matrix cheap enough
 to iterate on:
 
-- :mod:`repro.perf.cache` — a content-addressed, optionally persistent
-  cache for MapCal/stationary solves (threaded through
-  :mod:`repro.core.mapcal` and :mod:`repro.core.heterogeneous`);
+- :mod:`repro.perf.cache` — an in-process LRU cache for MapCal/stationary
+  solves (threaded through :mod:`repro.core.mapcal` and
+  :mod:`repro.core.heterogeneous`);
 - :mod:`repro.perf.reference` — the *scalar* per-VM/per-PM reference tick,
   kept as the ground truth the vectorized
   :class:`~repro.simulation.datacenter.Datacenter` fast path is verified

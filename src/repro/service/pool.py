@@ -71,10 +71,6 @@ class ElasticPMPool:
     # ------------------------------------------------------------------ #
     # views
     # ------------------------------------------------------------------ #
-    @property
-    def n_pms(self) -> int:
-        return len(self.status)
-
     def indices(self, status: str) -> list[int]:
         return [i for i, s in enumerate(self.status) if s == status]
 

@@ -111,10 +111,3 @@ class AdmissionInbox:
                 self._size -= 1
                 return self._queues[cls].popleft()
         return None
-
-    def drain(self) -> list[Request]:
-        """Pop everything, in service order."""
-        out = []
-        while (req := self.pop()) is not None:
-            out.append(req)
-        return out

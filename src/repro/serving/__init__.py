@@ -9,15 +9,14 @@ latency an operator actually buys (see ``docs/SERVING.md``):
   percentiles and the empirical ``P(T_S > t)`` SLA tail, and the
   degradation/thrash service-capacity rule;
 - :mod:`repro.serving.leveling` — the queue-based load-leveling tier:
-  durable bounded buffer, paced drain, bounded retries, poison → DLQ,
-  idempotency-key dedupe;
+  durable bounded buffer, paced drain, bounded retries → DLQ;
 - :mod:`repro.serving.layer` — the per-interval :class:`ServingLayer` a
   scenario drives (``Scenario(..., serving=True)``), its
   :class:`ServingReport`, and the shared config defaults.
 """
 
 from repro.serving.layer import SERVING_DEFAULTS, ServingLayer, ServingReport
-from repro.serving.leveling import LoadLevelingTier, Request
+from repro.serving.leveling import LoadLevelingTier
 from repro.serving.queue import (
     LatencyHistogram,
     QueueStore,
@@ -30,7 +29,6 @@ __all__ = [
     "ServingLayer",
     "ServingReport",
     "LoadLevelingTier",
-    "Request",
     "LatencyHistogram",
     "QueueStore",
     "VMQueue",

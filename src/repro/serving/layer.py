@@ -200,8 +200,7 @@ class ServingLayer:
         self.tier = (
             LoadLevelingTier(n_vms, buffer_size=buffer_size,
                              drain_rate=drain_rate,
-                             max_attempts=max_attempts,
-                             telemetry=telemetry)
+                             max_attempts=max_attempts)
             if tier else None
         )
         # cumulative counters
@@ -301,7 +300,7 @@ class ServingLayer:
             # threshold — the whole point of the tier is that a burst
             # cannot collapse a server's throughput
             depth = store.depth
-            store.deliver(self.tier.drain(t, np.minimum(
+            store.deliver(self.tier.drain(np.minimum(
                 store.max_depth - depth,
                 np.maximum(0, self.thrash_threshold - depth))))
             return completions, slow, 0
@@ -326,8 +325,8 @@ class ServingLayer:
             # threshold — the whole point of the tier is that a burst
             # cannot collapse a server's throughput
             deliveries = self.tier.drain(
-                t, [min(q.free, max(0, self.thrash_threshold - q.depth))
-                    for q in queues])
+                [min(q.free, max(0, self.thrash_threshold - q.depth))
+                 for q in queues])
             for i in range(n):
                 for arrival, count in deliveries[i]:
                     admitted = queues[i].admit(arrival, count)

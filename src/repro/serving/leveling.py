@@ -9,60 +9,28 @@ discrete intervals (see ``docs/SERVING.md`` for the full semantics):
 - **paced drain** — each interval at most ``drain_rate`` requests per VM
   are delivered downstream, and only into free VM-queue space, so a burst
   can never push a server past its thrash threshold;
-- **bounded retries** — a delivery that finds the VM queue full (or a
-  message whose consumption fails) is retried on later intervals, at most
-  ``max_attempts`` times in total;
-- **poison messages → DLQ** — work that keeps failing is quarantined to a
-  dead-letter queue rather than blocking the buffer head forever;
-- **idempotency keys** — the buffer delivers at-least-once, so keyed
-  messages are deduplicated on offer: a redelivered duplicate is dropped
-  and counted, never enqueued twice.
+- **bounded retries → DLQ** — a delivery that finds the VM queue full is
+  retried on later intervals, at most ``max_attempts`` times in total;
+  work that keeps failing is moved to a dead-letter queue rather than
+  blocking the buffer head forever.
 
-Internally the buffer holds per-VM FIFO entries
-``[arrival_interval, count, attempts, key, poison]``: bulk simulation
-traffic uses anonymous batches (``key`` ``None``), while the message-level
-API (:meth:`LoadLevelingTier.offer`) tracks individual keyed requests —
-both flow through the same drain/retry/DLQ machinery and the same
-checkpoint snapshot.  Arrival intervals ride along with every entry, so
-end-to-end latency measured at the VM includes time spent levelled here.
+Internally the buffer holds per-VM FIFO batches
+``[arrival_interval, count, attempts]``.  Arrival intervals ride along
+with every batch, so end-to-end latency measured at the VM includes time
+spent levelled here.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-from repro.telemetry import PoisonQuarantined, Telemetry, resolve
 from repro.utils.validation import check_integer
 
-__all__ = ["Request", "LoadLevelingTier"]
-
-
-@dataclass(frozen=True)
-class Request:
-    """One tracked message for the tier's message-level API.
-
-    Attributes
-    ----------
-    key:
-        Idempotency key; offering the same key twice delivers once.
-    vm_id:
-        Destination VM.
-    time:
-        Interval the request was produced.
-    poison:
-        When True, every consumption attempt fails — the message exercises
-        the retry → dead-letter path.
-    """
-
-    key: str
-    vm_id: int
-    time: int
-    poison: bool = False
+__all__ = ["LoadLevelingTier"]
 
 
 class LoadLevelingTier:
-    """Bounded per-VM buffer with paced drain, retries, DLQ and dedupe.
+    """Bounded per-VM buffer with paced drain, retries and a DLQ.
 
     Parameters
     ----------
@@ -74,34 +42,25 @@ class LoadLevelingTier:
     drain_rate:
         Maximum requests delivered to any one VM per interval.
     max_attempts:
-        Total delivery/consumption attempts before an entry is moved to
-        the dead-letter queue.
-    telemetry:
-        Optional :class:`~repro.telemetry.Telemetry`; keyed entries that
-        hit the DLQ emit a :class:`~repro.telemetry.PoisonQuarantined`
-        event.
+        Total delivery attempts before a batch is moved to the dead-letter
+        queue.
     """
 
     def __init__(self, n_vms: int, *, buffer_size: int = 20000,
-                 drain_rate: int = 120, max_attempts: int = 3,
-                 telemetry: Telemetry | None = None):
+                 drain_rate: int = 120, max_attempts: int = 3):
         self.n_vms = check_integer(n_vms, "n_vms", minimum=1)
         self.buffer_size = check_integer(buffer_size, "buffer_size", minimum=1)
         self.drain_rate = check_integer(drain_rate, "drain_rate", minimum=1)
         self.max_attempts = check_integer(max_attempts, "max_attempts",
                                           minimum=1)
-        self.telemetry = resolve(telemetry)
-        #: per-VM FIFO of ``[arrival, count, attempts, key, poison]``
+        #: per-VM FIFO of ``[arrival, count, attempts]``
         self.pending: list[deque[list]] = [deque() for _ in range(n_vms)]
         self.depth = 0
-        #: idempotency keys ever accepted (dedupe horizon = tier lifetime)
-        self.seen_keys: set[str] = set()
-        #: quarantined entries ``[arrival, count, attempts, key, poison]``
+        #: quarantined batches ``[arrival, count, attempts]``
         self.dlq: list[list] = []
-        # counters (requests, not entries)
+        # counters (requests, not batches)
         self.accepted = 0
         self.rejected = 0
-        self.duplicates = 0
         self.delivered = 0
         self.dlq_requests = 0
 
@@ -114,7 +73,7 @@ class LoadLevelingTier:
         return self.depth
 
     def accept(self, vm_id: int, t: int, count: int) -> int:
-        """Offer ``count`` anonymous requests for ``vm_id`` at interval ``t``.
+        """Offer ``count`` requests for ``vm_id`` at interval ``t``.
 
         Returns the number buffered; the remainder was rejected against
         the full buffer (the producer sees back pressure and accounts the
@@ -127,52 +86,28 @@ class LoadLevelingTier:
         admitted = min(count, self.buffer_size - self.depth)
         if admitted > 0:
             queue = self.pending[vm_id]
-            # merge only into a same-interval anonymous tail batch
-            if queue and queue[-1][0] == t and queue[-1][3] is None \
-                    and queue[-1][2] == 0:
+            # merge only into a same-interval, not yet retried tail batch
+            if queue and queue[-1][0] == t and queue[-1][2] == 0:
                 queue[-1][1] += admitted
             else:
-                queue.append([t, admitted, 0, None, False])
+                queue.append([t, admitted, 0])
             self.depth += admitted
         self.accepted += admitted
         self.rejected += count - admitted
         return admitted
 
-    def offer(self, request: Request) -> bool:
-        """Offer one tracked message; returns whether it was buffered.
-
-        Duplicates (an already-seen idempotency key) and offers against a
-        full buffer return False, counted separately in
-        :attr:`duplicates` / :attr:`rejected`.
-        """
-        if not 0 <= request.vm_id < self.n_vms:
-            raise ValueError(
-                f"vm_id must be in [0, {self.n_vms}), got {request.vm_id}")
-        if request.key in self.seen_keys:
-            self.duplicates += 1
-            return False
-        if self.depth >= self.buffer_size:
-            self.rejected += 1
-            return False
-        self.seen_keys.add(request.key)
-        self.pending[request.vm_id].append(
-            [request.time, 1, 0, request.key, bool(request.poison)])
-        self.depth += 1
-        self.accepted += 1
-        return True
-
     # ------------------------------------------------------------------ #
     # consumer side
     # ------------------------------------------------------------------ #
-    def drain(self, t: int, free: list[int]) -> list[list[tuple[int, int]]]:
+    def drain(self, free: list[int]) -> list[list[tuple[int, int]]]:
         """Deliver up to ``drain_rate`` requests per VM into ``free`` space.
 
         ``free[i]`` is VM ``i``'s queue headroom this interval.  Returns,
         per VM, the delivered ``(arrival_interval, count)`` batches in FIFO
         order — arrival stamps are preserved so downstream latency is
-        end-to-end.  Entries that cannot be delivered (no headroom) or
-        whose consumption fails (poison) burn one attempt; entries out of
-        attempts move to the dead-letter queue.
+        end-to-end.  A head batch that cannot be delivered (no headroom)
+        burns one attempt; batches out of attempts move to the dead-letter
+        queue.
         """
         if len(free) != self.n_vms:
             raise ValueError(
@@ -183,23 +118,9 @@ class LoadLevelingTier:
             budget = min(self.drain_rate, int(free[vm_id]))
             out: list[tuple[int, int]] = []
             partially_delivered: list | None = None
-            # each pending entry is considered at most once per interval
-            for _ in range(len(queue)):
-                if not queue:
-                    break
+            while queue and budget > 0:
                 entry = queue[0]
-                arrival, count, attempts, key, poison = entry
-                if poison:
-                    # consumption fails regardless of headroom
-                    queue.popleft()
-                    entry[2] = attempts + 1
-                    if entry[2] >= self.max_attempts:
-                        self._quarantine(t, vm_id, entry)
-                    else:
-                        queue.append(entry)  # retry next interval
-                    continue
-                if budget <= 0:
-                    break
+                arrival, count, _ = entry
                 if count <= budget:
                     queue.popleft()
                     out.append((arrival, count))
@@ -213,62 +134,49 @@ class LoadLevelingTier:
                     self.delivered += budget
                     partially_delivered = entry
                     budget = 0
-            if budget <= 0 and queue and not queue[0][4] \
-                    and queue[0] is not partially_delivered:
+            if budget <= 0 and queue and queue[0] is not partially_delivered:
                 # headroom exhausted with work still waiting: the head
                 # entry's delivery attempt failed — bounded retries
                 head = queue[0]
                 head[2] += 1
                 if head[2] >= self.max_attempts:
                     queue.popleft()
-                    self._quarantine(t, vm_id, head)
+                    self.dlq.append(head)
+                    self.depth -= head[1]
+                    self.dlq_requests += head[1]
             deliveries.append(out)
         return deliveries
-
-    def _quarantine(self, t: int, vm_id: int, entry: list) -> None:
-        """Move one spent entry to the DLQ (and announce keyed ones)."""
-        self.dlq.append(entry)
-        self.depth -= entry[1]
-        self.dlq_requests += entry[1]
-        tel = self.telemetry
-        if tel is not None and tel.events.enabled and entry[3] is not None:
-            tel.emit(PoisonQuarantined(
-                time=t, vm_id=vm_id, key=entry[3], attempts=entry[2],
-                poison=bool(entry[4])))
 
     # ------------------------------------------------------------------ #
     # checkpoint support
     # ------------------------------------------------------------------ #
     def capture_state(self) -> dict:
-        """JSON-safe snapshot of buffer, DLQ, dedupe set and counters."""
+        """JSON-safe snapshot of buffer, DLQ and counters."""
         return {
             "pending": [[list(e) for e in q] for q in self.pending],
             "dlq": [list(e) for e in self.dlq],
-            "seen_keys": sorted(self.seen_keys),
             "accepted": self.accepted,
             "rejected": self.rejected,
-            "duplicates": self.duplicates,
             "delivered": self.delivered,
             "dlq_requests": self.dlq_requests,
         }
 
     def restore_state(self, state: dict) -> None:
-        """Overwrite from a :meth:`capture_state` snapshot."""
+        """Overwrite from a :meth:`capture_state` snapshot.
+
+        Also reads snapshots whose entries carry two more fields (a key and
+        a poison flag) and which hold ``seen_keys`` and ``duplicates``, as
+        earlier builds wrote them; those extras are ignored.
+        """
         if len(state["pending"]) != self.n_vms:
             raise ValueError(
                 f"checkpoint tier routes {len(state['pending'])} VMs but "
                 f"this tier routes {self.n_vms}")
-        self.pending = [
-            deque([int(a), int(n), int(at), k, bool(p)]
-                  for a, n, at, k, p in q)
-            for q in state["pending"]
-        ]
+        self.pending = [deque([int(e[0]), int(e[1]), int(e[2])] for e in q)
+                        for q in state["pending"]]
         self.depth = sum(e[1] for q in self.pending for e in q)
-        self.dlq = [[int(a), int(n), int(at), k, bool(p)]
-                    for a, n, at, k, p in state["dlq"]]
-        self.seen_keys = set(state["seen_keys"])
+        self.dlq = [[int(e[0]), int(e[1]), int(e[2])] for e in state["dlq"]]
         self.accepted = int(state["accepted"])
         self.rejected = int(state["rejected"])
-        self.duplicates = int(state["duplicates"])
         self.delivered = int(state["delivered"])
         self.dlq_requests = int(state["dlq_requests"])

@@ -140,18 +140,6 @@ class LatencyHistogram:
             return float("nan")
         return self._sum / self.total
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Fold another histogram (same ``max_latency``) into this one."""
-        if other.max_latency != self.max_latency:
-            raise ValueError(
-                f"cannot merge histograms with max_latency "
-                f"{other.max_latency} into {self.max_latency}")
-        for v in range(1, self.max_latency + 1):
-            self.counts[v] += other.counts[v]
-        self.total += other.total
-        self.overflow += other.overflow
-        self._sum += other._sum
-
     # ------------------------------------------------------------------ #
     # checkpoint support
     # ------------------------------------------------------------------ #

@@ -211,11 +211,6 @@ class Datacenter:
         np.add.at(loads, self.placement.assignment, self._r_base)
         return loads
 
-    @property
-    def throttled(self) -> np.ndarray:
-        """Copy of the per-VM degradation mask."""
-        return self._throttled.copy()
-
     def on_states(self) -> np.ndarray:
         """Copy of the per-VM ON mask (raw burst state, throttling ignored)."""
         return self._on.copy()

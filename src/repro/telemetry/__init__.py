@@ -47,7 +47,6 @@ from repro.telemetry.events import (
     PlacementDecided,
     PMCrashed,
     PMRepaired,
-    PoisonQuarantined,
     PoolScaled,
     ReconsolidationDecided,
     ReconsolidationTriggered,
@@ -76,8 +75,6 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    escape_label_value,
-    series_key,
 )
 from repro.telemetry.profiling import Profiler, Span, timed
 from repro.telemetry.sinks import (
@@ -117,7 +114,6 @@ __all__ = [
     "PlacementDecided",
     "PMCrashed",
     "PMRepaired",
-    "PoisonQuarantined",
     "PoolScaled",
     "ReconsolidationDecided",
     "ReconsolidationTriggered",
@@ -144,8 +140,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "escape_label_value",
-    "series_key",
     "Profiler",
     "Span",
     "timed",

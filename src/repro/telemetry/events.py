@@ -842,16 +842,3 @@ class ServiceSnapshot(TelemetryEvent):
     wal_lag: int = 0
     #: decisions served against a stale (circuit-broken) mapping table
     staleness: int = 0
-
-
-@register
-@dataclass(frozen=True)
-class PoisonQuarantined(TelemetryEvent):
-    """A tracked message exhausted its delivery attempts and was DLQ'd."""
-
-    kind: ClassVar[str] = "poison_quarantined"
-
-    vm_id: int = -1
-    key: str = ""
-    attempts: int = 0
-    poison: bool = False

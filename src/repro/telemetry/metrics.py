@@ -19,7 +19,7 @@ import json
 import math
 import re
 from bisect import bisect_left
-from typing import Mapping, Sequence
+from typing import Sequence
 
 _NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
@@ -37,52 +37,14 @@ def _check_name(name: str) -> str:
     return name
 
 
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the Prometheus text exposition format.
-
-    Backslash, double-quote and newline must be escaped inside the quoted
-    label value (in that order, so the escapes themselves survive).
-    """
-    return (str(value)
-            .replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n"))
-
-
-def _check_labels(labels: Mapping[str, str] | None) -> dict[str, str]:
-    if not labels:
-        return {}
-    return {_check_name(k): str(v) for k, v in labels.items()}
-
-
-def _label_str(labels: Mapping[str, str],
-               extra: Mapping[str, str] | None = None) -> str:
-    """Render ``{k="v",...}`` with escaped values ('' when empty)."""
-    merged = {**labels, **(extra or {})}
-    if not merged:
-        return ""
-    inner = ",".join(f'{k}="{escape_label_value(v)}"'
-                     for k, v in merged.items())
-    return "{" + inner + "}"
-
-
-def series_key(name: str, labels: Mapping[str, str] | None = None) -> str:
-    """Canonical identity of a metric series: name plus sorted labels."""
-    if not labels:
-        return name
-    return name + _label_str(dict(sorted(labels.items())))
-
-
 class Counter:
     """Monotonically increasing count."""
 
-    __slots__ = ("name", "help", "labels", "value")
+    __slots__ = ("name", "help", "value")
 
-    def __init__(self, name: str, help: str = "",
-                 labels: Mapping[str, str] | None = None):
+    def __init__(self, name: str, help: str = ""):
         self.name = _check_name(name)
         self.help = help
-        self.labels = _check_labels(labels)
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -95,22 +57,16 @@ class Counter:
 class Gauge:
     """A value that can go up and down (last write wins)."""
 
-    __slots__ = ("name", "help", "labels", "value")
+    __slots__ = ("name", "help", "value")
 
-    def __init__(self, name: str, help: str = "",
-                 labels: Mapping[str, str] | None = None):
+    def __init__(self, name: str, help: str = ""):
         self.name = _check_name(name)
         self.help = help
-        self.labels = _check_labels(labels)
         self.value = 0.0
 
     def set(self, value: float) -> None:
         """Set the gauge to ``value``."""
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Adjust the gauge by ``amount`` (may be negative)."""
-        self.value += amount
 
 
 class Histogram:
@@ -125,15 +81,13 @@ class Histogram:
         last bound land in an implicit ``+Inf`` overflow bucket.
     """
 
-    __slots__ = ("name", "help", "labels", "bounds", "counts", "count", "sum",
+    __slots__ = ("name", "help", "bounds", "counts", "count", "sum",
                  "_min", "_max")
 
     def __init__(self, name: str, help: str = "",
-                 buckets: Sequence[float] = DEFAULT_BUCKETS,
-                 labels: Mapping[str, str] | None = None):
+                 buckets: Sequence[float] = DEFAULT_BUCKETS):
         self.name = _check_name(name)
         self.help = help
-        self.labels = _check_labels(labels)
         bounds = tuple(float(b) for b in buckets)
         if not bounds:
             raise ValueError("need at least one bucket bound")
@@ -223,47 +177,36 @@ Metric = Counter | Gauge | Histogram
 
 
 class MetricsRegistry:
-    """Named metric series, get-or-create, with a JSON exporter.
-
-    A series is identified by its name plus its (sorted) label set, so
-    ``counter("slo_alerts_total", labels={"rule": "cvr_burn"})`` and the
-    same name with another rule are independent series.
-    """
+    """Named metrics, get-or-create, with a JSON exporter."""
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
 
-    def _get_or_create(self, name: str, cls: type,
-                       labels: Mapping[str, str] | None = None,
-                       **kwargs) -> Metric:
-        key = series_key(name, labels)
-        existing = self._metrics.get(key)
+    def _get_or_create(self, name: str, cls: type, **kwargs) -> Metric:
+        existing = self._metrics.get(name)
         if existing is not None:
             if not isinstance(existing, cls):
                 raise ValueError(
-                    f"metric {key!r} already registered as "
+                    f"metric {name!r} already registered as "
                     f"{type(existing).__name__}, not {cls.__name__}"
                 )
             return existing
-        metric = cls(name, labels=labels, **kwargs)
-        self._metrics[key] = metric
+        metric = cls(name, **kwargs)
+        self._metrics[name] = metric
         return metric
 
-    def counter(self, name: str, help: str = "",
-                labels: Mapping[str, str] | None = None) -> Counter:
-        """Get or create the counter series ``name``/``labels``."""
-        return self._get_or_create(name, Counter, labels, help=help)
+    def counter(self, name: str, help: str = "") -> Counter:
+        """Get or create the counter ``name``."""
+        return self._get_or_create(name, Counter, help=help)
 
-    def gauge(self, name: str, help: str = "",
-              labels: Mapping[str, str] | None = None) -> Gauge:
-        """Get or create the gauge series ``name``/``labels``."""
-        return self._get_or_create(name, Gauge, labels, help=help)
+    def gauge(self, name: str, help: str = "") -> Gauge:
+        """Get or create the gauge ``name``."""
+        return self._get_or_create(name, Gauge, help=help)
 
     def histogram(self, name: str, help: str = "",
-                  buckets: Sequence[float] = DEFAULT_BUCKETS,
-                  labels: Mapping[str, str] | None = None) -> Histogram:
-        """Get or create the histogram series ``name``/``labels``."""
-        return self._get_or_create(name, Histogram, labels, help=help,
+                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
+        """Get or create the histogram ``name``."""
+        return self._get_or_create(name, Histogram, help=help,
                                    buckets=buckets)
 
     def __iter__(self):
@@ -272,16 +215,11 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def get(self, name: str,
-            labels: Mapping[str, str] | None = None) -> Metric | None:
-        """Look up a metric series without creating it."""
-        return self._metrics.get(series_key(name, labels))
-
     # ------------------------------------------------------------------ #
     # exporters
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
-        """JSON-serializable snapshot of every metric series."""
+        """JSON-serializable snapshot of every metric."""
         out: dict[str, dict] = {}
         for key, metric in self._metrics.items():
             if isinstance(metric, Counter):

@@ -25,9 +25,7 @@ active-profiler slot is plain module state, not thread-local.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
 
 
 @dataclass
@@ -70,19 +68,6 @@ class Span:
             "children": [c.to_dict() for c in self.children.values()],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Span":
-        """Inverse of :meth:`to_dict` (used by trace round-tripping)."""
-        span = cls(
-            name=data["name"],
-            count=int(data["count"]),
-            total_seconds=float(data["total_seconds"]),
-            errors=int(data.get("errors", 0)),
-        )
-        for child in data.get("children", ()):
-            span.children[child["name"]] = cls.from_dict(child)
-        return span
-
 
 class Profiler:
     """Collects nested spans; install with ``with profiler:``."""
@@ -91,22 +76,6 @@ class Profiler:
         self.root = Span("<root>")
         self._stack: list[Span] = [self.root]
         self._previous: list["Profiler | None"] = []
-
-    @contextmanager
-    def span(self, name: str) -> Iterator[Span]:
-        """Time a region as a child of the currently open span."""
-        node = self._stack[-1].child(name)
-        self._stack.append(node)
-        start = time.perf_counter()
-        try:
-            yield node
-        except BaseException:
-            node.errors += 1
-            raise
-        finally:
-            node.total_seconds += time.perf_counter() - start
-            node.count += 1
-            self._stack.pop()
 
     # ------------------------------------------------------------------ #
     # activation (module-level slot read by the global `timed`)

@@ -2,10 +2,10 @@
 
 No plotting dependency is available offline, so the experiment runner draws
 its figures directly in the terminal: sparklines for traces (Fig. 8),
-line charts for time series (Fig. 10), bar charts for grouped comparisons
-(Fig. 5/9), and histograms for distributions (Fig. 6).
+line charts for time series (Fig. 10) and bar charts for grouped
+comparisons (Fig. 5/6/9).
 """
 
-from repro.viz.ascii_charts import bar_chart, histogram, line_chart, sparkline
+from repro.viz.ascii_charts import bar_chart, line_chart, sparkline
 
-__all__ = ["bar_chart", "histogram", "line_chart", "sparkline"]
+__all__ = ["bar_chart", "line_chart", "sparkline"]

@@ -117,21 +117,3 @@ def line_chart(series: Mapping[str, Sequence[float]], *, height: int = 10,
     legend = "   ".join(f"{markers[k]} = {k}" for k in arrays)
     lines.append(" " * 13 + legend)
     return "\n".join(lines)
-
-
-def histogram(values: Sequence[float], *, n_bins: int = 10, width: int = 40,
-              value_fmt: str = ".3f", title: str | None = None) -> str:
-    """Horizontal histogram with bin edges annotated."""
-    v = _as_finite_1d(values, "values")
-    n_bins = check_integer(n_bins, "n_bins", minimum=1)
-    width = check_integer(width, "width", minimum=1)
-    counts, edges = np.histogram(v, bins=n_bins)
-    peak = counts.max() if counts.size else 0
-    lines = [title] if title else []
-    for i, c in enumerate(counts):
-        n = int(round(width * c / peak)) if peak > 0 else 0
-        lines.append(
-            f"[{format(edges[i], value_fmt)}, {format(edges[i + 1], value_fmt)})"
-            f" | {_BAR_CHAR * n} {c}"
-        )
-    return "\n".join(lines)

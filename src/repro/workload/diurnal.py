@@ -54,11 +54,6 @@ class DiurnalSchedule:
         if self.phase_length < 1:
             raise ValueError(f"phase_length must be >= 1, got {self.phase_length}")
 
-    @property
-    def period(self) -> int:
-        """Intervals in one full cycle."""
-        return len(self.multipliers) * self.phase_length
-
     def multiplier_series(self, n_intervals: int) -> np.ndarray:
         """Vector of multipliers for intervals ``0..n_intervals-1``."""
         idx = (np.arange(n_intervals) // self.phase_length) % len(self.multipliers)

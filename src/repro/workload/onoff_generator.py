@@ -1,9 +1,8 @@
 """Vectorized ON-OFF demand traces for heterogeneous VM fleets.
 
-Unlike :meth:`repro.markov.onoff.OnOffChain.simulate_ensemble` (one common
-chain), these functions accept per-VM parameter arrays so a whole problem
-instance evolves in one pass: the time loop is the only Python-level loop and
-each step is O(n) vectorized work.
+These functions accept per-VM parameter arrays so a whole problem instance
+evolves in one pass: the time loop is the only Python-level loop and each
+step is O(n) vectorized work.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.consolidation import pm_reduction_percent, pms_used
+from repro.analysis.consolidation import pm_reduction_percent
 from repro.analysis.cvr import cvr_from_loads, cvr_per_pm, evaluate_placement_cvr
 from repro.analysis.report import ExperimentResult, render_result
 from repro.core.queuing_ffd import QueuingFFD
@@ -62,7 +62,7 @@ class TestConsolidationMetrics:
         return Placement(len(assignment), n_pms, assignment=np.array(assignment))
 
     def test_pms_used(self):
-        assert pms_used(self._placement([0, 0, 1], 4)) == 2
+        assert self._placement([0, 0, 1], 4).n_used_pms == 2
 
     def test_pm_reduction_percent(self):
         candidate = self._placement([0, 0, 0], 4)

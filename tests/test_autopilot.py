@@ -71,14 +71,6 @@ class TestAutopilotConfig:
         with pytest.raises(ValueError):
             AutopilotConfig(**kwargs)
 
-    def test_keep_checkpoints_env_default(self, monkeypatch):
-        from repro.autopilot import _default_keep
-
-        monkeypatch.delenv("REPRO_KEEP_CHECKPOINTS", raising=False)
-        assert _default_keep() == 3
-        monkeypatch.setenv("REPRO_KEEP_CHECKPOINTS", "7")
-        assert _default_keep() == 7
-
 
 class TestTelemetryWindow:
     def test_partial_fill_returns_seen_samples(self):
@@ -187,7 +179,7 @@ class TestCommitPath:
 
 
 class TestRollbackDrill:
-    def _run_drill(self, checkpoint_dir=None, keep=None):
+    def _run_drill(self, checkpoint_dir=None, keep=3):
         vms, pms = _drill_fleet()
         obs = Observatory(rho=0.01)
         sc = build_autopilot_scenario(vms, pms, observatory=obs)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.mapcal import BlockMapping, mapcal, mapcal_table
-from repro.markov.onoff import OnOffChain
+from repro.core.types import VMSpec
 from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK
+from repro.workload.onoff_generator import ensemble_states
 
 P_ON, P_OFF, RHO = 0.01, 0.09, 0.01
 
@@ -66,8 +67,8 @@ class TestMapcal:
         """The reserved K truly bounds the simulated violation fraction."""
         k = 8
         K = mapcal(k, P_ON, P_OFF, RHO)
-        chain = OnOffChain(P_ON, P_OFF)
-        states = chain.simulate_ensemble(k, 300_000, start_stationary=True, seed=3)
+        states = ensemble_states([VMSpec(P_ON, P_OFF, 1.0, 1.0)] * k, 300_000,
+                                 start_stationary=True, seed=3)
         busy = states.sum(axis=0)
         violation_fraction = float((busy > K).mean())
         # Statistical tolerance: a couple of standard errors above rho.

@@ -80,20 +80,6 @@ class TestPlacement:
         with pytest.raises(ValueError):
             p.pm_of(-1)
 
-    def test_remove(self):
-        p = Placement(2, 2)
-        p.place(0, 1)
-        assert p.remove(0) == 1
-        assert p.pm_of(0) == UNPLACED
-        with pytest.raises(ValueError, match="not placed"):
-            p.remove(0)
-
-    def test_migrate(self):
-        p = Placement(1, 3)
-        p.place(0, 0)
-        assert p.migrate(0, 2) == 0
-        assert p.pm_of(0) == 2
-
     def test_used_pms_sorted_unique(self):
         p = Placement(4, 5)
         for vm, pm in [(0, 3), (1, 1), (2, 3), (3, 1)]:

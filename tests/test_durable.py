@@ -31,7 +31,6 @@ from repro.experiments.durability import (
     JobJournal,
     run_durable_bench,
 )
-from repro.perf.cache import MapCalCache, key_digest
 from repro.service.service import PlacementService
 from repro.service.wal import WALCorruptError, WriteAheadLog
 from repro.simulation import Scenario, load_checkpoint, restore_checkpoint
@@ -53,9 +52,8 @@ BURSTY = VMSpec(p_on=0.45, p_off=0.05, r_base=2.0, r_extra=3.0)
 
 
 def durable():
-    """The module under test, imported late: the call-order and MapCal tests
-    patch only ``os``, so they also run (and fail) against a build
-    without it."""
+    """The module under test, imported late: the call-order test patches
+    only ``os``, so it also runs (and fails) against a build without it."""
     import repro.durable
 
     return repro.durable
@@ -234,21 +232,6 @@ def bench_table(d: Path) -> Writer:
                   resume)
 
 
-def mapcal_entry(d: Path) -> Writer:
-    key = ("mapcal", 5, 0.01, 0.09, 0.01, "linear")
-
-    def read():
-        cache = MapCalCache(disk_dir=d)
-        assert cache.get_or_compute(key, lambda: 11) == 11
-        assert cache.corrupt == 0
-
-    d.mkdir(parents=True, exist_ok=True)
-    return Writer(d / f"mapcal-{key_digest(key)}.json",
-                  lambda: MapCalCache(disk_dir=d).get_or_compute(
-                      key, lambda: 11),
-                  read)
-
-
 WRITERS = {
     "simulation_checkpoint": simulation_checkpoint,
     "retention_index": retention_index,
@@ -256,7 +239,6 @@ WRITERS = {
     "wal_creation": wal_creation,
     "wal_compaction": wal_compaction,
     "bench_table": bench_table,
-    "mapcal_entry": mapcal_entry,
 }
 
 
@@ -363,13 +345,10 @@ def test_every_rename_is_followed_by_a_directory_fsync(tmp_path, monkeypatch):
     CheckpointRetention(tmp_path / "retention", keep=1).save(_run(2))
     writer = service_checkpoint(tmp_path / "service")
     writer.act()
-    MapCalCache(disk_dir=tmp_path / "cache").get_or_compute(
-        ("mapcal", 1), lambda: 3)
     run_durable_bench("table1", parallel=1, output_dir=tmp_path / "bench",
                       retry=FAST_RETRY)
     names = {p.name for p in log.durable_renames()}
-    assert {"index.json", "ckpt.json", "wal.jsonl", "table1.txt",
-            f"mapcal-{key_digest(('mapcal', 1))}.json"} <= names
+    assert {"index.json", "ckpt.json", "wal.jsonl", "table1.txt"} <= names
 
 
 def test_checkpoint_is_durable_before_compaction_starts(tmp_path,
@@ -507,18 +486,18 @@ def test_a_journal_line_must_end_in_a_newline(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# MapCal cache: concurrent writers of one key
+# atomic_write: concurrent writers of one file
 # --------------------------------------------------------------------- #
-def test_concurrent_writers_of_one_key_never_publish_a_torn_entry(
+def test_concurrent_writers_of_one_file_never_publish_a_torn_file(
         tmp_path, monkeypatch):
     """Writer B starts after A wrote its temp file, before A renames it.
 
     B runs out of disk space (its writes fail with EFBIG) after it created
     or truncated its temp file.  A shared temp file would then be empty
-    when A renames it, and the next reader would quarantine a good key.
+    when A renames it, and the next reader would find a torn file.
     """
-    key = ("mapcal", 5, 0.01, 0.09, 0.01, "linear")
-    writer_b = MapCalCache(disk_dir=tmp_path)
+    path = tmp_path / "entry.json"
+    data = b'{"value":11}'
     real_replace = os.replace
     started = []
 
@@ -528,19 +507,17 @@ def test_concurrent_writers_of_one_key_never_publish_a_torn_entry(
             soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
             resource.setrlimit(resource.RLIMIT_FSIZE, (0, hard))
             try:
-                assert writer_b.get_or_compute(key, lambda: 11) == 11
+                with pytest.raises(OSError):
+                    durable().atomic_write(path, data)
             finally:
                 resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
         real_replace(src, dst)
 
     monkeypatch.setattr(os, "replace", replace)
-    assert MapCalCache(disk_dir=tmp_path).get_or_compute(key, lambda: 11) == 11
+    durable().atomic_write(path, data)
     monkeypatch.setattr(os, "replace", real_replace)
     assert started, "writer A never renamed"
-    fresh = MapCalCache(disk_dir=tmp_path)
-    assert fresh.get_or_compute(
-        key, lambda: pytest.fail("entry lost")) == 11
-    assert fresh.corrupt == 0 and fresh.disk_hits == 1
+    assert path.read_bytes() == data
     assert _temp_files(tmp_path) == []
 
 

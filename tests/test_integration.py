@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.cvr import cvr_per_pm, evaluate_placement_cvr
 from repro.core.mapcal import mapcal
 from repro.core.queuing_ffd import QueuingFFD
+from repro.core.types import VMSpec
 from repro.placement.ffd import ffd_by_base, ffd_by_peak
 from repro.placement.rbex import RBExPlacer
 from repro.simulation.scheduler import run_simulation
@@ -137,10 +138,8 @@ class TestRuntimeShapes:
 class TestMapcalSimulationAgreement:
     @pytest.mark.parametrize("k,rho", [(6, 0.05), (10, 0.01), (16, 0.02)])
     def test_blocks_bound_simulated_violations(self, k, rho):
-        from repro.markov.onoff import OnOffChain
-
         K = mapcal(k, 0.01, 0.09, rho)
-        states = OnOffChain(0.01, 0.09).simulate_ensemble(
-            k, 200_000, start_stationary=True, seed=k)
+        states = ensemble_states([VMSpec(0.01, 0.09, 1.0, 1.0)] * k, 200_000,
+                                 start_stationary=True, seed=k)
         violation = float((states.sum(axis=0) > K).mean())
         assert violation <= rho * 1.5 + 0.002

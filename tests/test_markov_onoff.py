@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.types import VMSpec
 from repro.markov.chain import DiscreteMarkovChain
 from repro.markov.onoff import OFF, ON, OnOffChain
+from repro.workload.onoff_generator import ensemble_states
 from tests.helpers import burst_lengths
 
 
@@ -27,7 +29,8 @@ class TestConstruction:
 
 class TestAnalytics:
     def test_stationary_probabilities(self, chain):
-        assert chain.stationary_on_probability == pytest.approx(0.1)
+        pi = DiscreteMarkovChain(chain.transition_matrix()).stationary_distribution()
+        assert pi[ON] == pytest.approx(0.1)
 
     def test_transition_matrix(self, chain):
         P = chain.transition_matrix()
@@ -35,7 +38,7 @@ class TestAnalytics:
 
     def test_as_chain_stationary_matches(self, chain):
         pi = DiscreteMarkovChain(chain.transition_matrix()).stationary_distribution()
-        q = chain.stationary_on_probability
+        q = chain.p_on / (chain.p_on + chain.p_off)
         np.testing.assert_allclose(pi, [1.0 - q, q], atol=1e-12)
 
 
@@ -65,28 +68,33 @@ class TestSimulation:
 
 
 class TestEnsemble:
+    """The fleet simulator (:func:`ensemble_states`) on one common chain."""
+
+    @staticmethod
+    def ensemble(chain, n_vms, n_steps, **kwargs):
+        vms = [VMSpec(chain.p_on, chain.p_off, 1.0, 1.0)] * n_vms
+        return ensemble_states(vms, n_steps, **kwargs)
+
     def test_shape(self, chain):
-        states = chain.simulate_ensemble(10, 50, seed=0)
+        states = self.ensemble(chain, 10, 50, seed=0)
         assert states.shape == (10, 51)
 
     def test_all_start_off_by_default(self, chain):
-        states = chain.simulate_ensemble(10, 5, seed=0)
+        states = self.ensemble(chain, 10, 5, seed=0)
         assert not states[:, 0].any()
 
     def test_stationary_start_fraction(self, chain):
-        states = chain.simulate_ensemble(50_000, 0, start_stationary=True, seed=1)
+        states = self.ensemble(chain, 50_000, 0, start_stationary=True, seed=1)
         assert states[:, 0].mean() == pytest.approx(0.1, abs=0.01)
 
     def test_ensemble_long_run_occupancy(self, chain):
-        states = chain.simulate_ensemble(200, 5000, start_stationary=True, seed=2)
+        states = self.ensemble(chain, 200, 5000, start_stationary=True, seed=2)
         assert states.mean() == pytest.approx(0.1, abs=0.01)
 
     def test_zero_vms(self, chain):
-        states = chain.simulate_ensemble(0, 10, seed=0)
+        states = self.ensemble(chain, 0, 10, seed=0)
         assert states.shape == (0, 11)
 
     def test_invalid_args(self, chain):
         with pytest.raises(ValueError):
-            chain.simulate_ensemble(-1, 5)
-        with pytest.raises(ValueError):
-            chain.simulate_ensemble(5, -1)
+            self.ensemble(chain, 5, -1)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.observability import Observatory
 from repro.observability.provenance import (
     REASON_TEXT,
     ProvenanceIndex,
@@ -109,10 +110,6 @@ class TestProvenanceIndex:
                                migration(vm_id=9, decision_id=7)])
         assert len(idx.by_id(7)) == 2
 
-    def test_dropped_total_sums_candidates_and_moves(self):
-        idx = ProvenanceIndex(STREAM)
-        assert idx.decisions_dropped_total == 4 + 2
-
     def test_from_jsonl_tolerates_corrupt_tail(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         lines = [json.dumps(e.to_dict()) for e in STREAM]
@@ -189,6 +186,16 @@ class TestRendering:
     def test_no_matches_says_so(self):
         text = render_explanation(ProvenanceIndex(STREAM), vm=99)
         assert "0 match(es)" in text
+
+
+class TestObservatorySummary:
+    def test_dropped_total_sums_candidates_and_moves(self):
+        obs = Observatory(rho=0.01)
+        for event in STREAM:
+            obs.observe(event)
+        summary = obs.summary()
+        assert summary["decisions_recorded"] == 4
+        assert summary["decisions_dropped_total"] == 4 + 2
 
 
 class TestReplaySummaryDecisions:

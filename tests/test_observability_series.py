@@ -12,8 +12,8 @@ class TestRollingWindow:
         w = RollingWindow(5)
         for i in range(20):
             w.push(i)
-            assert w.sum == pytest.approx(sum(w.values()))
-        assert w.values() == [15.0, 16.0, 17.0, 18.0, 19.0]
+            assert w.sum == pytest.approx(sum(range(max(0, i - 4), i + 1)))
+        assert w.sum == 15.0 + 16.0 + 17.0 + 18.0 + 19.0
 
     def test_bounded_length(self):
         w = RollingWindow(3)
@@ -79,7 +79,7 @@ class TestTieredSeries:
         for i in range(9):
             ts.push(i, float(i))
         assert ts.last == 8.0
-        assert ts.tail(2) == [7.0, 8.0]
+        assert ts.series()[1][-2:] == [7.0, 8.0]
 
     def test_empty(self):
         ts = TieredSeries()

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.markov.onoff import OnOffChain
+from repro.core.types import VMSpec
 from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK
+from repro.workload.onoff_generator import ensemble_states
 from tests.helpers import stationary_distribution_closed_form
 
 
@@ -51,8 +52,8 @@ class TestStationary:
 
     def test_matches_ensemble_simulation(self):
         m = FiniteSourceGeomGeomK(6, 0.05, 0.2)
-        chain = OnOffChain(0.05, 0.2)
-        states = chain.simulate_ensemble(6, 100_000, start_stationary=True, seed=0)
+        states = ensemble_states([VMSpec(0.05, 0.2, 1.0, 1.0)] * 6, 100_000,
+                                 start_stationary=True, seed=0)
         busy = states.sum(axis=0)
         empirical = np.bincount(busy, minlength=7) / busy.size
         np.testing.assert_allclose(empirical, m.stationary_distribution(), atol=0.01)

@@ -3,16 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.markov.onoff import OnOffChain
+from repro.core.types import VMSpec
 from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK
 from repro.queueing.transient import (
     expected_time_to_violation,
     expected_violation_episode_length,
     violation_probability_curve,
 )
+from repro.workload.onoff_generator import ensemble_states
 from tests.helpers import burst_lengths, occupancy_at
 
 K_VMS, P_ON, P_OFF = 8, 0.05, 0.2
+
+
+def simulate_vms(n_vms, n_steps, **kwargs):
+    """``n_vms`` independent copies of the (P_ON, P_OFF) chain."""
+    return ensemble_states([VMSpec(P_ON, P_OFF, 1.0, 1.0)] * n_vms, n_steps,
+                           **kwargs)
 
 
 class TestOccupancyAt:
@@ -72,11 +79,10 @@ class TestViolationCurve:
 
     def test_matches_simulation(self):
         K = 2
-        chain = OnOffChain(P_ON, P_OFF)
         n_runs, horizon = 4000, 30
         count = np.zeros(horizon + 1)
         for i in range(4):
-            states = chain.simulate_ensemble(K_VMS * 1000, horizon, seed=i)
+            states = simulate_vms(K_VMS * 1000, horizon, seed=i)
             # each group of K_VMS consecutive rows is one PM-population
             busy = states.reshape(1000, K_VMS, horizon + 1).sum(axis=1)
             count += (busy > K).mean(axis=0)
@@ -105,11 +111,10 @@ class TestTimeToViolation:
 
     def test_matches_simulation(self):
         K = 2
-        chain = OnOffChain(P_ON, P_OFF)
         hits = []
         rng_seed = 0
         for i in range(300):
-            states = chain.simulate_ensemble(K_VMS, 3000, seed=1000 + i)
+            states = simulate_vms(K_VMS, 3000, seed=1000 + i)
             busy = states.sum(axis=0)
             over = np.flatnonzero(busy > K)
             hits.append(over[0] if over.size else 3001)
@@ -134,9 +139,7 @@ class TestEpisodeLength:
         """CVR = episode length x entry rate (the formula's own identity),
         cross-checked against simulation."""
         K = 2
-        chain = OnOffChain(P_ON, P_OFF)
-        states = chain.simulate_ensemble(K_VMS, 400_000, start_stationary=True,
-                                         seed=5)
+        states = simulate_vms(K_VMS, 400_000, start_stationary=True, seed=5)
         busy = states.sum(axis=0)
         violating = busy > K
         episodes = burst_lengths(violating.astype(int))

@@ -18,6 +18,14 @@ class-level statements and dunder methods, and each other method is
 reached only when some reached code names it. It matches names, not
 bindings, so it errs toward "reached". Tests are not roots: code that
 only tests call belongs in ``tests/``.
+
+The blind spot of a name closure: any same-named name reaches a def.
+``np.histogram`` keeps a ``histogram`` chart "reached", and
+``svc.drain()`` keeps an inbox's ``drain``, though neither call can bind
+to it. Likewise an option counts as used when any code names it, even if
+no caller ever sets it. Passing here does not prove a def runs; a traced
+run of every entry point (``sys.settrace`` recording each code object
+entered) finds the defs that are only name twins.
 """
 
 from __future__ import annotations

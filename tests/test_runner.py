@@ -40,6 +40,28 @@ class TestParser:
             assert callable(fn) and desc
 
 
+class TestAutopilotRetentionFlag:
+    """``--keep-checkpoints`` errors exit 2 with an ``error:`` line."""
+
+    def test_below_one_is_refused(self, tmp_path, capsys):
+        ckpts = tmp_path / "ckpts"
+        code = main(["autopilot", "regime-shift", "-n", "5",
+                     "--checkpoint-dir", str(ckpts),
+                     "--keep-checkpoints", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--keep-checkpoints" in err
+        assert not ckpts.exists()
+
+    def test_without_a_checkpoint_dir_is_refused(self, capsys):
+        code = main(["autopilot", "regime-shift", "-n", "5",
+                     "--keep-checkpoints", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--keep-checkpoints" in err
+        assert "--checkpoint-dir" in err
+
+
 class TestMain:
     def test_list_output(self, capsys):
         assert main(["list"]) == 0

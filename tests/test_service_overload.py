@@ -61,7 +61,9 @@ class TestInbox:
                          ("c0", "critical"), ("s1", "standard"),
                          ("c1", "critical")]:
             inbox.offer(req(key, cls))
-        assert [r.key for r in inbox.drain()] == ["c0", "c1", "s0", "s1", "b0"]
+        order = [inbox.pop().key for _ in range(len(inbox))]
+        assert order == ["c0", "c1", "s0", "s1", "b0"]
+        assert inbox.pop() is None
 
     def test_unknown_class_is_rejected_at_the_type(self):
         with pytest.raises(ValueError, match="vm_class"):

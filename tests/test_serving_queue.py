@@ -86,16 +86,6 @@ class TestLatencyHistogram:
         h.record(1, n=0)  # no-op
         assert h.total == 0
 
-    def test_merge(self):
-        a, b = LatencyHistogram(8), LatencyHistogram(8)
-        a.record(1, 3)
-        b.record(5, 2)
-        a.merge(b)
-        assert a.total == 5
-        assert a.counts[5] == 2
-        with pytest.raises(ValueError, match="max_latency"):
-            a.merge(LatencyHistogram(16))
-
     def test_capture_restore_round_trip(self):
         h = LatencyHistogram(8)
         h.record(3, 7)

@@ -39,7 +39,6 @@ from repro.telemetry import (
     ReplanDecided,
     ReplanRolledBack,
     ReplanStarted,
-    PoisonQuarantined,
     RingBufferSink,
     RunResumed,
     ServiceRestored,
@@ -68,8 +67,6 @@ SAMPLES = [
     ServingSnapshot(time=4, arrivals=310, completions=280, slow=12,
                     lost_queue=5, lost_tier=3, dlq=1, backlog=40,
                     tier_backlog=120, p50=2.0, p95=6.0, p99=9.0),
-    PoisonQuarantined(time=5, vm_id=2, key="req-77", attempts=3,
-                      poison=True),
     ServiceRestored(time=8, vm_id=5, pm_id=1, reason="headroom"),
     CapacityViolation(time=4, pm_id=1, load=120.0, capacity=100.0),
     ReconsolidationTriggered(time=10, planned_moves=3, executed_moves=2),

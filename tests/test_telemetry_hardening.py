@@ -1,5 +1,5 @@
-"""Telemetry hardening: rate-limited logs, tolerant replay, label escaping,
-bus subscriptions and the observability event kinds."""
+"""Telemetry hardening: rate-limited logs, tolerant replay, bus
+subscriptions and the observability event kinds."""
 
 from __future__ import annotations
 
@@ -13,10 +13,8 @@ from repro.telemetry import (
     LogRateLimiter,
     MetricsRegistry,
     Telemetry,
-    escape_label_value,
     event_from_dict,
     read_events_tolerant,
-    series_key,
 )
 from repro.telemetry.events import CapacityViolation, MigrationCompleted
 from tests.helpers import replay_summary
@@ -124,26 +122,6 @@ class TestTolerantReplay:
         summary = replay_summary(events)
         assert summary["capacity_violations"] == 1
         assert summary["skipped_lines"] == 0
-
-
-class TestPrometheusEscaping:
-    def test_escape_label_value(self):
-        assert escape_label_value('a"b') == 'a\\"b'
-        assert escape_label_value("a\\b") == "a\\\\b"
-        assert escape_label_value("a\nb") == "a\\nb"
-
-    def test_labeled_series_are_distinct(self):
-        reg = MetricsRegistry()
-        a = reg.counter("req_total", labels={"strategy": "QUEUE"})
-        b = reg.counter("req_total", labels={"strategy": "RB"})
-        a.inc(2)
-        b.inc(5)
-        assert a is not b
-        assert reg.counter("req_total", labels={"strategy": "QUEUE"}) is a
-
-    def test_series_key_stable(self):
-        assert (series_key("m", {"b": "2", "a": "1"})
-                == series_key("m", {"a": "1", "b": "2"}))
 
 
 class TestObservabilityEventKinds:

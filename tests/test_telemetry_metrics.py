@@ -25,8 +25,10 @@ class TestCounterGauge:
         reg = MetricsRegistry()
         g = reg.gauge("pms_used")
         g.set(12)
-        g.inc(-2)
+        g.set(10)
         assert g.value == 10
+        g.set(11)
+        assert g.value == 11
 
     def test_get_or_create_returns_same_object(self):
         reg = MetricsRegistry()

@@ -5,7 +5,6 @@ import pytest
 
 from repro.viz.ascii_charts import (
     bar_chart,
-    histogram,
     line_chart,
     sanitize_series,
     sparkline,
@@ -86,8 +85,6 @@ class TestEdgeCases:
             sparkline([])
         with pytest.raises(ValueError):
             line_chart({"a": []})
-        with pytest.raises(ValueError):
-            histogram([])
 
     def test_single_point_sparkline(self):
         assert sparkline([3.0]) == "▁"
@@ -99,7 +96,6 @@ class TestEdgeCases:
     def test_constant_series_all_charts(self):
         assert sparkline([2.0] * 4) == "▁▁▁▁"
         assert "a" in line_chart({"a": [2.0] * 4}, height=2, width=4)
-        assert histogram([2.0, 2.0], n_bins=2)
 
     def test_nan_and_inf_rejected(self):
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -110,8 +106,6 @@ class TestEdgeCases:
 
     def test_width_one_renders(self):
         out = bar_chart({"a": 3.0}, width=1)
-        assert "█" in out
-        out = histogram([1.0, 2.0], n_bins=1, width=1)
         assert "█" in out
         # line_chart needs at least 2 columns by contract
         with pytest.raises(ValueError):
@@ -126,19 +120,3 @@ class TestEdgeCases:
     def test_sanitized_feed_renders(self):
         values = [1.0, float("nan"), 5.0, 2.0]
         assert len(sparkline(sanitize_series(values))) == 3
-
-
-class TestHistogram:
-    def test_counts_sum_matches(self):
-        values = np.random.default_rng(0).normal(size=200)
-        out = histogram(values, n_bins=5)
-        counts = [int(line.rsplit(" ", 1)[-1]) for line in out.splitlines()]
-        assert sum(counts) == 200
-
-    def test_bin_count(self):
-        out = histogram([1.0, 2.0, 3.0], n_bins=4)
-        assert len(out.splitlines()) == 4
-
-    def test_title_line(self):
-        out = histogram([1.0, 2.0], n_bins=2, title="CVR")
-        assert out.splitlines()[0] == "CVR"

@@ -17,7 +17,6 @@ class TestDiurnalSchedule:
     def test_multiplier_cycles(self):
         s = DiurnalSchedule(multipliers=(1.0, 2.0), phase_length=3)
         assert s.multiplier_series(8).tolist() == [1, 1, 1, 2, 2, 2, 1, 1]
-        assert s.period == 6
 
     def test_series_matches_pointwise(self):
         s = DiurnalSchedule(multipliers=(0.5, 1.5, 3.0), phase_length=2)
@@ -33,7 +32,8 @@ class TestDiurnalSchedule:
         assert s.peak_multiplier == 1.5
 
     def test_standard_day_sane(self):
-        assert STANDARD_DAY.period == 24 * 120
+        assert len(STANDARD_DAY.multipliers) * STANDARD_DAY.phase_length \
+            == 24 * 120
         assert STANDARD_DAY.peak_multiplier == 3.0
         assert 1.0 <= STANDARD_DAY.mean_multiplier <= 1.5
 
