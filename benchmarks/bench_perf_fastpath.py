@@ -12,10 +12,16 @@ Explaining a placement (one ``PlacementDecided`` per VM, top-K candidate
 rows) must cost at most 10x the unexplained placement: QUEUE, RP and SBP
 on 3,200 VMs and 3,200 PMs, QUEUE-HET, QUEUE-MD and QUANTILE on 800; a
 per-PM Python loop in any explained path costs 40-120x.
+
+The row-batched trace fit (:func:`~repro.workload.estimation.fit_fleet`)
+must equal :func:`~repro.perf.reference.fit_onoff_reference` on every
+field of every row and be at least 3x faster on ``fleet_replan``-shaped
+traces (measured 4.7-6.2x), so losing the batching fails loudly.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -25,12 +31,15 @@ from repro.core.multidim import MultiDimFirstFit, MultiDimPMSpec, MultiDimVMSpec
 from repro.core.quantile import QuantileFFD
 from repro.core.queuing_ffd import QueuingFFD
 from repro.perf.cache import cache_stats
+from repro.perf.reference import fit_onoff_reference
 from repro.placement.ffd import ffd_by_peak
 from repro.placement.sbp import StochasticBinPacker
 from repro.simulation.costmodel import MigrationCostModel
 from repro.simulation.energy import EnergyModel
 from repro.simulation.scenario import Scenario
 from repro.telemetry import RingBufferSink, Telemetry
+from repro.workload.estimation import fit_fleet
+from repro.workload.onoff_generator import demand_trace, ensemble_states
 from repro.workload.patterns import generate_pattern_instance
 
 N_VMS = 200
@@ -169,3 +178,37 @@ def test_explained_placement_within_ceiling():
         "explained placement costs more than "
         f"{EXPLAIN_CEILING:g}x the unexplained one: "
         + ", ".join(f"{name} {r:.1f}x" for name, r in ratios.items()))
+
+
+FIT_FLEET = 3200
+FIT_SAMPLES = 1000
+FIT_FLOOR = 3.0
+
+
+def _fields(fit):
+    """Every field's type and float64 bit pattern."""
+    values = dataclasses.astuple(fit)
+    return ([type(v) for v in values],
+            np.array(values, dtype=np.float64).tobytes())
+
+
+def test_batched_fit_identical_and_faster():
+    # "large" traces built as perfbench's fleet_replan builds them
+    vms, _ = generate_pattern_instance("large", FIT_FLEET, seed=SEED)
+    states = ensemble_states(vms, FIT_SAMPLES - 1, start_stationary=True,
+                             seed=SEED + 1)
+    traces = demand_trace(vms, states)
+
+    t_batch, fits = _min_cpu(3, lambda: fit_fleet(traces))
+    t_rows, reference = _min_cpu(3, lambda: [
+        fit_onoff_reference(row) for row in traces])
+    mismatched = [i for i, (got, want) in enumerate(zip(fits, reference))
+                  if _fields(got) != _fields(want)]
+    assert len(fits) == FIT_FLEET and not mismatched, (
+        f"{len(mismatched)} of {FIT_FLEET} rows differ from the per-row fit, "
+        f"first at row {mismatched[:1]}")
+    speedup = t_rows / max(t_batch, 1e-9)
+    assert speedup >= FIT_FLOOR, (
+        f"fit_fleet only {speedup:.2f}x over the per-row reference "
+        f"({t_batch * 1e3:.0f} ms vs {t_rows * 1e3:.0f} ms) — the row "
+        "batching regressed")

@@ -65,12 +65,8 @@ def main() -> None:
 
     # 3. Consolidate on the *fitted* specs; margin the demand levels by the
     #    90th percentile of each regime to absorb estimation noise.
-    from repro.workload.estimation import fit_onoff
-
-    margin_specs = [
-        fit_onoff(traces[i], percentile_margin=0.9).to_vmspec()
-        for i in range(N_VMS)
-    ]
+    margin_specs = [f.to_vmspec()
+                    for f in fit_fleet(traces, percentile_margin=0.9)]
     pms = [PMSpec(100.0) for _ in range(N_VMS)]
     placer = HeterogeneousQueuingFFD(rho=RHO, d=16)
     placement = placer.place(margin_specs, pms)

@@ -69,7 +69,7 @@ from repro.telemetry import (
     resolve,
 )
 from repro.utils.rng import SeedLike
-from repro.workload.estimation import OnOffFit, fit_onoff
+from repro.workload.estimation import OnOffFit, fit_fleet, fit_onoff
 
 logger = logging.getLogger(__name__)
 
@@ -206,10 +206,8 @@ def adversarial_refit(traces: np.ndarray) -> list[OnOffFit]:
     regresses past any sane guard — exercising the rollback path
     end-to-end.  Pass as ``refit_override`` to :class:`Autopilot`.
     """
-    return [
-        dataclasses.replace(fit_onoff(traces[i]), p_on=0.001, p_off=0.5)
-        for i in range(traces.shape[0])
-    ]
+    return [dataclasses.replace(fit, p_on=0.001, p_off=0.5)
+            for fit in fit_fleet(traces)]
 
 
 @dataclass
@@ -411,21 +409,19 @@ class Autopilot:
         converged = fallback = 0
         if self.refit_override is not None:
             fits = self.refit_override(traces)
-        else:
+        elif cfg.use_hmm:
             fits = []
             for i in range(traces.shape[0]):
-                if cfg.use_hmm:
-                    fit, diag = fit_hmm_onoff(traces[i],
-                                              return_diagnostics=True)
-                    if diag.converged:
-                        converged += 1
-                    else:
-                        fit = fit_onoff(traces[i])
-                        fallback += 1
+                fit, diag = fit_hmm_onoff(traces[i], return_diagnostics=True)
+                if diag.converged:
+                    converged += 1
                 else:
                     fit = fit_onoff(traces[i])
                     fallback += 1
                 fits.append(fit)
+        else:
+            fits = fit_fleet(traces)
+            fallback = len(fits)
         fp = refit_fingerprint(fits)
         self._stats.refits += 1
         self._emit(RefitCompleted(

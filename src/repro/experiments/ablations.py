@@ -42,7 +42,7 @@ from repro.simulation.monitor import Monitor
 from repro.simulation.reconsolidation import ReconsolidationScheduler
 from repro.simulation.scheduler import DynamicScheduler, run_simulation
 from repro.utils.rng import spawn_children
-from repro.workload.estimation import fit_onoff
+from repro.workload.estimation import fit_fleet, fit_onoff
 from repro.workload.onoff_generator import demand_trace, ensemble_states
 from repro.workload.patterns import (
     PATTERN_RANGES,
@@ -243,8 +243,7 @@ def run_model_mismatch(seed=140, n_obs=30_000, n_eval=30_000):
     pms = [PMSpec(100.0)] * MISMATCH_N_VMS
     for label, kwargs in (("mean-level fit", {}),
                           ("p95-margin fit", {"percentile_margin": 0.95})):
-        specs = [fit_onoff(observe[i], **kwargs).to_vmspec()
-                 for i in range(MISMATCH_N_VMS)]
+        specs = [fit.to_vmspec() for fit in fit_fleet(observe, **kwargs)]
         placement = QuantileFFD(rho=MISMATCH_RHO, d=16).place(specs, pms)
         loads = np.zeros((len(pms), evaluate.shape[1]))
         np.add.at(loads, placement.assignment, evaluate)

@@ -323,18 +323,18 @@ def _cmd_fit(args) -> int:
 def _run_fit(args) -> int:
     from repro.core.types import PMSpec
     from repro.markov.hmm import fit_hmm_onoff
-    from repro.workload.estimation import fit_onoff
+    from repro.workload.estimation import fit_fleet
     from repro.workload.io import load_traces, save_instance
 
     traces = load_traces(args.traces)
     specs = []
     print(f"{'vm':>4s} {'p_on':>8s} {'p_off':>8s} {'R_b':>8s} {'R_e':>8s} "
           f"{'transitions':>11s}")
-    for i in range(traces.shape[0]):
-        if args.hmm:
-            fit = fit_hmm_onoff(traces[i])
-        else:
-            fit = fit_onoff(traces[i], percentile_margin=args.margin)
+    if args.hmm:
+        fits = (fit_hmm_onoff(trace) for trace in traces)
+    else:
+        fits = fit_fleet(traces, percentile_margin=args.margin)
+    for i, fit in enumerate(fits):
         specs.append(fit.to_vmspec())
         print(f"{i:4d} {fit.p_on:8.4f} {fit.p_off:8.4f} {fit.r_base:8.2f} "
               f"{fit.r_extra:8.2f} {fit.n_transitions:11d}")

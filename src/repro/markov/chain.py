@@ -10,6 +10,7 @@ ablation benchmark can compare their cost.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Literal
 
 import numpy as np
@@ -62,11 +63,6 @@ class DiscreteMarkovChain:
     # ------------------------------------------------------------------ #
     # basic properties
     # ------------------------------------------------------------------ #
-    @property
-    def transition_matrix(self) -> np.ndarray:
-        """The (read-only) row-stochastic matrix ``P``."""
-        return self._P
-
     @property
     def n_states(self) -> int:
         """Number of states."""
@@ -160,8 +156,10 @@ class DiscreteMarkovChain:
                  seed: SeedLike = None) -> np.ndarray:
         """Sample a state trajectory of length ``n_steps + 1``.
 
-        Uses inverse-CDF sampling against precomputed row CDFs, so the loop
-        body is a single ``searchsorted`` per step.
+        Uses inverse-CDF sampling against precomputed row CDFs: the next
+        state is the first index whose cumulative probability exceeds the
+        step's uniform (``bisect_right`` over the row as Python floats, the
+        same comparisons as ``np.searchsorted(..., side="right")``).
         """
         if not 0 <= initial_state < self.n_states:
             raise ValueError(
@@ -172,11 +170,10 @@ class DiscreteMarkovChain:
         rng = as_generator(seed)
         cdf = np.cumsum(self._P, axis=1)
         cdf[:, -1] = 1.0
-        states = np.empty(n_steps + 1, dtype=np.int64)
-        states[0] = initial_state
-        u = rng.random(n_steps)
+        rows = cdf.tolist()
+        states = [initial_state]
         s = initial_state
-        for t in range(n_steps):
-            s = int(np.searchsorted(cdf[s], u[t], side="right"))
-            states[t + 1] = s
-        return states
+        for u in rng.random(n_steps).tolist():
+            s = bisect_right(rows[s], u)
+            states.append(s)
+        return np.array(states, dtype=np.int64)

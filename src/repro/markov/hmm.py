@@ -48,7 +48,7 @@ _degenerate_limiter = LogRateLimiter(window=50)
 _degenerate_seen = 0
 
 
-def _degenerate_fallback(x: np.ndarray, clip: float, reason: str,
+def _degenerate_fallback(x: np.ndarray, reason: str,
                          return_diagnostics: bool):
     """Threshold-estimator fallback for windows Baum-Welch cannot fit.
 
@@ -73,7 +73,7 @@ def _degenerate_fallback(x: np.ndarray, clip: float, reason: str,
             "observation windows where Baum-Welch fell back to the "
             "threshold estimator",
         ).inc()
-    fit = fit_onoff(x, clip=clip)
+    fit = fit_onoff(x)
     if return_diagnostics:
         return fit, HMMFitDiagnostics(
             n_iterations=0, converged=False,
@@ -163,8 +163,7 @@ def _forward_backward(log_emit: np.ndarray, A: np.ndarray, pi0: np.ndarray):
 
 def fit_hmm_onoff(trace: np.ndarray, *, max_iterations: int = 100,
                   tol: float = 1e-6, min_var: float = 1e-8,
-                  return_diagnostics: bool = False,
-                  clip: float = 1e-4):
+                  return_diagnostics: bool = False):
     """Fit a 2-state Gaussian HMM to a demand trace by Baum-Welch.
 
     Parameters
@@ -180,18 +179,17 @@ def fit_hmm_onoff(trace: np.ndarray, *, max_iterations: int = 100,
         single sample).
     return_diagnostics:
         Also return an :class:`HMMFitDiagnostics`.
-    clip:
-        Clipping for the estimated switch probabilities (as in the
-        threshold estimator).
 
     Returns
     -------
     OnOffFit or (OnOffFit, HMMFitDiagnostics)
         Demand levels come from the emission means (``R_b`` = smaller mean,
         ``R_p`` = larger); switch probabilities from the fitted transition
-        matrix; ``threshold`` is the posterior decision boundary midpoint.
+        matrix, clipped to ``[CLIP, 1 - CLIP]`` as in the threshold
+        estimator; ``threshold`` is the posterior decision boundary midpoint.
     """
-    from repro.workload.estimation import OnOffFit  # deferred: import cycle
+    # deferred: import cycle
+    from repro.workload.estimation import CLIP, OnOffFit
 
     x = np.asarray(trace, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -209,10 +207,10 @@ def fit_hmm_onoff(trace: np.ndarray, *, max_iterations: int = 100,
     span = float(x.max() - x.min())
     scale = max(abs(float(x.max())), abs(float(x.min())), 1.0)
     if span < 1e-12:
-        return _degenerate_fallback(x, clip, "constant", return_diagnostics)
+        return _degenerate_fallback(x, "constant", return_diagnostics)
     if float(x.std()) < _DEGENERATE_REL_STD * scale:
         return _degenerate_fallback(
-            x, clip, "near-zero variance", return_diagnostics)
+            x, "near-zero variance", return_diagnostics)
 
     # Initialization from the quartiles (robust, deterministic).
     lo, hi = np.percentile(x, [25.0, 75.0])
@@ -234,7 +232,7 @@ def fit_hmm_onoff(trace: np.ndarray, *, max_iterations: int = 100,
         gamma, xi_sum, ll = _forward_backward(log_emit, A, pi0)
         if not np.isfinite(ll):  # pragma: no cover - defense in depth
             return _degenerate_fallback(
-                x, clip, "non-finite likelihood", return_diagnostics)
+                x, "non-finite likelihood", return_diagnostics)
         if ll_path and abs(ll - ll_path[-1]) <= tol * (abs(ll_path[-1]) + 1.0):
             ll_path.append(ll)
             converged = True
@@ -259,8 +257,8 @@ def fit_hmm_onoff(trace: np.ndarray, *, max_iterations: int = 100,
     # Identify ON as the larger-mean state.
     on = int(np.argmax(means))
     off = 1 - on
-    p_on = float(np.clip(A[off, on], clip, 1.0 - clip))
-    p_off = float(np.clip(A[on, off], clip, 1.0 - clip))
+    p_on = float(np.clip(A[off, on], CLIP, 1.0 - CLIP))
+    p_off = float(np.clip(A[on, off], CLIP, 1.0 - CLIP))
     r_base = max(float(means[off]), 0.0)
     r_peak = max(float(means[on]), r_base)
     posterior_on = gamma[:, on]

@@ -42,17 +42,8 @@ class OnOffChain:
         check_probability(self.p_off, "p_off", allow_zero=False)
 
     # ------------------------------------------------------------------ #
-    # matrix / simulation views
+    # simulation
     # ------------------------------------------------------------------ #
-    def transition_matrix(self) -> np.ndarray:
-        """2x2 row-stochastic matrix with state order (OFF, ON)."""
-        return np.array(
-            [
-                [1.0 - self.p_on, self.p_on],
-                [self.p_off, 1.0 - self.p_off],
-            ]
-        )
-
     def simulate(self, n_steps: int, *, initial_state: int = OFF,
                  seed: SeedLike = None) -> np.ndarray:
         """Sample a single 0/1 state trajectory of length ``n_steps + 1``."""

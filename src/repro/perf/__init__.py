@@ -6,10 +6,11 @@ to iterate on:
 - :mod:`repro.perf.cache` — an in-process LRU cache for MapCal/stationary
   solves (threaded through :mod:`repro.core.mapcal` and
   :mod:`repro.core.heterogeneous`);
-- :mod:`repro.perf.reference` — the *scalar* per-VM/per-PM reference tick,
-  kept as the ground truth the vectorized
-  :class:`~repro.simulation.datacenter.Datacenter` fast path is verified
-  bit-identical against;
+- :mod:`repro.perf.reference` — the *scalar* per-VM/per-PM reference tick
+  and the per-row trace fit, kept as the ground truth the vectorized
+  :class:`~repro.simulation.datacenter.Datacenter` and the row-batched
+  :func:`~repro.workload.estimation.fit_fleet` are verified bit-identical
+  against;
 - :mod:`repro.perf.bench` — the parallel experiment runner behind
   ``python -m repro bench [--parallel N] [--filter GLOB]``.
 
@@ -30,6 +31,7 @@ __all__ = [
     "fresh_cache",
     "get_cache",
     "ScalarReferenceDatacenter",
+    "fit_onoff_reference",
     "BenchJobResult",
     "iter_job_names",
     "job_seed",
@@ -38,6 +40,7 @@ __all__ = [
 
 _LAZY = {
     "ScalarReferenceDatacenter": "repro.perf.reference",
+    "fit_onoff_reference": "repro.perf.reference",
     "BenchJobResult": "repro.perf.bench",
     "iter_job_names": "repro.perf.bench",
     "job_seed": "repro.perf.bench",

@@ -26,14 +26,7 @@ from repro.workload.patterns import (
 )
 from repro.workload.webserver import WebServerWorkload, UserPool
 from repro.workload.stats import index_of_dispersion, peak_to_mean_ratio
-from repro.workload.estimation import (
-    OnOffFit,
-    classify_states,
-    estimate_switch_probabilities,
-    fit_fleet,
-    fit_onoff,
-    two_means_split,
-)
+from repro.workload.estimation import OnOffFit, fit_fleet, fit_onoff
 from repro.workload.diurnal import (
     STANDARD_DAY,
     DiurnalSchedule,
@@ -64,11 +57,8 @@ __all__ = [
     "index_of_dispersion",
     "peak_to_mean_ratio",
     "OnOffFit",
-    "classify_states",
-    "estimate_switch_probabilities",
     "fit_fleet",
     "fit_onoff",
-    "two_means_split",
     "STANDARD_DAY",
     "DiurnalSchedule",
     "effective_q",

@@ -12,7 +12,8 @@ checks other, production code with it:
   its per-PM reservation states (:func:`place_with_states`);
 - the Engset loss system, the continuous-time limit of the discrete
   Geom/Geom/K/K model;
-- the busy-block kernel (the paper's Eq. 12) by direct summation;
+- the busy-block kernel (the paper's Eq. 12) by direct summation, and the
+  2x2 matrix of one ON-OFF chain;
 - the transient occupancy ``Pi_0 P^t`` of the busy-block chain;
 - the closed-form Binomial stationary law the chain solve is checked
   against, and the occupancy and burst statistics of simulated traces;
@@ -212,6 +213,11 @@ def occupancy_at(k: int, p_on: float, p_off: float, t: int,
     for _ in range(t):
         pi = pi @ P
     return pi
+
+
+def onoff_matrix(p_on: float, p_off: float) -> np.ndarray:
+    """2x2 row-stochastic matrix of an ON-OFF chain, state order (OFF, ON)."""
+    return np.array([[1.0 - p_on, p_on], [p_off, 1.0 - p_off]])
 
 
 def stationary_distribution_closed_form(model) -> np.ndarray:

@@ -33,9 +33,9 @@ class TestConstruction:
         M = np.array([[0.5, 0.5], [0.5, 0.5]])
         chain = DiscreteMarkovChain(M)
         M[0, 0] = 99.0  # caller mutation must not leak in
-        assert chain.transition_matrix[0, 0] == 0.5
+        assert chain._P[0, 0] == 0.5
         with pytest.raises(ValueError):
-            chain.transition_matrix[0, 0] = 0.1
+            chain._P[0, 0] = 0.1
 
     def test_validate_false_skips_checks(self):
         # Deliberately sub-stochastic; constructor must accept it.
@@ -67,7 +67,7 @@ class TestStationary:
     def test_stationary_is_fixed_point(self):
         chain = DiscreteMarkovChain(busy_block_kernel(12, 0.01, 0.09))
         pi = chain.stationary_distribution()
-        np.testing.assert_allclose(pi @ chain.transition_matrix, pi, atol=1e-12)
+        np.testing.assert_allclose(pi @ chain._P, pi, atol=1e-12)
 
     def test_sums_to_one_nonnegative(self):
         chain = DiscreteMarkovChain(busy_block_kernel(15, 0.02, 0.2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.markov.multilevel import MultiLevelChain, spiky_levels
-from repro.markov.onoff import OnOffChain
+from tests.helpers import onoff_matrix
 
 
 class TestMultiLevelChain:
@@ -29,21 +29,19 @@ class TestMultiLevelChain:
 class TestSpikyLevels:
     def test_single_spike_is_onoff(self):
         chain = spiky_levels(10.0, [30.0], p_spike=0.01, p_recover=0.09)
-        onoff = OnOffChain(0.01, 0.09)
-        np.testing.assert_allclose(chain.chain.transition_matrix,
-                                   onoff.transition_matrix())
+        np.testing.assert_allclose(chain.chain._P, onoff_matrix(0.01, 0.09))
         np.testing.assert_array_equal(chain.demands, [10.0, 30.0])
 
     def test_weights_normalized(self):
         chain = spiky_levels(0.0, [1.0, 2.0], p_spike=0.1, p_recover=0.5,
                              spike_weights=[3.0, 1.0])
-        P = chain.chain.transition_matrix
+        P = chain.chain._P
         assert P[0, 1] == pytest.approx(0.075)
         assert P[0, 2] == pytest.approx(0.025)
 
     def test_recovery_goes_straight_to_base(self):
         chain = spiky_levels(0.0, [1.0, 2.0, 3.0], p_spike=0.2, p_recover=0.4)
-        P = chain.chain.transition_matrix
+        P = chain.chain._P
         for j in (1, 2, 3):
             assert P[j, 0] == pytest.approx(0.4)
             assert P[j, j] == pytest.approx(0.6)

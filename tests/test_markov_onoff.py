@@ -7,7 +7,7 @@ from repro.core.types import VMSpec
 from repro.markov.chain import DiscreteMarkovChain
 from repro.markov.onoff import OFF, ON, OnOffChain
 from repro.workload.onoff_generator import ensemble_states
-from tests.helpers import burst_lengths
+from tests.helpers import burst_lengths, onoff_matrix
 
 
 @pytest.fixture
@@ -29,15 +29,17 @@ class TestConstruction:
 
 class TestAnalytics:
     def test_stationary_probabilities(self, chain):
-        pi = DiscreteMarkovChain(chain.transition_matrix()).stationary_distribution()
+        P = onoff_matrix(chain.p_on, chain.p_off)
+        pi = DiscreteMarkovChain(P).stationary_distribution()
         assert pi[ON] == pytest.approx(0.1)
 
     def test_transition_matrix(self, chain):
-        P = chain.transition_matrix()
+        P = DiscreteMarkovChain(onoff_matrix(chain.p_on, chain.p_off))._P
         np.testing.assert_allclose(P, [[0.99, 0.01], [0.09, 0.91]])
 
     def test_as_chain_stationary_matches(self, chain):
-        pi = DiscreteMarkovChain(chain.transition_matrix()).stationary_distribution()
+        P = onoff_matrix(chain.p_on, chain.p_off)
+        pi = DiscreteMarkovChain(P).stationary_distribution()
         q = chain.p_on / (chain.p_on + chain.p_off)
         np.testing.assert_allclose(pi, [1.0 - q, q], atol=1e-12)
 

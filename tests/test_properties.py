@@ -47,7 +47,7 @@ class TestKernelProperties:
     def test_stationary_solves_balance_equations(self, k, p_on, p_off):
         chain = DiscreteMarkovChain(busy_block_kernel(k, p_on, p_off))
         pi = chain.stationary_distribution()
-        np.testing.assert_allclose(pi @ chain.transition_matrix, pi, atol=1e-9)
+        np.testing.assert_allclose(pi @ chain._P, pi, atol=1e-9)
         np.testing.assert_allclose(pi.sum(), 1.0, atol=1e-9)
         assert np.all(pi >= 0.0)
 

@@ -19,7 +19,8 @@ from repro.core.mapcal import mapcal
 from repro.core.quantile import quantile_cvr
 from repro.core.types import VMSpec
 from repro.queueing.transient import expected_time_to_violation, violation_probability_curve
-from repro.workload.estimation import estimate_switch_probabilities, fit_onoff
+from repro.perf.reference import estimate_switch_probabilities
+from repro.workload.estimation import fit_onoff
 from tests.helpers import occupancy_at, quantile_reservation
 
 probs = st.floats(min_value=0.001, max_value=0.999)

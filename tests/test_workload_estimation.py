@@ -1,17 +1,30 @@
-"""Tests for repro.workload.estimation — fitting the four-tuple from traces."""
+"""Tests for repro.workload.estimation — fitting the four-tuple from traces.
+
+The row-batched :func:`fit_fleet` must equal the per-row reference
+:func:`repro.perf.reference.fit_onoff_reference` bit for bit on every field
+of every row (:class:`TestBatchedParity`); the reference's own steps are
+tested here too.
+"""
+
+import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.types import VMSpec
-from repro.workload.estimation import (
+from repro.perf.reference import (
     classify_states,
     estimate_switch_probabilities,
-    fit_fleet,
-    fit_onoff,
+    fit_onoff_reference,
     two_means_split,
 )
+from repro.workload.estimation import CLIP, fit_fleet, fit_onoff
 from repro.workload.onoff_generator import demand_trace, ensemble_states
+from repro.workload.patterns import generate_pattern_instance
 
 
 def synthetic_trace(vm: VMSpec, n_steps: int, seed: int, noise: float = 0.0):
@@ -55,8 +68,8 @@ class TestClassifyStates:
 
 class TestEstimateSwitchProbabilities:
     def test_exact_counting(self):
-        # OFF OFF ON ON OFF: 1 off->on out of 2 off-steps wait:
-        # prev=[0,0,1,1], curr=[0,1,1,0]: off->on = 1 of 2 off; on->off = 1 of 2 on.
+        # prev=[0,0,1,1], curr=[0,1,1,0]: off->on = 1 of 2 off-steps,
+        # on->off = 1 of 2 on-steps.
         states = np.array([0, 0, 1, 1, 0])
         p_on, p_off, n_trans, ll = estimate_switch_probabilities(states)
         assert p_on == pytest.approx(0.5)
@@ -68,7 +81,7 @@ class TestEstimateSwitchProbabilities:
         p_on, p_off, n_trans, _ = estimate_switch_probabilities(
             np.zeros(100, dtype=int)
         )
-        assert p_on == pytest.approx(1e-4)
+        assert p_on == CLIP == 1e-4
         assert n_trans == 0
 
     def test_recovers_true_parameters(self):
@@ -119,12 +132,6 @@ class TestFitOnOff:
         assert cons_fit.r_base + cons_fit.r_extra >= (
             mean_fit.r_base + mean_fit.r_extra
         )
-
-    def test_explicit_threshold_honoured(self):
-        trace = np.array([1.0, 5.0, 1.0, 5.0, 1.0])
-        fit = fit_onoff(trace, threshold=3.0)
-        assert fit.threshold == 3.0
-        assert fit.on_fraction == pytest.approx(2 / 5)
 
     def test_constant_trace_degenerates_gracefully(self):
         fit = fit_onoff(np.full(100, 7.0))
@@ -177,7 +184,6 @@ class TestFitFleet:
     def test_end_to_end_consolidation_from_traces(self):
         """The estimation closes the loop: traces -> specs -> placement."""
         from repro.core.queuing_ffd import QueuingFFD
-        from repro.workload.patterns import generate_pattern_instance
 
         vms, pms = generate_pattern_instance("equal", 30, seed=8)
         states = ensemble_states(vms, 50_000, start_stationary=True, seed=9)
@@ -188,3 +194,123 @@ class TestFitFleet:
         # Fitted specs are close to truth, so PM counts should agree closely.
         truth = QueuingFFD(rho=0.01, d=16).place(vms, pms)
         assert abs(placement.n_used_pms - truth.n_used_pms) <= 2
+
+
+# ---------------------------------------------------------------------- #
+# fit_fleet == fit_onoff_reference, bit for bit
+# ---------------------------------------------------------------------- #
+MARGINS = st.sampled_from([None, 0.9, 0.95])
+LENGTHS = st.one_of(st.integers(2, 300), st.sampled_from([8, 128, 129, 1000, 8193]))
+KINDS = ("constant", "two-level", "noisy", "rounded", "gaussian")
+
+
+def _fields(fit):
+    """Every field's type and float64 bit pattern."""
+    values = dataclasses.astuple(fit)
+    return ([type(v) for v in values],
+            np.array(values, dtype=np.float64).tobytes())
+
+
+def assert_parity(m: np.ndarray, margin) -> None:
+    fits = fit_fleet(m, percentile_margin=margin)
+    assert len(fits) == m.shape[0]
+    for i, fit in enumerate(fits):
+        want = fit_onoff_reference(m[i], percentile_margin=margin)
+        assert _fields(fit) == _fields(want), (i, fit, want)
+
+
+def _row(kind: str, T: int, rng: np.random.Generator) -> np.ndarray:
+    base, extra = rng.uniform(0.0, 30.0, 2)
+    on = rng.random(T) < rng.uniform(0.01, 0.9)
+    if kind == "constant":
+        return np.full(T, base)
+    if kind == "gaussian":
+        return rng.normal(base, extra + 0.1, T)
+    row = base + extra * on
+    if kind == "two-level":
+        return row
+    noisy = row + rng.normal(0.0, rng.uniform(0.05, 3.0), T)
+    return np.round(noisy, 1) if kind == "rounded" else noisy
+
+
+@st.composite
+def fleets(draw):
+    T = draw(LENGTHS)
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.stack([_row(kind, T, rng) for kind in kinds])
+
+
+#: values that tie, sit one ulp apart, or are signed zeros
+AWKWARD = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.3, 1.0, 1.0 + 2**-52,
+                           1.0 - 2**-53, 1e-300, 5e-324, -7.5, 1e12])
+
+
+class TestBatchedParity:
+    @given(m=fleets(), margin=MARGINS)
+    @settings(max_examples=80, deadline=None)
+    def test_generated_fleets(self, m, margin):
+        assert_parity(m, margin)
+
+    @given(m=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 40)),
+                    elements=st.one_of(AWKWARD, st.floats(-1e6, 1e6),
+                                       st.floats(allow_nan=False,
+                                                 allow_infinity=False))),
+           margin=MARGINS)
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_values(self, m, margin):
+        # sums of values near the float64 limit overflow alike on both sides
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_parity(m, margin)
+
+    @pytest.mark.parametrize("margin", [None, 0.9, 0.95])
+    def test_perfbench_shaped_fleet(self, margin):
+        """ "large" traces as perfbench builds them, 400 VMs x 1,000 samples."""
+        vms, _ = generate_pattern_instance("large", 400, seed=3)
+        states = ensemble_states(vms, 999, start_stationary=True, seed=4)
+        assert_parity(demand_trace(vms, states), margin)
+
+    def test_empty_fleet(self):
+        assert fit_fleet(np.empty((0, 10))) == []
+
+
+class TestErrorSurface:
+    """fit_fleet and fit_onoff refuse what the per-row fit refused, with its
+    message."""
+
+    @staticmethod
+    def _message(fn, *args, **kwargs) -> str:
+        with pytest.raises(ValueError) as info:
+            fn(*args, **kwargs)
+        return str(info.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite(self, bad):
+        row = np.arange(10.0)
+        row[3] = bad
+        want = self._message(fit_onoff_reference, row)
+        assert want == "trace must be finite"
+        assert self._message(fit_onoff, row) == want
+        m = np.stack([np.arange(10.0), row])
+        assert self._message(fit_fleet, m) == want
+
+    def test_one_dimensional_fleet(self):
+        msg = self._message(fit_fleet, np.arange(10.0))
+        assert re.fullmatch(r"traces must be 2-D \(n_vms, T\), got shape \(10,\)",
+                            msg)
+
+    @pytest.mark.parametrize("T", [0, 1])
+    def test_too_short(self, T):
+        want = self._message(fit_onoff_reference, np.ones(T))
+        assert want == "need a 1-D trace of length >= 2"
+        assert self._message(fit_onoff, np.ones(T)) == want
+        assert self._message(fit_fleet, np.ones((3, T))) == want
+
+    @pytest.mark.parametrize("margin", [1.5, -0.1, float("nan")])
+    def test_margin_out_of_range(self, margin):
+        row = np.arange(10.0)
+        want = self._message(fit_onoff_reference, row, percentile_margin=margin)
+        assert want.startswith("percentile_margin must be in [0.0, 1.0]")
+        assert self._message(fit_onoff, row, percentile_margin=margin) == want
+        assert self._message(fit_fleet, row[None, :],
+                             percentile_margin=margin) == want
