@@ -17,11 +17,18 @@ The row-batched trace fit (:func:`~repro.workload.estimation.fit_fleet`)
 must equal :func:`~repro.perf.reference.fit_onoff_reference` on every
 field of every row and be at least 3x faster on ``fleet_replan``-shaped
 traces (measured 4.7-6.2x), so losing the batching fails loudly.
+
+A version 2 (columnar) checkpoint of a ``fleet_replan``-shaped end state
+must restore to the same state bytes as the version 1 file
+:func:`~repro.perf.reference.save_checkpoint_v1` writes, and at least 3x
+faster, so a restore that rebuilds lists or per-migration objects again
+fails loudly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import time
 
 import numpy as np
@@ -31,9 +38,14 @@ from repro.core.multidim import MultiDimFirstFit, MultiDimPMSpec, MultiDimVMSpec
 from repro.core.quantile import QuantileFFD
 from repro.core.queuing_ffd import QueuingFFD
 from repro.perf.cache import cache_stats
-from repro.perf.reference import fit_onoff_reference
+from repro.perf.reference import fit_onoff_reference, save_checkpoint_v1
 from repro.placement.ffd import ffd_by_peak
 from repro.placement.sbp import StochasticBinPacker
+from repro.simulation.checkpoint import (
+    canonical_state_bytes,
+    restore_checkpoint,
+    save_checkpoint,
+)
 from repro.simulation.costmodel import MigrationCostModel
 from repro.simulation.energy import EnergyModel
 from repro.simulation.scenario import Scenario
@@ -212,3 +224,60 @@ def test_batched_fit_identical_and_faster():
         f"fit_fleet only {speedup:.2f}x over the per-row reference "
         f"({t_batch * 1e3:.0f} ms vs {t_rows * 1e3:.0f} ms) — the row "
         "batching regressed")
+
+
+RESTORE_FLEET = 3200
+RESTORE_TICKS = 700
+RESTORE_FLOOR = 3.0
+
+
+def _min_cpu_alternating(n_runs: int, *fns) -> list[float]:
+    """Minimum process CPU time of each of ``fns`` over ``n_runs`` rounds
+    that call every one in turn, with the collector off while one runs
+    (as ``timeit`` does): a full collection that one side happens to
+    trigger, or a slow spell of the machine, does not decide the ratio."""
+    best = [float("inf")] * len(fns)
+    for _ in range(n_runs):
+        for i, fn in enumerate(fns):
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.process_time()
+                fn()
+                best[i] = min(best[i], time.process_time() - t0)
+            finally:
+                gc.enable()
+    return best
+
+
+def test_columnar_restore_identical_and_faster(tmp_path):
+    # the end state of one fleet_replan repeat: "large" VMs fitted from
+    # 1,000-sample traces, failures, 5% failed migrations and a replan
+    # every 25 ticks (thousands of migrations in the monitor's history)
+    vms, pms = generate_pattern_instance("large", RESTORE_FLEET, seed=SEED)
+    states = ensemble_states(vms, FIT_SAMPLES - 1, start_stationary=True,
+                             seed=SEED + 1)
+    fitted = [fit.to_vmspec() for fit in fit_fleet(demand_trace(vms, states))]
+    scenario = Scenario(fitted, pms, placer=QueuingFFD(rho=0.01, d=16),
+                        failures=True, migration_failure_probability=0.05,
+                        energy_model=EnergyModel(), start_stationary=True,
+                        reconsolidation={"period": 25})
+    run = scenario.start(seed=SEED)
+    run.advance(RESTORE_TICKS)
+    run.close()
+    state = canonical_state_bytes(run.capture_state())
+    v1 = save_checkpoint_v1(run, tmp_path / "v1.ckpt.json")
+    v2 = save_checkpoint(run, tmp_path / "v2.ckpt.json")
+    assert v2.stat().st_size <= v1.stat().st_size
+
+    t_v2, t_v1 = _min_cpu_alternating(
+        3, lambda: restore_checkpoint(v2, scenario=scenario),
+        lambda: restore_checkpoint(v1, scenario=scenario))
+    for path in (v1, v2):
+        assert canonical_state_bytes(restore_checkpoint(
+            path, scenario=scenario).capture_state()) == state
+    speedup = t_v1 / max(t_v2, 1e-9)
+    assert speedup >= RESTORE_FLOOR, (
+        f"a version 2 restore is only {speedup:.2f}x a version 1 one "
+        f"({t_v2 * 1e3:.1f} ms vs {t_v1 * 1e3:.1f} ms) — the columnar "
+        "restore regressed")

@@ -1,27 +1,110 @@
-"""Durable files: one encoder, one atomic write, one envelope, one journal.
+"""Durable files: one encoder, one column codec, one atomic write, one
+envelope, one journal.
 
 Every file that must survive a crash -- a power loss, not just a process
-kill -- is written here; docs/ROBUSTNESS.md lists them.  A
-:class:`Journal` is a durable buffer with at-least-once replay, so its
-records carry idempotency keys.
+kill -- is written here; docs/ROBUSTNESS.md lists them.  A file stores
+an array as a column: base64 of its little-endian bytes, bit-exact and
+with no number text to write or parse.  A :class:`Journal` is a durable
+buffer with at-least-once replay, so its records carry idempotency keys.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import hashlib
 import json
+import math
 import os
 import secrets
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
 _SHA_KEY = b',"sha256":"'
+
+#: the dtypes a column can have -- little-endian float64, int16 and
+#: int32, and bool -- and the one Python type its values read back as
+COLUMN_TYPES = {"<f8": float, "<i2": int, "<i4": int, "|b1": bool}
+#: the int widths, narrowest first, and the values each holds
+_INT_WIDTHS = (("<i2", range(-2**15, 2**15)), ("<i4", range(-2**31, 2**31)))
 
 
 def canonical(obj: Any) -> bytes:
     """The canonical JSON encoding: sorted keys, no whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
+def encode_column(values, dtype: str) -> str:
+    """Base64 of ``values`` as ``dtype`` bytes (a :data:`COLUMN_TYPES` key)."""
+    return base64.b64encode(
+        np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def decode_column(text, dtype: str, shape: tuple[int, ...] | list[int], *,
+                  name: str, where: str,
+                  error: type[Exception]) -> np.ndarray:
+    """The read-only ``shape`` array of ``dtype`` that ``text`` encodes.
+
+    Raises ``error`` naming column ``name`` of file ``where`` unless
+    ``text`` is base64 of exactly that many bytes.
+    """
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{where}: column {name} is not base64 "
+                    f"({type(exc).__name__}: {exc})") from exc
+    size = np.dtype(dtype).itemsize * math.prod(shape)
+    if len(raw) != size:
+        raise error(f"{where}: column {name} has {len(raw)} bytes for its "
+                    f"{shape[0]} rows ({size} bytes)")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+
+def pack_column(values: list, kind: type) -> dict | None:
+    """``values`` -- a list, or a list of equal-length rows, of ``kind``
+    (``float``, ``int`` or ``bool``) -- as a typed column ``{"data",
+    "dtype", "shape"}``.
+
+    Ints take the narrowest of int16 and int32 that holds them all.
+    Returns None when a value would not read back identical: one of
+    another Python type (an int is no float, a bool no int), or an int
+    outside int32 -- the writer's overflow check.
+    """
+    flat = (list(chain.from_iterable(values))
+            if values and isinstance(values[0], list) else values)
+    if not set(map(type, flat)) <= {kind}:
+        return None
+    dtype = {float: "<f8", bool: "|b1"}.get(kind)
+    if kind is int:
+        low, high = (min(flat), max(flat)) if flat else (0, 0)
+        dtype = next((d for d, held in _INT_WIDTHS
+                      if low in held and high in held), None)
+        if dtype is None:
+            return None
+    arr = np.asarray(values, dtype=dtype)
+    return {"data": encode_column(arr, dtype), "dtype": dtype,
+            "shape": list(arr.shape)}
+
+
+def unpack_column(column, *, name: str, where: str,
+                  error: type[Exception]) -> np.ndarray:
+    """The read-only array a :func:`pack_column` column holds; ``.tolist()``
+    gives the packed values back.  Raises ``error`` naming the column when
+    its dtype is unknown, its shape malformed or its data does not fit.
+    """
+    dtype = column.get("dtype") if isinstance(column, dict) else None
+    if dtype not in COLUMN_TYPES:
+        raise error(f"{where}: column {name} has unknown dtype {dtype!r}")
+    shape = column.get("shape")
+    if not (isinstance(shape, list) and len(shape) in (1, 2)
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise error(f"{where}: column {name} has no valid shape "
+                    f"({shape!r})")
+    return decode_column(column.get("data"), dtype, shape, name=name,
+                         where=where, error=error)
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -67,7 +150,8 @@ class Envelope:
     sort_keys=True)``) is verified by re-encoding its payload instead.
     ``write`` seals ``version``; ``read`` also accepts the ``older``
     versions and returns their payloads as they are, so a caller that
-    bumps the version while keeping the old payload readable says so here.
+    bumps the version while keeping the old payload readable says so here,
+    and reads through ``read_versioned`` when the layouts differ.
     """
 
     def __init__(self, format: str, version: int, *,
@@ -91,13 +175,17 @@ class Envelope:
 
     def read(self, path: str | os.PathLike) -> dict:
         """Read and verify a sealed file; returns the payload."""
+        return self.read_versioned(path)[1]
+
+    def read_versioned(self, path: str | os.PathLike) -> tuple[int, dict]:
+        """Read and verify a sealed file: ``(version, payload)``."""
         try:
             data = Path(path).read_bytes()
         except OSError as exc:
             raise self.read_error(
                 f"cannot read checkpoint {path}: {exc}") from exc
-        tail = next((t for t in self._tails.values() if data.endswith(t)),
-                    b"")
+        version, tail = next(((v, t) for v, t in self._tails.items()
+                              if data.endswith(t)), (None, b""))
         end = len(data) - len(tail)
         start = end - 64 - len(_SHA_KEY)
         payload = None
@@ -108,13 +196,14 @@ class Envelope:
         else:
             envelope = self._parse(data, path)
             payload, expected = envelope["payload"], envelope.get("sha256")
+            version = envelope["version"]
             body = canonical(payload)
         digest = hashlib.sha256(body).hexdigest()
         if digest != expected:
             raise self.error(
                 f"checkpoint {path} failed its checksum (expected "
                 f"{expected!r}, computed {digest!r}); the file is corrupt")
-        return json.loads(body) if payload is None else payload
+        return version, json.loads(body) if payload is None else payload
 
     def _parse(self, data: bytes, path) -> dict:
         try:

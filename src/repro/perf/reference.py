@@ -20,6 +20,10 @@ That makes it two things at once:
 
 Select it end-to-end with ``Scenario(..., tick_mode="scalar")``.
 
+:func:`save_checkpoint_v1` is the version 1 checkpoint writer: the
+payload with every array a JSON list, which a version 2 file must restore
+identically to, and the baseline of the columnar restore's speedup floor.
+
 :func:`fit_onoff_reference` plays the same part for trace fitting: the
 per-row estimator (two-means split, state classification, switch-count MLE)
 that the row-batched :func:`repro.workload.estimation.fit_fleet` must match
@@ -29,8 +33,17 @@ bit for bit, and the baseline of its speedup floor in
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+from repro.durable import Envelope
+from repro.simulation.checkpoint import (
+    CHECKPOINT_FORMAT,
+    CheckpointError,
+    checkpoint_payload,
+)
 from repro.simulation.datacenter import _EPS, Datacenter, _frozen
 from repro.telemetry import timed
 from repro.utils.validation import check_in_range
@@ -237,3 +250,13 @@ def fit_onoff_reference(trace: np.ndarray, *,
         n_transitions=n_trans,
         log_likelihood=ll,
     )
+
+
+def save_checkpoint_v1(run, path: str | os.PathLike) -> Path:
+    """Write ``run``'s checkpoint as format version 1: the payload of
+    :func:`~repro.simulation.checkpoint.checkpoint_payload`, unpacked, in
+    a version 1 envelope (what earlier builds' ``save_checkpoint`` wrote).
+    """
+    Envelope(CHECKPOINT_FORMAT, 1, error=CheckpointError).write(
+        path, checkpoint_payload(run))
+    return Path(path)

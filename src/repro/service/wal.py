@@ -36,19 +36,20 @@ File formats:
   stores the two large parts of
   :meth:`~repro.service.service.PlacementService.capture_state` as
   parallel columns.  The consolidator's ``vms`` becomes ``hosted``:
-  ``id`` and ``pm`` int lists plus ``spec``, base64 of the little-endian
-  float64 ``(p_on, p_off, r_base, r_extra)`` of each VM, 32 bytes per VM,
-  bit-exact.  ``results`` becomes ``kept``: ``key``, ``op`` and ``seq``
-  columns plus ``vm_id``, ``pm`` and ``detail`` (a shed's ``reason``, a
-  recalibration's ``fingerprint``), null where the op has none.  Every
-  other key is stored as it is, and so are ``vms`` whose specs are not
-  all floats (an int would come back as a float).  Version 1 stored the
-  captured state as it is; both versions load to the same state.
+  ``id`` and ``pm`` int lists plus ``spec``, the float64 ``(p_on, p_off,
+  r_base, r_extra)`` of each VM through :mod:`repro.durable`'s column
+  codec: base64 of the little-endian bytes, 32 per VM, bit-exact, its
+  dtype and row count implied.  ``results`` becomes ``kept``: ``key``,
+  ``op`` and ``seq`` columns plus ``vm_id``, ``pm`` and ``detail`` (a
+  shed's ``reason``, a recalibration's ``fingerprint``), null where the
+  op has none.  Every other key is stored as it is, and so are ``vms``
+  whose specs are not all floats (an int would come back as a float).
+  Version 1 stored the captured state as it is; both versions load to
+  the same state.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import itertools
 import os
@@ -56,9 +57,13 @@ from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
-
-from repro.durable import Envelope, Journal, canonical
+from repro.durable import (
+    Envelope,
+    Journal,
+    canonical,
+    decode_column,
+    pack_column,
+)
 
 WAL_FORMAT = "repro-wal"
 WAL_VERSION = 1
@@ -211,17 +216,17 @@ def _pack_state(state: dict) -> dict:
     cons = state.get("consolidator")
     if isinstance(cons, dict) and "vms" in cons:
         vms = cons["vms"]
-        flat = list(itertools.chain.from_iterable(
-            map(_spec_of, vms.values())))
-        # float64 would read an int spec back as a float: keep it as JSON
-        if set(map(type, flat)) <= {float}:
+        # None when float64 would read an int spec back as a float: the
+        # specs then stay JSON
+        spec = pack_column(list(itertools.chain.from_iterable(
+            map(_spec_of, vms.values()))), float)
+        if spec is not None:
             packed["consolidator"] = {k: v for k, v in cons.items()
                                       if k != "vms"}
             packed["consolidator"]["hosted"] = {
                 "id": list(map(int, vms)),
                 "pm": [v["pm"] for v in vms.values()],
-                "spec": base64.b64encode(
-                    np.array(flat, dtype="<f8").tobytes()).decode("ascii")}
+                "spec": spec["data"]}
     if "results" in state:
         results = packed.pop("results")
         outs = list(results.values())
@@ -259,17 +264,10 @@ def _unpack_state(state, path) -> dict:
     cons = state.get("consolidator")
     if isinstance(cons, dict) and "hosted" in cons:
         ids, pms = _columns(cons, "hosted", ("id", "pm"), path)
-        try:
-            raw = base64.b64decode(cons["hosted"]["spec"], validate=True)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise WALCorruptError(
-                f"service checkpoint {path}: column hosted.spec is not "
-                f"base64 ({type(exc).__name__}: {exc})") from exc
-        if len(raw) != 32 * len(ids):
-            raise WALCorruptError(
-                f"service checkpoint {path}: column hosted.spec has "
-                f"{len(raw)} bytes for {len(ids)} VMs (32 each)")
-        spec = iter(np.frombuffer(raw, dtype="<f8").tolist())
+        spec = iter(decode_column(
+            cons["hosted"].get("spec"), "<f8", (len(ids), len(_SPEC)),
+            name="hosted.spec", where=f"service checkpoint {path}",
+            error=WALCorruptError).ravel().tolist())
         out["consolidator"] = {k: v for k, v in cons.items()
                                if k != "hosted"}
         out["consolidator"]["vms"] = {

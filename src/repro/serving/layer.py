@@ -39,6 +39,8 @@ from repro.serving.queue import (
     LatencyHistogram,
     QueueStore,
     VMQueue,
+    queue_columns,
+    queue_snapshots,
     service_capacity,
 )
 from repro.telemetry import ServingSnapshot, Telemetry, resolve
@@ -397,20 +399,28 @@ class ServingLayer:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Overwrite mutable state from a :meth:`capture_state` snapshot."""
-        if len(state["queues"]) != self.n_vms:
+        """Overwrite mutable state from a :meth:`capture_state` snapshot.
+
+        Its ``queues`` may also be the :func:`~repro.serving.queue.
+        queue_columns` of the per-VM snapshots, as a version 2 simulation
+        checkpoint stores them.
+        """
+        queues = state["queues"]
+        if isinstance(queues, list):
+            queues = queue_columns(queues)
+        if len(queues["length"]) != self.n_vms:
             raise ValueError(
-                f"checkpoint serving layer covers {len(state['queues'])} VMs "
-                f"but this layer has {self.n_vms}")
+                f"checkpoint serving layer covers {len(queues['length'])} "
+                f"VMs but this layer has {self.n_vms}")
         if (state["tier"] is None) != (self.tier is None):
             raise ValueError(
                 "checkpoint load-leveling configuration does not match this "
                 "serving layer (one has a tier, the other does not)")
         self._rng = restore_rng_state(state["rng"])
         if self.store is not None:
-            self.store.restore_state(state["queues"])
+            self.store.restore_state(queues)
         else:
-            for q, qs in zip(self.queues, state["queues"]):
+            for q, qs in zip(self.queues, queue_snapshots(queues)):
                 q.restore_state(qs)
         self.histogram.restore_state(state["histogram"])
         if self.tier is not None:

@@ -33,7 +33,8 @@ import numpy as np
 
 from repro.utils.validation import check_integer
 
-__all__ = ["LatencyHistogram", "QueueStore", "VMQueue", "service_capacity"]
+__all__ = ["LatencyHistogram", "QueueStore", "VMQueue", "queue_columns",
+           "queue_snapshots", "service_capacity"]
 
 
 class LatencyHistogram:
@@ -447,36 +448,31 @@ class QueueStore:
     def capture_state(self) -> list[dict]:
         """Per-VM :meth:`VMQueue.capture_state` snapshots, same bytes."""
         rows = int(self.length.max())
-        arrival = self.arrival[:rows].T.tolist()
-        count = self.count[:rows].T.tolist()
-        return [
-            {"max_depth": self.max_depth,
-             "batches": [[a, c] for a, c in zip(arrival[i][:k],
-                                                count[i][:k])]}
-            for i, k in enumerate(self.length.tolist())
-        ]
+        held = np.arange(rows) < self.length[:, None]
+        return queue_snapshots({
+            "max_depth": self.max_depth, "length": self.length,
+            "arrival": self.arrival[:rows].T[held],
+            "count": self.count[:rows].T[held]})
 
-    def restore_state(self, states: list[dict]) -> None:
-        """Overwrite from per-VM snapshots, built from one flat array."""
-        if len(states) != self.n_vms:
+    def restore_state(self, states: list[dict] | dict) -> None:
+        """Overwrite from per-VM snapshots or their :func:`queue_columns`,
+        built from the flat columns in one pass."""
+        cols = queue_columns(states) if isinstance(states, list) else states
+        if len(cols["length"]) != self.n_vms:
             raise ValueError(
-                f"checkpoint holds {len(states)} queues but this store has "
-                f"{self.n_vms}")
-        for s in states:
-            if int(s["max_depth"]) != self.max_depth:
-                raise ValueError(
-                    f"checkpoint queue has max_depth {s['max_depth']} but "
-                    f"this queue has {self.max_depth}")
-        length = np.fromiter((len(s["batches"]) for s in states),
-                             dtype=np.int64, count=self.n_vms)
+                f"checkpoint holds {len(cols['length'])} queues but this "
+                f"store has {self.n_vms}")
+        if int(cols["max_depth"]) != self.max_depth:
+            raise ValueError(
+                f"checkpoint queue has max_depth {cols['max_depth']} but "
+                f"this queue has {self.max_depth}")
+        length = np.array(cols["length"], dtype=np.int64)
+        arrival = np.asarray(cols["arrival"], dtype=np.int64)
+        count = np.asarray(cols["count"], dtype=np.int64)
         total = int(length.sum())
-        flat = np.fromiter(
-            chain.from_iterable(chain.from_iterable(
-                s["batches"] for s in states)),
-            dtype=np.int64, count=2 * total).reshape(total, 2)
         ends = np.cumsum(length)
         starts = ends - length
-        running = np.concatenate(([0], np.cumsum(flat[:, 1])))
+        running = np.concatenate(([0], np.cumsum(count)))
         depth = running[ends] - running[starts]
         over = np.flatnonzero(depth > self.max_depth)
         if over.size:
@@ -488,11 +484,40 @@ class QueueStore:
         self.arrival = np.zeros_like(self.arrival)
         self.count = np.zeros_like(self.count)
         self._fit(int(length.max()))
-        self.arrival[slot, vms] = flat[:, 0]
-        self.count[slot, vms] = flat[:, 1]
+        self.arrival[slot, vms] = arrival
+        self.count[slot, vms] = count
         self.length = length
         self.depth = depth
-        self._newest = int(flat[:, 0].max()) if total else None
+        self._newest = int(arrival.max()) if total else None
+
+
+def queue_columns(states: list[dict]) -> dict:
+    """Per-VM :meth:`VMQueue.capture_state` snapshots as flat columns.
+
+    ``{"max_depth", "length", "arrival", "count"}``: the queues' one
+    ``max_depth``, each VM's batch count, and every batch's arrival stamp
+    and request count, VM by VM in FIFO order, as int lists.
+    :func:`queue_snapshots` takes them back apart.
+    """
+    depths = {s["max_depth"] for s in states}
+    if len(depths) != 1:
+        raise ValueError(f"checkpoint queues must share one max_depth, got "
+                         f"{sorted(depths)}")
+    batches = [s["batches"] for s in states]
+    flat = list(chain.from_iterable(batches))
+    return {"max_depth": depths.pop(), "length": list(map(len, batches)),
+            "arrival": [a for a, _ in flat], "count": [c for _, c in flat]}
+
+
+def queue_snapshots(columns: dict) -> list[dict]:
+    """The per-VM snapshots whose :func:`queue_columns` are ``columns``
+    (lists or arrays)."""
+    max_depth = int(columns["max_depth"])
+    pairs = list(map(list, zip(np.asarray(columns["arrival"]).tolist(),
+                               np.asarray(columns["count"]).tolist())))
+    ends = np.cumsum(columns["length"]).tolist()
+    return [{"max_depth": max_depth, "batches": pairs[start:end]}
+            for start, end in zip([0, *ends], ends)]
 
 
 def service_capacity(service_rate: float, *, violated: bool, thrashing: bool,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, NamedTuple, Optional, Protocol
 
 import numpy as np
 
@@ -72,9 +72,12 @@ _EPS = 1e-9
 HEADROOM_FRACTION = 0.3
 
 
-@dataclass(frozen=True)
-class MigrationEvent:
-    """One live migration: which VM moved where and when."""
+class MigrationEvent(NamedTuple):
+    """One live migration: which VM moved where and when.
+
+    A tuple of four ints, so the monitor keeps the events it records as
+    the rows of its migration history as they are.
+    """
 
     time: int
     vm_id: int

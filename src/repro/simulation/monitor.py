@@ -35,7 +35,8 @@ class RunRecord:
     """Immutable summary of one simulation run."""
 
     n_intervals: int
-    migrations: list[MigrationEvent]
+    #: one row per live migration: ``(time, vm_id, source_pm, target_pm)``
+    migration_rows: np.ndarray
     pms_used_series: np.ndarray
     migrations_per_interval: np.ndarray
     violation_counts: np.ndarray
@@ -59,9 +60,14 @@ class RunRecord:
     failed_migration_attempts: int = 0
 
     @property
+    def migrations(self) -> list[MigrationEvent]:
+        """Every live migration as an event, built from the rows on read."""
+        return list(map(MigrationEvent._make, self.migration_rows.tolist()))
+
+    @property
     def total_migrations(self) -> int:
         """Total live migrations over the run."""
-        return len(self.migrations)
+        return len(self.migration_rows)
 
     @property
     def final_pms_used(self) -> int:
@@ -173,7 +179,10 @@ class Monitor:
                 "pms_overloaded", "violated PMs at the last recorded interval")
         self._pms_used: list[int] = []
         self._migrations_per_interval: list[int] = []
-        self._events: list[MigrationEvent] = []
+        # the migration history: rows up to the last restore or read, and
+        # the events (each a row) recorded since
+        self._history = np.empty((0, 4), dtype=np.int64)
+        self._recent: list[MigrationEvent] = []
         self._violations = np.zeros(n_pms, dtype=np.int64)
         self._presence = np.zeros(n_pms, dtype=np.int64)
         if n_vms is not None and n_vms < 0:
@@ -240,7 +249,7 @@ class Monitor:
         self._presence += used.astype(np.int64)
         self._pms_used.append(int(used.sum()))
         self._migrations_per_interval.append(len(migrations))
-        self._events.extend(migrations)
+        self._recent.extend(migrations)
         if self._vm_suffering is not None:
             if dc.n_vms != self._vm_suffering.size:
                 raise ValueError(
@@ -291,6 +300,15 @@ class Monitor:
     # ------------------------------------------------------------------ #
     # checkpoint support
     # ------------------------------------------------------------------ #
+    def _migration_rows(self) -> np.ndarray:
+        """The whole migration history as one read-only int64 array."""
+        if self._recent:
+            rows = np.concatenate((self._history,
+                                   np.array(self._recent, dtype=np.int64)))
+            rows.flags.writeable = False
+            self._history, self._recent = rows, []
+        return self._history
+
     def capture_state(self) -> dict:
         """JSON-safe snapshot of every accumulated observation.
 
@@ -302,8 +320,7 @@ class Monitor:
         return {
             "pms_used": list(self._pms_used),
             "migrations_per_interval": list(self._migrations_per_interval),
-            "events": [[e.time, e.vm_id, e.source_pm, e.target_pm]
-                       for e in self._events],
+            "events": self._migration_rows().tolist(),
             "violations": self._violations.tolist(),
             "presence": self._presence.tolist(),
             "vm_suffering": (self._vm_suffering.tolist()
@@ -316,20 +333,24 @@ class Monitor:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Overwrite accumulated observations from a snapshot."""
+        """Overwrite accumulated observations from a snapshot.
+
+        Its series may be lists, as :meth:`capture_state` returns them, or
+        arrays; ``events`` becomes the history in one array copy, with no
+        per-migration object.
+        """
         if len(state["violations"]) != self._n_pms:
             raise ValueError(
                 f"checkpoint monitor covers {len(state['violations'])} PMs "
                 f"but monitor was built for {self._n_pms}"
             )
-        self._pms_used = [int(v) for v in state["pms_used"]]
-        self._migrations_per_interval = [
-            int(v) for v in state["migrations_per_interval"]]
-        self._events = [
-            MigrationEvent(time=int(t), vm_id=int(v), source_pm=int(s),
-                           target_pm=int(d))
-            for t, v, s, d in state["events"]
-        ]
+        self._pms_used = np.asarray(state["pms_used"],
+                                    dtype=np.int64).tolist()
+        self._migrations_per_interval = np.asarray(
+            state["migrations_per_interval"], dtype=np.int64).tolist()
+        history = np.array(state["events"], dtype=np.int64).reshape(-1, 4)
+        history.flags.writeable = False
+        self._history, self._recent = history, []
         self._violations = np.array(state["violations"], dtype=np.int64)
         self._presence = np.array(state["presence"], dtype=np.int64)
         for attr, key in (("_vm_suffering", "vm_suffering"),
@@ -349,7 +370,7 @@ class Monitor:
         """Produce the run summary."""
         return RunRecord(
             n_intervals=len(self._pms_used),
-            migrations=list(self._events),
+            migration_rows=self._migration_rows(),
             pms_used_series=np.array(self._pms_used, dtype=np.int64),
             migrations_per_interval=np.array(self._migrations_per_interval,
                                              dtype=np.int64),

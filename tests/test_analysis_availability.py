@@ -22,7 +22,7 @@ def make_record(n_intervals=100, down=None, degraded=None):
                 else np.zeros_like(down))
     return RunRecord(
         n_intervals=n_intervals,
-        migrations=[],
+        migration_rows=np.empty((0, 4), dtype=np.int64),
         pms_used_series=np.ones(n_intervals, dtype=np.int64),
         migrations_per_interval=np.zeros(n_intervals, dtype=np.int64),
         violation_counts=np.zeros(1, dtype=np.int64),

@@ -8,6 +8,9 @@ with equality on the *entire* final mutable state (all three RNG streams,
 datacenter, scheduler, monitor, injector), the report summary, and the
 telemetry event stream — across randomized configurations and both tick
 modes, including snapshots taken mid-migration and mid-failure-window.
+A version 2 (columnar) file and the version 1 file of the same state
+restore and continue identically, and a scenario supplied to a restore
+must hold the file's VMs and PMs.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import pytest
 
 from repro.core.queuing_ffd import QueuingFFD
 from repro.core.types import PMSpec, VMSpec
+from repro.durable import Envelope
+from repro.perf.reference import save_checkpoint_v1
 from repro.placement.base import InsufficientCapacityError
 from repro.simulation import (
     CheckpointError,
@@ -27,8 +32,10 @@ from repro.simulation import (
     restore_checkpoint,
     save_checkpoint,
 )
+from repro.simulation.checkpoint import canonical_state_bytes
 from repro.simulation.costmodel import CostedScheduler, MigrationCostModel
 from repro.simulation.energy import EnergyModel
+from repro.simulation.migration import MigrationEvent
 from repro.simulation.topology import Topology
 from repro.telemetry import RingBufferSink, Telemetry
 
@@ -334,3 +341,185 @@ class TestNonPortableConfigs:
         resumed = restore_checkpoint(path)
         with pytest.raises(CheckpointError, match="no placer"):
             resumed.scenario.placer.place(params["vms"], params["pms"])
+
+
+def _every_column(tick_mode: str, telemetry: Telemetry | None = None):
+    """A scenario whose state fills every version 2 column: failures,
+    replans, migrations and the serving plane; and its run seed."""
+    params = _random_params(0)
+    return Scenario(
+        params["vms"], params["pms"], placer=_PLACER(),
+        failures={"failure_probability": 0.05, "repair_probability": 0.3},
+        migration_failure_probability=0.1,
+        reconsolidation={"period": 5, "rho": 0.4},
+        serving=True, energy_model=EnergyModel(),
+        telemetry=telemetry, tick_mode=tick_mode,
+    ), params["run_seed"]
+
+
+class TestColumnarVersion:
+    """Version 2 (columns) against version 1 (JSON lists), the reference
+    writer's layout."""
+
+    @pytest.mark.parametrize("tick_mode", ["vectorized", "scalar"])
+    def test_v1_and_v2_restore_and_continue_identically(self, tick_mode,
+                                                        tmp_path):
+        n, split = 30, 15
+        sink = RingBufferSink()
+        scenario, seed = _every_column(tick_mode, Telemetry(sink))
+        run = scenario.start(seed=seed)
+        run.advance(split)
+        at_split = canonical_state_bytes(run.capture_state())
+        assert run.monitor.capture_state()["events"], "no migration yet"
+        assert run.injector.record.failures, "no PM failed yet"
+        files = {1: save_checkpoint_v1(run, tmp_path / "v1.ckpt"),
+                 2: save_checkpoint(run, tmp_path / "v2.ckpt")}
+        first = _event_dicts(sink, drop_checkpoint=True)
+        run.advance(n - split)
+        run.close()
+        report = run.finish()
+        report.telemetry = None
+        straight = (canonical_state_bytes(run.capture_state()),
+                    report.summary(), _event_dicts(sink, drop_checkpoint=True))
+
+        assert {v: json.loads(f.read_bytes())["version"]
+                for v, f in files.items()} == {1: 1, 2: 2}
+        assert load_checkpoint(files[1]) == load_checkpoint(files[2])
+        for path in files.values():
+            sink_b = RingBufferSink()
+            resumed = restore_checkpoint(path, telemetry=Telemetry(sink_b))
+            assert canonical_state_bytes(resumed.capture_state()) == at_split
+            resumed.advance(n - split)
+            resumed.close()
+            report = resumed.finish()
+            report.telemetry = None
+            assert (canonical_state_bytes(resumed.capture_state()),
+                    report.summary(), first + _event_dicts(sink_b)) \
+                == straight
+
+    def test_v2_stores_columns_and_loads_the_captured_state(self, tmp_path):
+        scenario, seed = _every_column("vectorized")
+        run = scenario.start(seed=seed)
+        run.advance(12)
+        # drift VM 2's actual ON law: p_on no longer equals the specs'
+        run.datacenter.set_switch_probabilities([2], p_on=0.9)
+        path = save_checkpoint(run, tmp_path / "v2.ckpt")
+        stored = json.loads(path.read_bytes())["payload"]
+        dtypes = {}
+        for name in ("config.vms", "config.pms", "state.datacenter.on",
+                     "state.datacenter.p_on", "state.datacenter.assignment",
+                     "state.monitor.events", "state.injector.failed"):
+            holder = stored
+            for part in name.split("."):
+                holder = holder[part]
+            assert set(holder) == {"data", "dtype", "shape"}, name
+            dtypes[name] = holder["dtype"]
+        assert dtypes["config.vms"] == dtypes["state.datacenter.p_on"] \
+            == "<f8"
+        assert dtypes["state.monitor.events"] == "<i2"
+        # the law still equal to the specs is a reference to their field
+        assert {k: stored["state"]["datacenter"][k] for k in (
+            "p_off", "assumed_p_on", "assumed_p_off")} == {
+            "p_off": {"spec_field": 1}, "assumed_p_on": {"spec_field": 0},
+            "assumed_p_off": {"spec_field": 1}}
+        assert set(stored["state"]["serving"]["queues"]) == {
+            "max_depth", "length", "arrival", "count"}
+        assert load_checkpoint(path)["state"] == run.capture_state()
+
+    def test_int_specs_stay_json_and_load_as_ints(self, tmp_path):
+        # an int stored as float64 would read back as 8.0, not 8
+        vms = [VMSpec(0.2, 0.3, 8, 30), VMSpec(0.1, 0.4, 6.0, 40.0)]
+        run = Scenario(vms, [PMSpec(90)] * 2,
+                       placer=QueuingFFD(rho=0.4, d=16)).start(seed=3)
+        run.advance(4)
+        path = save_checkpoint(run, tmp_path / "ints.ckpt")
+        config = json.loads(path.read_bytes())["payload"]["config"]
+        assert config["vms"] == [[0.2, 0.3, 8, 30], [0.1, 0.4, 6.0, 40.0]]
+        assert config["pms"] == [90, 90]
+        loaded = load_checkpoint(path)["config"]
+        assert [list(map(type, row)) for row in loaded["vms"]] \
+            == [[float, float, int, int], [float] * 4]
+        resumed = restore_checkpoint(path)
+        assert resumed.scenario.vms == vms
+        assert canonical_state_bytes(resumed.capture_state()) \
+            == canonical_state_bytes(run.capture_state())
+
+    def test_a_restore_builds_no_migration_event(self, tmp_path, monkeypatch):
+        scenario, seed = _every_column("vectorized")
+        run = scenario.start(seed=seed)
+        run.advance(20)
+        run.close()
+        events = run.finish().record.migrations
+        assert events
+        path = save_checkpoint(run, tmp_path / "v2.ckpt")
+
+        def no_event(cls, *args, **kwargs):
+            raise AssertionError("the restore built a MigrationEvent")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MigrationEvent, "__new__", no_event)
+            patch.setattr(MigrationEvent, "_make", classmethod(no_event))
+            resumed = restore_checkpoint(path)
+        resumed.close()
+        assert resumed.finish().record.migrations == events
+
+    def test_queue_columns_that_disagree_are_refused(self, tmp_path):
+        scenario, seed = _every_column("vectorized")
+        run = scenario.start(seed=seed)
+        run.advance(12)
+        path = save_checkpoint(run, tmp_path / "v2.ckpt")
+        payload = json.loads(path.read_bytes())["payload"]
+        queues = payload["state"]["serving"]["queues"]
+        queues["count"] = payload["state"]["monitor"]["presence"]
+        Envelope("repro-checkpoint", 2, error=CheckpointError).write(
+            path, payload)
+        for read in (load_checkpoint, restore_checkpoint):
+            with pytest.raises(CheckpointError,
+                               match="column state.serving.queues.count has"):
+                read(path)
+
+
+def _twenty(vm=None, pm=None, n_vms=20) -> Scenario:
+    """20 VMs of R_b 5 on 6 PMs; ``vm``/``pm`` = (index, R_b or capacity)."""
+    vms = [VMSpec(0.2, 0.4, 5.0, 20.0) for _ in range(n_vms)]
+    pms = [PMSpec(120.0) for _ in range(6)]
+    if vm is not None:
+        vms[vm[0]] = VMSpec(0.2, 0.4, vm[1], 20.0)
+    if pm is not None:
+        pms[pm[0]] = PMSpec(pm[1])
+    return Scenario(vms, pms, placer=QueuingFFD(rho=0.01, d=16))
+
+
+class TestSuppliedScenario:
+    """A scenario passed to restore_checkpoint must be the file's."""
+
+    @pytest.fixture(params=["v1", "v2"])
+    def checkpoint(self, request, tmp_path):
+        write = save_checkpoint_v1 if request.param == "v1" \
+            else save_checkpoint
+        run = _twenty().start(seed=5)
+        run.advance(5)
+        path = write(run, tmp_path / "twenty.ckpt")
+        run.close()
+        return path, canonical_state_bytes(run.capture_state())
+
+    def test_the_same_instance_restores(self, checkpoint):
+        path, state = checkpoint
+        resumed = restore_checkpoint(path, scenario=_twenty())
+        assert canonical_state_bytes(resumed.capture_state()) == state
+
+    @pytest.mark.parametrize("other, message", [
+        (lambda: Scenario([VMSpec(0.2, 0.4, 25.0, 20.0)] * 20,
+                          [PMSpec(120.0)] * 6,
+                          placer=QueuingFFD(rho=0.01, d=16)),
+         r"VM 0 is \[0\.2, 0\.4, 5\.0, 20\.0\] in the file and "
+         r"\[0\.2, 0\.4, 25\.0, 20\.0\]"),
+        (lambda: _twenty(vm=(13, 5.000000000000001)), "VM 13 "),
+        (lambda: _twenty(pm=(4, 121.0)),
+         r"PM 4 is 120\.0 in the file and 121\.0 in the scenario"),
+        (lambda: _twenty(n_vms=21), "holds 20 VMs and 6 PMs"),
+    ], ids=["every-r_base", "one-ulp-of-one-vm", "one-pm", "one-vm-more"])
+    def test_another_instance_is_refused(self, checkpoint, other, message):
+        path, _ = checkpoint
+        with pytest.raises(CheckpointError, match=message):
+            restore_checkpoint(path, scenario=other())
