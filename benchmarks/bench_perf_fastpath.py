@@ -23,6 +23,13 @@ must restore to the same state bytes as the version 1 file
 :func:`~repro.perf.reference.save_checkpoint_v1` writes, and at least 3x
 faster, so a restore that rebuilds lists or per-migration objects again
 fails loudly.
+
+The online consolidator's bulk restore from columns must rebuild an
+``online_admission``-shaped end state (about 900 VMs on 256 PMs) to the
+same fingerprint and kernel bytes as
+:func:`~repro.perf.reference.restore_consolidator_v1`, which re-adds the
+VMs one at a time, and at least 1.5x faster, so a restore that goes back
+to one ``ReservationKernel.add`` per VM fails loudly.
 """
 
 from __future__ import annotations
@@ -38,7 +45,14 @@ from repro.core.multidim import MultiDimFirstFit, MultiDimPMSpec, MultiDimVMSpec
 from repro.core.quantile import QuantileFFD
 from repro.core.queuing_ffd import QueuingFFD
 from repro.perf.cache import cache_stats
-from repro.perf.reference import fit_onoff_reference, save_checkpoint_v1
+from repro.core.online import OnlineConsolidator
+from repro.perf.reference import (
+    capture_consolidator_v1,
+    fit_onoff_reference,
+    restore_consolidator_v1,
+    save_checkpoint_v1,
+)
+from repro.placement.base import AdmissionRejectedError, InsufficientCapacityError
 from repro.placement.ffd import ffd_by_peak
 from repro.placement.sbp import StochasticBinPacker
 from repro.simulation.checkpoint import (
@@ -52,7 +66,7 @@ from repro.simulation.scenario import Scenario
 from repro.telemetry import RingBufferSink, Telemetry
 from repro.workload.estimation import fit_fleet
 from repro.workload.onoff_generator import demand_trace, ensemble_states
-from repro.workload.patterns import generate_pattern_instance
+from repro.workload.patterns import generate_pattern_instance, make_pms
 
 N_VMS = 200
 N_INTERVALS = 300
@@ -281,3 +295,75 @@ def test_columnar_restore_identical_and_faster(tmp_path):
         f"a version 2 restore is only {speedup:.2f}x a version 1 one "
         f"({t_v2 * 1e3:.1f} ms vs {t_v1 * 1e3:.1f} ms) — the columnar "
         "restore regressed")
+
+
+ONLINE_SEED = 7
+ONLINE_DECISIONS = 5984
+SERVICE_RESTORE_FLOOR = 1.5
+
+
+def _online_end_state() -> OnlineConsolidator:
+    """The consolidator at the end of a seed-7 ``online_admission`` repeat:
+    256 PMs, Poisson 10 "large" arrivals per tick with geometric lives of
+    mean 100 ticks, ``QueuingFFD(0.01, 16)``, a recalibration every 25
+    ticks, 5,984 decisions (perfbench/admission.py, without the WAL)."""
+    rng = np.random.default_rng(ONLINE_SEED)
+    s_pms, s_vms = rng.integers(0, 2**31 - 1, size=2)
+    counts = rng.poisson(10.0, size=600)
+    lives = rng.geometric(1.0 / 100.0, size=int(counts.sum()))
+    vms, _ = generate_pattern_instance("large", int(counts.sum()), n_pms=1,
+                                       seed=int(s_vms))
+    cons = OnlineConsolidator(make_pms(256, seed=int(s_pms)),
+                              QueuingFFD(rho=0.01, d=16))
+    deaths: dict[int, list[int]] = {}
+    decisions, k = 0, 0
+    for t, n in enumerate(counts.tolist()):
+        ops = [("depart", vm_id) for vm_id in sorted(deaths.pop(t, ()))]
+        ops += [("admit", k + j) for j in range(n)]
+        k += n
+        if t and t % 25 == 0:
+            ops.append(("recalibrate", None))
+        for op, arg in ops[:ONLINE_DECISIONS - decisions]:
+            decisions += 1
+            try:
+                if op == "depart":
+                    cons.depart(arg)
+                elif op == "admit":
+                    vm_id, _ = cons.admit(vms[arg])
+                    deaths.setdefault(t + int(lives[arg]), []).append(vm_id)
+                else:
+                    cons.recalibrate()
+            except (AdmissionRejectedError, InsufficientCapacityError):
+                pass
+        if decisions == ONLINE_DECISIONS:
+            return cons
+    return cons
+
+
+def _kernel_bytes(cons: OnlineConsolidator) -> tuple:
+    kernel = cons.kernel
+    return (kernel.counts.tobytes(), kernel.base_sums.tobytes(),
+            kernel.max_extras.tobytes(),
+            [list(hosted.items()) for hosted in kernel.hosted],
+            list(cons._locations.items()))
+
+
+def test_service_restore_identical_and_faster():
+    live = _online_end_state()
+    assert live.n_vms > 500
+    columns, v1 = live.capture_state(), capture_consolidator_v1(live)
+    bulk = OnlineConsolidator(live._pms, live.placer)
+    scalar = OnlineConsolidator(live._pms, live.placer)
+    # the mapping table is solved by now: both sides hit a warm cache
+    t_bulk, t_scalar = _min_cpu_alternating(
+        3, lambda: bulk.restore_state(columns),
+        lambda: restore_consolidator_v1(scalar, v1))
+    fingerprint = live.state_fingerprint()
+    assert bulk.state_fingerprint() == scalar.state_fingerprint() \
+        == fingerprint
+    assert _kernel_bytes(bulk) == _kernel_bytes(scalar) == _kernel_bytes(live)
+    speedup = t_scalar / max(t_bulk, 1e-9)
+    assert speedup >= SERVICE_RESTORE_FLOOR, (
+        f"the bulk consolidator restore is only {speedup:.2f}x the per-VM "
+        f"one ({t_bulk * 1e3:.2f} ms vs {t_scalar * 1e3:.2f} ms) — the "
+        "restore from columns regressed")

@@ -27,32 +27,44 @@ periods and benchmark repetitions hit the cache instead of re-running the
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro.markov.chain import StationaryMethod
+from repro.markov.binomial import binomial_pmf_table, kernel_from_tables
+from repro.markov.chain import DiscreteMarkovChain, StationaryMethod
 from repro.perf.cache import get_cache
-from repro.queueing.geom_geom_k import FiniteSourceGeomGeomK
+from repro.queueing.geom_geom_k import windows_for_overflow
 from repro.telemetry import timed
 from repro.utils.validation import check_integer, check_probability
 
+#: the ``p_off`` and ``p_on`` binomial PMF tables a solve reads its kernel from
+PMFTables = Callable[[], tuple[np.ndarray, np.ndarray]]
+
+
+def _pmf_tables(n_max: int, p_on: float, p_off: float):
+    return binomial_pmf_table(n_max, p_off), binomial_pmf_table(n_max, p_on)
+
 
 def _solve_mapcal(k: int, p_on: float, p_off: float, rho: float,
-                  method: StationaryMethod) -> int:
-    """The actual (uncached, unvalidated) Algorithm 1 solve."""
+                  method: StationaryMethod, tables: PMFTables) -> int:
+    """The actual (uncached, unvalidated) Algorithm 1 solve: the busy-block
+    kernel from ``tables()``, its stationary law, then the Eq. 15 scan."""
     with timed("mapcal.solve"):
-        model = FiniteSourceGeomGeomK(k, p_on, p_off)
-        return model.min_windows_for_overflow(rho, method)
+        chain = DiscreteMarkovChain(kernel_from_tables(k, *tables()),
+                                    validate=True)
+        return windows_for_overflow(chain.stationary_distribution(method), rho)
 
 
 def _cached_mapcal(k: int, p_on: float, p_off: float, rho: float,
-                   method: StationaryMethod) -> int:
+                   method: StationaryMethod, tables: PMFTables) -> int:
     """Cache-aware solve; callers have already validated the arguments."""
     key = ("mapcal", k, float(p_on), float(p_off), float(rho), str(method))
     return get_cache().get_or_compute(
-        key, lambda: _solve_mapcal(k, p_on, p_off, rho, method))
+        key, lambda: _solve_mapcal(k, p_on, p_off, rho, method, tables))
 
 
 def mapcal(k: int, p_on: float, p_off: float, rho: float,
@@ -77,10 +89,13 @@ def mapcal(k: int, p_on: float, p_off: float, rho: float,
         The block count ``K`` in ``[0, k]``.
     """
     k = check_integer(k, "k", minimum=0)
-    check_probability(rho, "rho")
+    p_on = check_probability(p_on, "p_on", allow_zero=False)
+    p_off = check_probability(p_off, "p_off", allow_zero=False)
+    rho = check_probability(rho, "rho")
     if k == 0:
         return 0
-    return _cached_mapcal(k, p_on, p_off, rho, method)
+    return _cached_mapcal(k, p_on, p_off, rho, method,
+                          lambda: _pmf_tables(k, p_on, p_off))
 
 
 @dataclass(frozen=True)
@@ -140,15 +155,19 @@ def mapcal_table(d: int, p_on: float, p_off: float, rho: float,
     ``k``) on a cold cache; warm tables are one dictionary lookup per
     ``k``.  Validation is hoisted out of the loop — the per-``k`` path does
     no re-checking and no per-call span bookkeeping, so building the
-    ``d = 200`` table is a single pass.  The result is immutable and safely
-    shareable across placers.
+    ``d = 200`` table is a single pass.  The first miss builds both binomial
+    PMF tables once, at ``n_max = d``, and every solve of the call reads its
+    kernel from their top-left block (:func:`kernel_from_tables`); they are
+    dropped on return.  The result is immutable and safely shareable across
+    placers.
     """
     d = check_integer(d, "d", minimum=1)
     p_on = check_probability(p_on, "p_on", allow_zero=False)
     p_off = check_probability(p_off, "p_off", allow_zero=False)
     rho = check_probability(rho, "rho")
     table = np.zeros(d + 1, dtype=np.int64)
+    tables = functools.cache(lambda: _pmf_tables(d, p_on, p_off))
     with timed("mapcal.table"):
         for k in range(1, d + 1):
-            table[k] = _cached_mapcal(k, p_on, p_off, rho, method)
+            table[k] = _cached_mapcal(k, p_on, p_off, rho, method, tables)
     return BlockMapping(p_on=p_on, p_off=p_off, rho=rho, table=table)

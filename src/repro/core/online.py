@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -414,15 +416,16 @@ class OnlineConsolidator:
     # durable state capture / restore
     # ------------------------------------------------------------------ #
     def capture_state(self) -> dict:
-        """Full consolidator state as a canonical, JSON-safe dict.
+        """Full consolidator state, its hosted VMs as parallel columns.
 
-        Everything needed to reconstruct the consolidator exactly —
-        reservation states, VM locations, the mapping parameters (the table
-        itself is recomputed deterministically from them on restore), and
-        the id counter.  Keys are sorted and floats kept verbatim, so two
-        consolidators in the same state serialize byte-identically; the
-        service checkpoint and the crash-recovery parity tests both hinge
-        on that.
+        ``hosted`` holds ``id``, ``pm`` and ``spec`` (each VM's ``(p_on,
+        p_off, r_base, r_extra)``, :func:`spec_column`) in ``_locations``
+        order, which is ascending id.  Beside it: the mapping parameters
+        (the table itself is recomputed deterministically from them on
+        restore), the id counter and the fleet's capacities.  This is the
+        layout the service checkpoint stores; :func:`vms_of` turns the
+        columns into the version 1 ``vms`` dict, which
+        :meth:`state_fingerprint` hashes.
         """
         mapping = None
         if self._mapping is not None:
@@ -433,14 +436,7 @@ class OnlineConsolidator:
                 "d": self._mapping.d,
                 "fingerprint": table_fingerprint(self._mapping),
             }
-        vms = {}
-        for vm_id, pm_idx in self._locations.items():
-            spec = self._kernel.hosted[pm_idx][vm_id]
-            vms[str(vm_id)] = {
-                "pm": pm_idx,
-                "p_on": spec.p_on, "p_off": spec.p_off,
-                "r_base": spec.r_base, "r_extra": spec.r_extra,
-            }
+        hosted = self._kernel.hosted if self._kernel is not None else ()
         return {
             "format": "online-consolidator",
             "version": 1,
@@ -448,7 +444,12 @@ class OnlineConsolidator:
             "recalibrate_noops": self.recalibrate_noops,
             "pm_capacities": [p.capacity for p in self._pms],
             "mapping": mapping,
-            "vms": vms,
+            "hosted": {
+                "id": list(self._locations),
+                "pm": list(self._locations.values()),
+                "spec": spec_column([_spec_row(hosted[pm][vm_id]) for vm_id,
+                                     pm in self._locations.items()]),
+            },
         }
 
     def restore_state(self, state: dict) -> None:
@@ -458,6 +459,15 @@ class OnlineConsolidator:
         rebuilt mapping table must hash to the recorded fingerprint — a
         checkpoint taken under different MapCal parameters fails here
         instead of replaying a WAL against the wrong Eq. (17) table.
+
+        The kernel is rebuilt in bulk over the VMs in id order: ``counts``
+        by ``np.bincount``, each PM's ``base_sums`` by a weighted
+        ``bincount``, which makes the same sequential float adds as
+        :meth:`ReservationKernel.add` does VM by VM, and ``max_extras`` by
+        ``np.maximum.at``.  Raises ``ValueError``, changing nothing, for a
+        VM on a PM outside the fleet, an id held twice or not below
+        ``next_id`` (each naming its column), VMs without a mapping and,
+        as ``add`` does, a PM past ``d`` VMs.
         """
         if state.get("format") != "online-consolidator":
             raise ValueError(f"not a consolidator snapshot: {state.get('format')!r}")
@@ -466,9 +476,25 @@ class OnlineConsolidator:
             raise ValueError(
                 "snapshot PM capacities do not match this fleet: "
                 f"{state['pm_capacities']} != {caps}")
-        self._mapping = None
-        self._kernel = None
-        self._locations = {}
+        hosted = state["hosted"]
+        ids, pms = _ints(hosted, "id"), _ints(hosted, "pm")
+        spec = hosted["spec"]
+        values = np.asarray(spec, dtype=float).reshape(ids.size, len(_SPEC))
+        next_id = int(state["next_id"])
+        order = np.argsort(ids, kind="stable")
+        ids, pms, values = ids[order], pms[order], values[order]
+        twice = np.flatnonzero(ids[1:] == ids[:-1])
+        if twice.size:
+            raise ValueError(f"column hosted.id holds VM {ids[twice[0]]} twice")
+        if ids.size and ids[-1] >= next_id:
+            raise ValueError(f"column hosted.id holds VM {ids[-1]}, not below "
+                             f"next_id {next_id}")
+        outside = np.flatnonzero((pms < 0) | (pms >= len(caps)))
+        if outside.size:
+            raise ValueError(
+                f"column hosted.pm puts VM {ids[outside[0]]} on PM "
+                f"{pms[outside[0]]}, outside this fleet of {len(caps)}")
+        mapping = None
         if state["mapping"] is not None:
             m = state["mapping"]
             mapping = mapcal_table(int(m["d"]), float(m["p_on"]),
@@ -478,24 +504,85 @@ class OnlineConsolidator:
                 raise ValueError(
                     f"rebuilt mapping fingerprint {got} != recorded "
                     f"{m['fingerprint']}; MapCal configuration drifted")
+        if mapping is None and ids.size:
+            raise ValueError(f"snapshot hosts {ids.size} VMs but has no "
+                             "mapping")
+        if mapping is not None:
+            counts = np.bincount(pms, minlength=len(caps))
+            full = np.flatnonzero(counts > mapping.d)
+            if full.size:
+                raise ValueError(f"PM {full[0]} already hosts d={mapping.d} "
+                                 "VMs; cannot admit more")
+        rows = spec.tolist() if isinstance(spec, np.ndarray) else spec
+        vms = [VMSpec(*rows[i]) for i in order.tolist()]
+        self._mapping = self._kernel = None
+        if mapping is not None:
             self._set_mapping(mapping)
-        for vm_id_str in sorted(state["vms"], key=int):
-            rec = state["vms"][vm_id_str]
-            vm_id = int(vm_id_str)
-            spec = VMSpec(p_on=rec["p_on"], p_off=rec["p_off"],
-                          r_base=rec["r_base"], r_extra=rec["r_extra"])
-            self._kernel.add(int(rec["pm"]), vm_id, spec)
-            self._locations[vm_id] = int(rec["pm"])
-        self._next_id = int(state["next_id"])
+            kernel = self._kernel
+            kernel.counts = counts.astype(np.int64, copy=False)
+            # (an empty input gives int zeros, weights or not)
+            kernel.base_sums = np.bincount(
+                pms, weights=values[:, 2],
+                minlength=len(caps)).astype(float, copy=False)
+            np.maximum.at(kernel.max_extras, pms, values[:, 3])
+            for vm_id, pm, vm in zip(ids.tolist(), pms.tolist(), vms):
+                kernel.hosted[pm][vm_id] = vm
+        self._locations = dict(zip(ids.tolist(), pms.tolist()))
+        self._next_id = next_id
         self.recalibrate_noops = int(state.get("recalibrate_noops", 0))
 
     def state_fingerprint(self) -> str:
-        """sha256 over the canonical state snapshot (first 16 hex chars).
+        """sha256 over the canonical version 1 snapshot (first 16 hex chars).
 
         Two consolidators share a fingerprint iff :meth:`capture_state`
         agrees on every field — locations, reservation contents, mapping
         fingerprint, and ``next_id`` — which is exactly the crash-recovery
-        parity criterion.
+        parity criterion.  It hashes the ``vms`` dict :func:`vms_of` makes
+        of the ``hosted`` columns, so it reads as it did before the
+        columns.
         """
-        payload = canonical(self.capture_state())
-        return hashlib.sha256(payload).hexdigest()[:16]
+        state = self.capture_state()
+        state["vms"] = vms_of(state.pop("hosted"))
+        return hashlib.sha256(canonical(state)).hexdigest()[:16]
+
+
+#: a hosted VM's spec fields, in the order of a ``spec`` row
+_SPEC = ("p_on", "p_off", "r_base", "r_extra")
+_spec_row = attrgetter(*_SPEC)
+_spec_of = itemgetter(*_SPEC)
+
+
+def spec_column(rows: list) -> np.ndarray | list:
+    """Spec rows as a read-only float64 ``(n, 4)`` array when every value is
+    a ``float``, which the array then holds exactly; else the rows as they
+    are (an int spec would come back from float64 as a float)."""
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {float}:
+        return rows
+    column = np.array(rows, dtype=float).reshape(len(rows), len(_SPEC))
+    column.setflags(write=False)
+    return column
+
+
+def vms_of(hosted: dict) -> dict:
+    """The version 1 ``vms`` dict of ``hosted`` columns: ``str(id) ->
+    {"pm", "p_on", "p_off", "r_base", "r_extra"}``, in column order."""
+    spec = hosted["spec"]
+    rows = spec.tolist() if isinstance(spec, np.ndarray) else spec
+    return {str(vm_id): {"pm": pm, **dict(zip(_SPEC, row))}
+            for vm_id, pm, row in zip(hosted["id"], hosted["pm"], rows)}
+
+
+def hosted_of(vms: dict) -> dict:
+    """The ``hosted`` columns of a version 1 ``vms`` dict, in its order."""
+    return {"id": list(map(int, vms)), "pm": [v["pm"] for v in vms.values()],
+            "spec": spec_column(list(map(_spec_of, vms.values())))}
+
+
+def _ints(hosted: dict, name: str) -> np.ndarray:
+    """Column ``hosted[name]`` as int64, refused unless every value is an
+    int (a float would be truncated, a bool taken for 0 or 1)."""
+    values = hosted[name]
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"column hosted.{name} holds a value that is not "
+                         "an int")
+    return np.array(values, dtype=np.int64).reshape(len(values))

@@ -58,8 +58,10 @@ def binomial_pmf_table(n_max: int, p: float) -> np.ndarray:
             row[x + 1] = row[x] * ((n - x) / (x + 1)) * ratio
     # Guard against underflow of the seed term for large n / extreme p: if the
     # row degenerated, recompute it with scipy's log-space implementation.
-    bad = np.flatnonzero(~np.isclose(table.sum(axis=1), 1.0, atol=1e-9))
-    for n in bad:
+    # Each row is summed over its own n + 1 entries, so row n, fallback
+    # included, is the same bytes in a table of any n_max >= n.
+    sums = np.array([table[n, : n + 1].sum() for n in range(n_max + 1)])
+    for n in np.flatnonzero(~np.isclose(sums, 1.0, atol=1e-9)):
         table[n, : n + 1] = binom.pmf(np.arange(n + 1), n, p)
     return table
 
@@ -85,11 +87,21 @@ def busy_block_kernel(k: int, p_on: float, p_off: float) -> np.ndarray:
     k = check_integer(k, "k", minimum=0)
     p_on = check_probability(p_on, "p_on")
     p_off = check_probability(p_off, "p_off")
+    return kernel_from_tables(k, binomial_pmf_table(k, p_off),
+                              binomial_pmf_table(k, p_on))
 
+
+def kernel_from_tables(k: int, off_tab: np.ndarray,
+                       on_tab: np.ndarray) -> np.ndarray:
+    """:func:`busy_block_kernel` for ``k`` VMs from the ``p_off`` and
+    ``p_on`` :func:`binomial_pmf_table` tables, of any ``n_max >= k``.
+
+    Row ``n`` of a table does not depend on ``n_max``, and only rows
+    ``0..k`` are read, each over its own ``n + 1`` entries, so one pair of
+    tables built at ``n_max = d`` gives every ``k <= d`` its kernel bit
+    for bit (:func:`repro.core.mapcal.mapcal_table` builds them once).
+    """
     # off_tab[i, r] = P[O = r | theta = i];  on_tab[m, s] = P[I = s | k - theta = m]
-    off_tab = binomial_pmf_table(k, p_off)
-    on_tab = binomial_pmf_table(k, p_on)
-
     P = np.zeros((k + 1, k + 1))
     for i in range(k + 1):
         # P[i, j] = sum_r off_tab[i, r] * on_tab[k - i, j - i + r]

@@ -29,6 +29,14 @@ per-row estimator (two-means split, state classification, switch-count MLE)
 that the row-batched :func:`repro.workload.estimation.fit_fleet` must match
 bit for bit, and the baseline of its speedup floor in
 ``benchmarks/bench_perf_fastpath.py``.
+
+:func:`capture_consolidator_v1` and :func:`restore_consolidator_v1` are the
+per-VM capture and restore of an
+:class:`~repro.core.online.OnlineConsolidator` in the version 1 layout (a
+``vms`` dict of one dict per VM, re-added VM by VM with
+:meth:`~repro.core.reservation.ReservationKernel.add`): the oracle of its
+column capture and bulk restore, and the baseline of the bulk restore's
+speedup floor.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.mapcal import mapcal_table, table_fingerprint
+from repro.core.types import VMSpec
 from repro.durable import Envelope
 from repro.simulation.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -260,3 +270,73 @@ def save_checkpoint_v1(run, path: str | os.PathLike) -> Path:
     Envelope(CHECKPOINT_FORMAT, 1, error=CheckpointError).write(
         path, checkpoint_payload(run))
     return Path(path)
+
+
+# ---------------------------------------------------------------------- #
+# the online consolidator's state, one VM at a time
+# ---------------------------------------------------------------------- #
+def capture_consolidator_v1(consolidator) -> dict:
+    """``consolidator``'s state in the version 1 layout, one dict per VM:
+    what :meth:`~repro.core.online.OnlineConsolidator.capture_state` gives
+    with its ``hosted`` columns turned into ``vms`` by
+    :func:`repro.core.online.vms_of`."""
+    mapping = None
+    if consolidator._mapping is not None:
+        mapping = {
+            "p_on": consolidator._mapping.p_on,
+            "p_off": consolidator._mapping.p_off,
+            "rho": consolidator._mapping.rho,
+            "d": consolidator._mapping.d,
+            "fingerprint": table_fingerprint(consolidator._mapping),
+        }
+    vms = {}
+    for vm_id, pm_idx in consolidator._locations.items():
+        spec = consolidator._kernel.hosted[pm_idx][vm_id]
+        vms[str(vm_id)] = {
+            "pm": pm_idx,
+            "p_on": spec.p_on, "p_off": spec.p_off,
+            "r_base": spec.r_base, "r_extra": spec.r_extra,
+        }
+    return {
+        "format": "online-consolidator",
+        "version": 1,
+        "next_id": consolidator._next_id,
+        "recalibrate_noops": consolidator.recalibrate_noops,
+        "pm_capacities": [p.capacity for p in consolidator._pms],
+        "mapping": mapping,
+        "vms": vms,
+    }
+
+
+def restore_consolidator_v1(consolidator, state: dict) -> None:
+    """Reset ``consolidator`` to a :func:`capture_consolidator_v1` snapshot,
+    re-adding its VMs in id order with ``ReservationKernel.add``."""
+    if state.get("format") != "online-consolidator":
+        raise ValueError(f"not a consolidator snapshot: {state.get('format')!r}")
+    caps = [p.capacity for p in consolidator._pms]
+    if list(state["pm_capacities"]) != caps:
+        raise ValueError(
+            "snapshot PM capacities do not match this fleet: "
+            f"{state['pm_capacities']} != {caps}")
+    consolidator._mapping = None
+    consolidator._kernel = None
+    consolidator._locations = {}
+    if state["mapping"] is not None:
+        m = state["mapping"]
+        mapping = mapcal_table(int(m["d"]), float(m["p_on"]),
+                               float(m["p_off"]), float(m["rho"]))
+        got = table_fingerprint(mapping)
+        if got != m["fingerprint"]:
+            raise ValueError(
+                f"rebuilt mapping fingerprint {got} != recorded "
+                f"{m['fingerprint']}; MapCal configuration drifted")
+        consolidator._set_mapping(mapping)
+    for vm_id_str in sorted(state["vms"], key=int):
+        rec = state["vms"][vm_id_str]
+        vm_id = int(vm_id_str)
+        spec = VMSpec(p_on=rec["p_on"], p_off=rec["p_off"],
+                      r_base=rec["r_base"], r_extra=rec["r_extra"])
+        consolidator._kernel.add(int(rec["pm"]), vm_id, spec)
+        consolidator._locations[vm_id] = int(rec["pm"])
+    consolidator._next_id = int(state["next_id"])
+    consolidator.recalibrate_noops = int(state.get("recalibrate_noops", 0))

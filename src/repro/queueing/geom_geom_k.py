@@ -91,9 +91,14 @@ class FiniteSourceGeomGeomK:
         in ``[0, k]`` (K = k gives zero overflow by construction).
         """
         rho = check_probability(rho, "rho")
-        pi = self.stationary_distribution(method)
-        cumulative = np.cumsum(pi)
-        meets = np.flatnonzero(cumulative >= 1.0 - rho - CDF_SLACK)
-        if meets.size == 0:  # pragma: no cover - cumulative reaches 1 at k
-            return self.k
-        return int(meets[0])
+        return windows_for_overflow(self.stationary_distribution(method), rho)
+
+
+def windows_for_overflow(pi: np.ndarray, rho: float) -> int:
+    """The least ``K`` with ``sum_{m <= K} pi_m >= 1 - rho`` (paper Eq. 15)
+    for a stationary ON-count law ``pi`` over ``0..k``: a value in
+    ``[0, k]``."""
+    meets = np.flatnonzero(np.cumsum(pi) >= 1.0 - rho - CDF_SLACK)
+    if meets.size == 0:  # pragma: no cover - cumulative reaches 1 at k
+        return len(pi) - 1
+    return int(meets[0])

@@ -98,11 +98,13 @@ class ElasticPMPool:
         actions: list[tuple[str, int]] = []
         empty_active = [i for i in self.active_indices() if i in empty]
         draining = self.indices(DRAINING)
-        # Commit drains that have aged past the abort window.
-        for pm in draining:
+        # Commit drains that have aged past the abort window; a PM retired
+        # here is no drain to roll back below.
+        for pm in list(draining):
             if self._drain_age.get(pm, 0) >= self.drain_ticks \
                     and pm in empty:
                 actions.append(("down_commit", pm))
+                draining.remove(pm)
         if len(empty_active) < self.low_watermark:
             # Pressure: roll back the newest drain first, then wake standby.
             if draining:

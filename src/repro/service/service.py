@@ -57,10 +57,14 @@ from repro.service.breaker import SolverCircuitBreaker
 from repro.service.pool import ElasticPMPool
 from repro.service.shed import AdmissionInbox, Request
 from repro.service.wal import (
+    WALCorruptError,
     WALError,
     WALRecord,
     WriteAheadLog,
+    _unpack_state,
+    kept_columns,
     load_service_checkpoint,
+    outcomes_of,
     save_service_checkpoint,
 )
 from repro.telemetry import (
@@ -416,26 +420,41 @@ class PlacementService:
     # ------------------------------------------------------------------ #
     # checkpoint / compaction
     # ------------------------------------------------------------------ #
-    def capture_state(self) -> dict:
-        """The full durable service state, JSON-safe and canonical.
+    def _capture(self) -> tuple[dict, dict]:
+        """The durable state in columns, as the checkpoint stores it, and
+        the kept outcomes, filtered and key-sorted in one pass.
 
-        ``results`` holds the kept outcomes only, so the state is a pure
+        ``kept`` holds the kept outcomes only, so the state is a pure
         function of the journal, however long ago the map was trimmed.
         """
         floor = self._floor()
+        results = {key: out for key, out in sorted(self.results.items())
+                   if self._keeps(out, floor)}
         return {
             "consolidator": self.consolidator.capture_state(),
             "pool": self.pool.capture_state() if self.pool else None,
-            "results": {k: out for k, out in sorted(self.results.items())
-                        if self._keeps(out, floor)},
+            "kept": kept_columns(results),
             "counters": dict(sorted(self.counters.items())),
-        }
+        }, results
 
-    def _restore_state(self, state: dict) -> None:
-        self.consolidator.restore_state(state["consolidator"])
+    def capture_state(self) -> dict:
+        """The full durable service state in the version 1 layout, JSON-safe
+        and canonical: the checkpoint's columns with the hosted VMs as
+        ``consolidator.vms`` and the kept outcomes as ``results``, a map of
+        key to outcome (``repro.service.wal._unpack_state``)."""
+        return _unpack_state(self._capture()[0])
+
+    def _restore_state(self, state: dict, path) -> None:
+        """Restore a :meth:`_capture` state read from checkpoint ``path``;
+        a consolidator state it refuses makes the file unusable."""
+        try:
+            self.consolidator.restore_state(state["consolidator"])
+        except ValueError as exc:
+            raise WALCorruptError(
+                f"service checkpoint {path} does not restore: {exc}") from exc
         if self.pool is not None and state.get("pool") is not None:
             self.pool.restore_state(state["pool"])
-        self.results = dict(state["results"])
+        self.results = outcomes_of(state["kept"])
         self.counters = dict(state["counters"])
 
     def _maybe_checkpoint(self) -> None:
@@ -455,8 +474,7 @@ class PlacementService:
         if not self.checkpoint_path:
             raise WALError("service has no checkpoint_path configured")
         seq, chain = self.wal.last_seq, self.wal.last_chain
-        state = self.capture_state()
-        self.results = dict(state["results"])
+        state, self.results = self._capture()
         save_service_checkpoint(self.checkpoint_path, state=state,
                                 wal_seq=seq, wal_chain=chain)
         self._chaos("checkpointed", seq)
@@ -488,7 +506,7 @@ class PlacementService:
             from pathlib import Path
             if Path(checkpoint_path).exists():
                 payload = load_service_checkpoint(checkpoint_path)
-                svc._restore_state(payload["state"])
+                svc._restore_state(payload["state"], checkpoint_path)
                 start_seq = int(payload["wal_seq"])
         if start_seq < svc.wal.base_seq:
             raise WALError(

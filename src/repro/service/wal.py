@@ -33,36 +33,39 @@ File formats:
   (:func:`encode_record`).
 - The service checkpoint is an envelope (``repro-service-checkpoint``)
   whose payload is ``{"wal_seq", "wal_chain", "state"}``.  Version 2
-  stores the two large parts of
-  :meth:`~repro.service.service.PlacementService.capture_state` as
-  parallel columns.  The consolidator's ``vms`` becomes ``hosted``:
-  ``id`` and ``pm`` int lists plus ``spec``, the float64 ``(p_on, p_off,
-  r_base, r_extra)`` of each VM through :mod:`repro.durable`'s column
-  codec: base64 of the little-endian bytes, 32 per VM, bit-exact, its
-  dtype and row count implied.  ``results`` becomes ``kept``: ``key``,
-  ``op`` and ``seq`` columns plus ``vm_id``, ``pm`` and ``detail`` (a
-  shed's ``reason``, a recalibration's ``fingerprint``), null where the
-  op has none.  Every other key is stored as it is, and so are ``vms``
-  whose specs are not all floats (an int would come back as a float).
-  Version 1 stored the captured state as it is; both versions load to
-  the same state.
+  stores the state's two large parts as parallel columns, the layout the
+  service captures and restores.  The consolidator's hosted VMs are
+  ``hosted``: ``id`` and ``pm`` int lists plus ``spec``, the float64
+  ``(p_on, p_off, r_base, r_extra)`` of each VM through
+  :mod:`repro.durable`'s column codec: base64 of the little-endian bytes,
+  32 per VM, bit-exact, its dtype and row count implied.  The kept
+  outcomes are ``kept``: ``key``, ``op`` and ``seq`` columns plus
+  ``vm_id``, ``pm`` and ``detail`` (a shed's ``reason``, a
+  recalibration's ``fingerprint``), null where the op has none.  Every
+  other key is stored as it is, and hosted VMs whose specs are not all
+  floats are stored as the version 1 ``vms`` (an int would come back as a
+  float).  Version 1 stored the version 1 layout (``vms``, ``results``)
+  as it is; both versions load to the same columns, and
+  :func:`_pack_state`/:func:`_unpack_state` convert between the layouts.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
+
+from repro.core.online import hosted_of, vms_of
 from repro.durable import (
     Envelope,
     Journal,
     canonical,
     decode_column,
-    pack_column,
+    encode_column,
 )
 
 WAL_FORMAT = "repro-wal"
@@ -190,9 +193,6 @@ class WriteAheadLog(Journal):
 _CHECKPOINT = Envelope(SERVICE_CHECKPOINT_FORMAT, SERVICE_CHECKPOINT_VERSION,
                        error=WALCorruptError, read_error=WALError, older=(1,))
 
-#: a hosted VM's spec fields, in the order of its 32 bytes in ``spec``
-_SPEC = ("p_on", "p_off", "r_base", "r_extra")
-_spec_of = itemgetter(*_SPEC)
 _KEPT = ("key", "op", "seq", "vm_id", "pm", "detail")
 #: a kept outcome rebuilt from its ``(seq, vm_id, pm, detail)``, by op
 _OUTCOME = {
@@ -209,35 +209,52 @@ _OUTCOME = {
 }
 
 
+def kept_columns(results: dict) -> dict:
+    """The ``kept`` columns of an idempotency map (key -> outcome), in its
+    order."""
+    outs = list(results.values())
+    return {
+        "key": list(results), "op": list(map(itemgetter("op"), outs)),
+        "seq": list(map(itemgetter("seq"), outs)),
+        "vm_id": [o.get("vm_id") for o in outs],
+        "pm": [o.get("pm") for o in outs],
+        "detail": [o.get("reason", o.get("fingerprint")) for o in outs],
+    }
+
+
+def outcomes_of(kept: dict) -> dict:
+    """The idempotency map (key -> outcome) that ``kept`` columns hold."""
+    keys, ops, *rest = (kept[name] for name in _KEPT)
+    return {key: _OUTCOME[op](*row) for key, op, *row in zip(keys, ops, *rest)}
+
+
 def _pack_state(state: dict) -> dict:
-    """A captured service state as version 2 stores it (module docstring);
-    keys it does not pack pass through."""
+    """A version 1 service state in columns, as
+    :meth:`~repro.service.service.PlacementService.checkpoint` captures it:
+    ``consolidator.vms`` becomes ``hosted``, ``results`` becomes ``kept``;
+    every other key passes through."""
     packed = dict(state)
     cons = state.get("consolidator")
     if isinstance(cons, dict) and "vms" in cons:
-        vms = cons["vms"]
-        # None when float64 would read an int spec back as a float: the
-        # specs then stay JSON
-        spec = pack_column(list(itertools.chain.from_iterable(
-            map(_spec_of, vms.values()))), float)
-        if spec is not None:
-            packed["consolidator"] = {k: v for k, v in cons.items()
-                                      if k != "vms"}
-            packed["consolidator"]["hosted"] = {
-                "id": list(map(int, vms)),
-                "pm": [v["pm"] for v in vms.values()],
-                "spec": spec["data"]}
+        packed["consolidator"] = {k: v for k, v in cons.items() if k != "vms"}
+        packed["consolidator"]["hosted"] = hosted_of(cons["vms"])
     if "results" in state:
-        results = packed.pop("results")
-        outs = list(results.values())
-        packed["kept"] = {
-            "key": list(results), "op": list(map(itemgetter("op"), outs)),
-            "seq": list(map(itemgetter("seq"), outs)),
-            "vm_id": [o.get("vm_id") for o in outs],
-            "pm": [o.get("pm") for o in outs],
-            "detail": [o.get("reason", o.get("fingerprint")) for o in outs],
-        }
+        packed["kept"] = kept_columns(packed.pop("results"))
     return packed
+
+
+def _unpack_state(state: dict) -> dict:
+    """The version 1 layout of a state in columns (:func:`_pack_state`'s
+    inverse): what ``capture_state()`` and ``--state-out`` show."""
+    out = dict(state)
+    cons = state.get("consolidator")
+    if isinstance(cons, dict) and "hosted" in cons:
+        out["consolidator"] = {k: v for k, v in cons.items() if k != "hosted"}
+        out["consolidator"]["vms"] = vms_of(cons["hosted"])
+    if "kept" in state:
+        del out["kept"]
+        out["results"] = outcomes_of(state["kept"])
+    return out
 
 
 def _columns(holder: dict, group: str, names: tuple, path) -> list[list]:
@@ -256,51 +273,61 @@ def _columns(holder: dict, group: str, names: tuple, path) -> list[list]:
     return cols
 
 
-def _unpack_state(state, path) -> dict:
-    """The captured state a version 1 or 2 payload holds."""
+def _encode(state: dict) -> dict:
+    """A state in columns as the file stores it: a float64 ``hosted.spec``
+    as base64 of its bytes, other specs as the version 1 ``vms``."""
+    cons = state.get("consolidator")
+    if not (isinstance(cons, dict) and "hosted" in cons):
+        return state
+    hosted = cons["hosted"]
+    cons = {k: v for k, v in cons.items() if k != "hosted"}
+    if isinstance(hosted["spec"], np.ndarray):
+        cons["hosted"] = {**hosted, "spec": encode_column(hosted["spec"],
+                                                          "<f8")}
+    else:
+        cons["vms"] = vms_of(hosted)
+    return {**state, "consolidator": cons}
+
+
+def _decode(state, path) -> dict:
+    """The state in columns that a version 1 or 2 payload holds, its columns
+    checked: :func:`_encode`'s inverse."""
     if not isinstance(state, dict):
         raise WALCorruptError(f"service checkpoint {path} has no state")
-    out = dict(state)
     cons = state.get("consolidator")
     if isinstance(cons, dict) and "hosted" in cons:
         ids, pms = _columns(cons, "hosted", ("id", "pm"), path)
-        spec = iter(decode_column(
-            cons["hosted"].get("spec"), "<f8", (len(ids), len(_SPEC)),
+        spec = decode_column(
+            cons["hosted"].get("spec"), "<f8", (len(ids), 4),
             name="hosted.spec", where=f"service checkpoint {path}",
-            error=WALCorruptError).ravel().tolist())
-        out["consolidator"] = {k: v for k, v in cons.items()
-                               if k != "hosted"}
-        out["consolidator"]["vms"] = {
-            str(i): {"pm": pm, "p_on": a, "p_off": b, "r_base": c,
-                     "r_extra": d}
-            for i, pm, (a, b, c, d) in zip(ids, pms,
-                                           zip(spec, spec, spec, spec))}
+            error=WALCorruptError)
+        state = {**state, "consolidator": {
+            **cons, "hosted": {"id": ids, "pm": pms, "spec": spec}}}
+    state = _pack_state(state)  # a version 1 file, or specs kept as vms
     if "kept" in state:
-        keys, ops, *rest = _columns(state, "kept", _KEPT, path)
+        ops = _columns(state, "kept", _KEPT, path)[1]
         unknown = {repr(op) for op in ops
                    if not isinstance(op, str) or op not in _OUTCOME}
         if unknown:
             raise WALCorruptError(
                 f"service checkpoint {path}: column kept.op names unknown "
                 f"op(s) {', '.join(sorted(unknown))}")
-        del out["kept"]
-        out["results"] = {key: _OUTCOME[op](*row)
-                          for key, op, *row in zip(keys, ops, *rest)}
-    return out
+    return state
 
 
 def save_service_checkpoint(path: str | os.PathLike, *, state: dict,
                             wal_seq: int, wal_chain: str) -> Path:
     """Atomically write the service state snapshot taken at a WAL position.
 
-    ``state`` must be JSON-safe; it is written as format version 2 (its
-    hosted VMs and kept outcomes as columns, module docstring).  The
-    envelope's sha256 detects a bit-rotted checkpoint on load rather than
-    silently replaying against it.
+    ``state`` is in columns, as ``PlacementService.checkpoint`` captures
+    it (:func:`_pack_state` turns a version 1 state into them), and is
+    written as format version 2 (module docstring).  The envelope's sha256
+    detects a bit-rotted checkpoint on load rather than silently replaying
+    against it.
     """
     _CHECKPOINT.write(path, {"wal_seq": int(wal_seq),
                              "wal_chain": str(wal_chain),
-                             "state": _pack_state(state)})
+                             "state": _encode(state)})
     return Path(path)
 
 
@@ -308,10 +335,13 @@ def load_service_checkpoint(path: str | os.PathLike) -> dict:
     """Read and checksum-verify a service checkpoint; returns the payload.
 
     The payload dict has keys ``wal_seq``, ``wal_chain`` and ``state``,
-    the state as ``capture_state()`` produced it, from a version 1 or 2
-    file alike.  Raises :class:`WALCorruptError` on any damage, or on v2
-    columns that do not fit together -- the caller decides whether a
+    the state in columns as :func:`save_service_checkpoint` takes it, from
+    a version 1 or 2 file alike: ``consolidator.hosted`` with ``spec`` a
+    read-only float64 ``(n, 4)`` array (or, for specs that are not all
+    floats, their rows), and ``kept``.  :func:`_unpack_state` gives the
+    version 1 layout.  Raises :class:`WALCorruptError` on any damage, or
+    on v2 columns that do not fit together -- the caller decides whether a
     full-log replay from genesis can substitute.
     """
     payload = _CHECKPOINT.read(path)
-    return {**payload, "state": _unpack_state(payload.get("state"), path)}
+    return {**payload, "state": _decode(payload.get("state"), path)}

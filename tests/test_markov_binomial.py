@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
-from repro.markov.binomial import binomial_pmf_table, busy_block_kernel
+from repro.markov.binomial import (
+    binomial_pmf_table,
+    busy_block_kernel,
+    kernel_from_tables,
+)
 from tests.helpers import busy_block_kernel_bruteforce
 
 
@@ -94,3 +100,33 @@ class TestBusyBlockKernel:
         assert P[2, 0] == pytest.approx(0.4**2)
         # From state 1: one VM ON. P(next 2) = stay ON * other switches ON.
         assert P[1, 2] == pytest.approx(0.6 * 0.2)
+
+
+# p anywhere in (0, 1], p within 1e-9 of 1, and the edges; at p = 1 - 1e-12
+# (1 - p)^n underflows for n >= 27 and those rows take the scipy fallback
+PROBABILITIES = (st.floats(0.0, 1.0, exclude_min=True)
+                 | st.floats(1.0 - 1e-9, 1.0)
+                 | st.sampled_from([1.0, 1e-6, 1.0 - 1e-12, 1.0 - 1e-15]))
+
+
+class TestSharedTables:
+    """One pair of tables at ``n_max = d`` serves every ``k <= d``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 39), p_on=PROBABILITIES, p_off=PROBABILITIES)
+    @example(d=39, p_on=1.0 - 1e-12, p_off=1.0 - 1e-12)
+    @example(d=39, p_on=1.0, p_off=1e-6)
+    def test_every_k_gets_its_kernel_bit_for_bit(self, d, p_on, p_off):
+        off, on = binomial_pmf_table(d, p_off), binomial_pmf_table(d, p_on)
+        for n in range(d + 1):
+            assert (off[n, : n + 1].tobytes()
+                    == binomial_pmf_table(n, p_off)[n].tobytes())
+        for k in range(d + 1):
+            assert (kernel_from_tables(k, off, on).tobytes()
+                    == busy_block_kernel(k, p_on, p_off).tobytes())
+
+    def test_rows_near_p_one_take_the_scipy_fallback(self):
+        p = 1.0 - 1e-12
+        assert (1.0 - p) ** 39 == 0.0  # the recurrence's seed underflows
+        row = binomial_pmf_table(39, p)[39]
+        np.testing.assert_array_equal(row, binom.pmf(np.arange(40), 39, p))

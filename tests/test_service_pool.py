@@ -66,6 +66,14 @@ class TestLifecycle:
         assert p.status[3] == ACTIVE
         assert p._drain_age == {}
 
+    def test_pressure_never_aborts_the_drain_it_retires(self):
+        # the aged drain's PM is empty and commits; with the reserve dry the
+        # pressure wakes a standby instead of aborting that retired PM
+        p = pool(patience=1, drain_ticks=1)
+        run_policy(p, empty=[0, 1, 2, 3])  # prepares PM 3
+        assert run_policy(p, empty=[3]) == [("down_commit", 3), ("up", 4)]
+        assert p.status[3] == RETIRED and p.status[4] == ACTIVE
+
     def test_retirement_is_terminal(self):
         p = pool(patience=1, drain_ticks=1)
         run_policy(p, empty=[0, 1, 2, 3])

@@ -22,6 +22,7 @@ from repro.service.service import PlacementService
 from repro.service.wal import (
     WALError,
     WriteAheadLog,
+    _unpack_state,
     load_service_checkpoint,
 )
 from repro.telemetry import RingBufferSink, Telemetry, WALReplayed
@@ -326,7 +327,8 @@ def test_durable_state_stays_bounded_in_a_long_run(tmp_path):
     def at_checkpoint(phase, seq):
         if phase != "checkpointed":
             return
-        state = load_service_checkpoint(tmp_path / "ckpt.json")["state"]
+        state = _unpack_state(
+            load_service_checkpoint(tmp_path / "ckpt.json")["state"])
         hosted = svc.consolidator.n_vms
         assert len(state["results"]) <= hosted + window, (seq, hosted)
         assert svc.results == state["results"]  # memory is trimmed too

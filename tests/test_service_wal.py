@@ -25,6 +25,8 @@ from repro.service.wal import (
     WALError,
     WALRecord,
     WriteAheadLog,
+    _pack_state,
+    _unpack_state,
     encode_record,
     load_service_checkpoint,
     save_service_checkpoint,
@@ -326,13 +328,14 @@ def captured_states(draw, spec=SPEC_FLOATS):
 
 
 def _round_trip(state: dict) -> dict:
+    """A version 1 state through the file and back, in columns both ways."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "ckpt.json"
-        save_service_checkpoint(path, state=state, wal_seq=7,
+        save_service_checkpoint(path, state=_pack_state(state), wal_seq=7,
                                 wal_chain="ef" * 32)
         payload = load_service_checkpoint(path)
     assert (payload["wal_seq"], payload["wal_chain"]) == (7, "ef" * 32)
-    return payload["state"]
+    return _unpack_state(payload["state"])
 
 
 class TestColumnarCheckpoint:
@@ -360,13 +363,13 @@ class TestColumnarCheckpoint:
         if kind != "empty":
             _every_op(svc)
         svc.checkpoint()
-        assert (load_service_checkpoint(tmp_path / "ckpt.json")["state"]
-                == svc.capture_state())
+        assert _unpack_state(load_service_checkpoint(
+            tmp_path / "ckpt.json")["state"]) == svc.capture_state()
 
     def test_the_file_stores_columns_and_float64_bytes(self, tmp_path):
         state = captured("static")
         path = tmp_path / "ckpt.json"
-        save_service_checkpoint(path, state=state, wal_seq=1,
+        save_service_checkpoint(path, state=_pack_state(state), wal_seq=1,
                                 wal_chain="ab" * 32)
         raw = json.loads(path.read_bytes())
         assert raw["version"] == SERVICE_CHECKPOINT_VERSION == 2
@@ -403,8 +406,8 @@ class TestColumnarCheckpoint:
     def test_columns_that_do_not_fit_are_refused_by_name(self, field, damage,
                                                          tmp_path):
         path = tmp_path / "ckpt.json"
-        save_service_checkpoint(path, state=captured("static"), wal_seq=1,
-                                wal_chain="ab" * 32)
+        save_service_checkpoint(path, state=_pack_state(captured("static")),
+                                wal_seq=1, wal_chain="ab" * 32)
         payload = json.loads(path.read_bytes())["payload"]
         damage(payload["state"])
         # sealed with a valid checksum: a writer bug, not bit rot

@@ -1,7 +1,9 @@
 """Tests for repro.utils.validation."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.utils.validation import (
@@ -99,6 +101,85 @@ class TestCheckInteger:
         import numpy as np
 
         assert check_integer(np.int64(7), "n") == 7
+
+
+# Every checker on each kind of input: the result (its value and exact
+# type; -0.0 keeps its sign) or the exception type and message.  A plain
+# float takes a fast path past the ``numbers`` ABC checks; nothing else
+# may see a difference.
+INPUTS = {
+    "float": 0.5, "-0.0": -0.0, "nan": math.nan, "inf": math.inf,
+    "-inf": -math.inf, "int": 1, "bool": True, "np.float64": np.float64(0.5),
+    "np.int64": np.int64(1), "Fraction": Fraction(1, 2), "str": "0.5",
+}
+CHECKS = {
+    "probability": lambda v: check_probability(v, "p"),
+    "positive": lambda v: check_positive(v, "x"),
+    "non_negative": lambda v: check_non_negative(v, "x"),
+    "in_range": lambda v: check_in_range(v, "x", 0.0, 1.0),
+    "integer": lambda v: check_integer(v, "n"),
+}
+
+
+def _real_type(v, name):
+    return TypeError(f"{name} must be a real number, got {type(v).__name__}")
+
+
+def _int_type(v):
+    return TypeError(f"n must be an integer, got {type(v).__name__}")
+
+
+EXPECTED = {
+    "probability": {
+        "float": 0.5, "-0.0": -0.0, "int": 1.0, "np.float64": 0.5,
+        "np.int64": 1.0, "Fraction": 0.5,
+        "nan": ValueError("p must not be NaN"),
+        "inf": ValueError("p must be in [0, 1], got inf"),
+        "-inf": ValueError("p must be in [0, 1], got -inf"),
+        "bool": _real_type(True, "p"), "str": _real_type("", "p")},
+    "positive": {
+        "float": 0.5, "int": 1.0, "np.float64": 0.5, "np.int64": 1.0,
+        "Fraction": 0.5,
+        "-0.0": ValueError("x must be a finite positive number, got -0.0"),
+        "nan": ValueError("x must be a finite positive number, got nan"),
+        "inf": ValueError("x must be a finite positive number, got inf"),
+        "-inf": ValueError("x must be a finite positive number, got -inf"),
+        "bool": _real_type(True, "x"), "str": _real_type("", "x")},
+    "non_negative": {
+        "float": 0.5, "-0.0": -0.0, "int": 1.0, "np.float64": 0.5,
+        "np.int64": 1.0, "Fraction": 0.5,
+        "nan": ValueError("x must be a finite non-negative number, got nan"),
+        "inf": ValueError("x must be a finite non-negative number, got inf"),
+        "-inf": ValueError(
+            "x must be a finite non-negative number, got -inf"),
+        "bool": _real_type(True, "x"), "str": _real_type("", "x")},
+    "in_range": {
+        "float": 0.5, "-0.0": -0.0, "int": 1.0, "np.float64": 0.5,
+        "np.int64": 1.0, "Fraction": 0.5,
+        "nan": ValueError("x must be in [0.0, 1.0], got nan"),
+        "inf": ValueError("x must be in [0.0, 1.0], got inf"),
+        "-inf": ValueError("x must be in [0.0, 1.0], got -inf"),
+        "bool": _real_type(True, "x"), "str": _real_type("", "x")},
+    "integer": {
+        "int": 1, "np.int64": 1,
+        **{kind: _int_type(INPUTS[kind])
+           for kind in ("float", "-0.0", "nan", "inf", "-inf", "bool",
+                        "np.float64", "Fraction", "str")}},
+}
+
+
+@pytest.mark.parametrize("check, kind", [
+    (check, kind) for check in CHECKS for kind in INPUTS])
+def test_every_input_kind_gets_its_result(check, kind):
+    want = EXPECTED[check][kind]
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            CHECKS[check](INPUTS[kind])
+        assert str(info.value) == str(want)
+        return
+    got = CHECKS[check](INPUTS[kind])
+    assert type(got) is type(want)
+    assert got == want and math.copysign(1, got) == math.copysign(1, want)
 
 
 class TestTables:
